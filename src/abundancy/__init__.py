@@ -3,7 +3,7 @@ permutation tuples they count, and the limit statistics of the generalized
 index B(ell, n)/n^{ell-1}.
 
 Submodules load lazily so that importing the package (or running the CLI
---help path) does not pay for the JIT toolchain.
+--help path) does not pay for NumPy.
 """
 
 from importlib import import_module

@@ -1,54 +1,25 @@
-"""Hot loops: jitted with numba when available, numpy fallbacks otherwise.
+"""Hot loops, in NumPy and plain Python.
 
-Set ABUNDANCY_NO_NUMBA=1 to force the numpy path (the benchmark harness does
-this in a subprocess). Integer kernels and the fixed-order float
-accumulations give bit-identical results on both paths; the moment kernel
-may differ between paths below its eps contract (per-prime truncation depth
-is adaptive on the jitted path, uniform on the vectorized one).
+Integer kernels are exact, and the compensated sums add in a fixed order,
+so every result is bit-reproducible across NumPy builds.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAS_NUMBA = False
-
-_flag = os.environ.get("ABUNDANCY_NO_NUMBA", "")
-USING_NUMBA = HAS_NUMBA and _flag in ("", "0")
+# Read by the benchmark's run records; there is one kernel path.
+USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet convolution pass: out[m] = sum_{d|m} (m/d)^r t[d], 1-based values
 # stored at index n-1. int64 only; caller guarantees no overflow.
 
-def _conv_pass_loop(t, r, out):
-    n = t.shape[0]
-    for d in range(1, n + 1):
-        td = t[d - 1]
-        if td == 0:
-            continue
-        q = 1
-        m = d
-        while m <= n:
-            qr = 1
-            for _ in range(r):
-                qr *= q
-            out[m - 1] += qr * td
-            q += 1
-            m += d
-    return out
-
-
-def _conv_pass_numpy(t, r, out):
+def conv_pass(t: np.ndarray, r: int) -> np.ndarray:
+    out = np.zeros_like(t)
     n = t.shape[0]
     lim = math.isqrt(n)
     # d-major for small d, q-major for small q; the two ranges partition
@@ -68,7 +39,8 @@ def _conv_pass_numpy(t, r, out):
 # Compensated cumulative sums. kahan_* is the working precision used for all
 # reported statistics; dd_* (double-double) is the higher-precision reference.
 
-def _kahan_cumsum_loop(a, out):
+def kahan_cumsum(a: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
     s = 0.0
     c = 0.0
     for i in range(a.shape[0]):
@@ -80,7 +52,7 @@ def _kahan_cumsum_loop(a, out):
     return out
 
 
-def _kahan_sum_loop(a):
+def kahan_sum(a: np.ndarray) -> float:
     s = 0.0
     c = 0.0
     for i in range(a.shape[0]):
@@ -88,10 +60,11 @@ def _kahan_sum_loop(a):
         t = s + y
         c = (t - s) - y
         s = t
-    return s
+    return float(s)
 
 
-def _dd_cumsum_loop(a, out):
+def dd_cumsum(a: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
     hi = 0.0
     lo = 0.0
     for i in range(a.shape[0]):
@@ -111,37 +84,10 @@ def _dd_cumsum_loop(a, out):
 # ---------------------------------------------------------------------------
 # Batched orbit counts: perms has shape (T, ell, n), 0-based images.
 
-def _orbit_counts_loop(perms, counts):
+def orbit_counts(perms: np.ndarray) -> np.ndarray:
+    perms = np.ascontiguousarray(perms, dtype=np.int64)
     T, ell, n = perms.shape
-    parent = np.empty(n, dtype=np.int64)
-    for t in range(T):
-        for v in range(n):
-            parent[v] = v
-        for g in range(ell):
-            for v in range(n):
-                a = v
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                b = perms[t, g, v]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-        c = 0
-        for v in range(n):
-            a = v
-            while parent[a] != a:
-                a = parent[a]
-            if a == v:
-                c += 1
-        counts[t] = c
-    return counts
-
-
-def _orbit_counts_numpy(perms, counts):
-    T, ell, n = perms.shape
+    counts = np.empty(T, dtype=np.int64)
     labels = np.broadcast_to(np.arange(n, dtype=np.int64), (T, n)).copy()
     jumps = max(1, n.bit_length())
     # min-label propagation with pointer jumping, repeated until fixpoint
@@ -161,42 +107,21 @@ def _orbit_counts_numpy(perms, counts):
 
 
 # ---------------------------------------------------------------------------
-# Per-prime local moment factors. primes: float64 array. For each p the
-# factor is (1 - 1/p) * sum_a p^-a * ratio(a)^m with
-# ratio(a) = prod_{i=1}^{ell-1} (1 - p^-(a+i)) / (1 - p^-i), truncated when
-# the geometric tail drops below eps.
+# Per-prime local moment factors. For each prime p the factor is
+# (1 - 1/p) * sum_a p^-a * ratio(a)^m with
+# ratio(a) = prod_{i=1}^{ell-1} (1 - p^-(a+i)) / (1 - p^-i), truncated for
+# all primes at once when every geometric tail drops below eps.
 
-def _local_moments_loop(primes, ell, m, eps, out):
-    for j in range(primes.shape[0]):
-        p = primes[j]
-        den = 1.0
-        for i in range(1, ell):
-            den *= 1.0 - p ** (-float(i))
-        cap = (1.0 / den) ** m  # ratio(a) is increasing in a, bounded by this
-        s = 0.0
-        a = 0
-        pma = 1.0
-        # remaining tail after exponent a is at most pma * cap
-        while a < 2 or pma * cap > eps:
-            num = 1.0
-            for i in range(1, ell):
-                num *= 1.0 - p ** (-float(a + i))
-            s += pma * (num / den) ** m
-            a += 1
-            pma /= p
-        out[j] = (1.0 - 1.0 / p) * s
-    return out
-
-
-def _local_moments_numpy(primes, ell, m, eps, out):
-    p = primes
+def local_moments(primes: np.ndarray, ell: int, m: int, eps: float) -> np.ndarray:
+    p = primes.astype(np.float64)
     den = np.ones_like(p)
     for i in range(1, ell):
         den *= 1.0 - p ** (-float(i))
-    cap = (1.0 / den) ** m
+    cap = (1.0 / den) ** m  # ratio(a) is increasing in a, bounded by this
     s = np.zeros_like(p)
     pma = np.ones_like(p)
     a = 0
+    # remaining tail after exponent a is at most pma * cap
     while a < 2 or float(np.max(pma * cap)) > eps:
         num = np.ones_like(p)
         for i in range(1, ell):
@@ -204,47 +129,4 @@ def _local_moments_numpy(primes, ell, m, eps, out):
         s += pma * (num / den) ** m
         a += 1
         pma /= p
-    out[:] = (1.0 - 1.0 / p) * s
-    return out
-
-
-if USING_NUMBA:
-    _nb = numba.njit(cache=True, fastmath=False)
-    conv_pass_into = _nb(_conv_pass_loop)
-    kahan_cumsum_into = _nb(_kahan_cumsum_loop)
-    kahan_sum = _nb(_kahan_sum_loop)
-    dd_cumsum_into = _nb(_dd_cumsum_loop)
-    orbit_counts_into = _nb(_orbit_counts_loop)
-    local_moments_into = _nb(_local_moments_loop)
-else:
-    conv_pass_into = _conv_pass_numpy
-    kahan_cumsum_into = _kahan_cumsum_loop
-    kahan_sum = _kahan_sum_loop
-    dd_cumsum_into = _dd_cumsum_loop
-    orbit_counts_into = _orbit_counts_numpy
-    local_moments_into = _local_moments_numpy
-
-
-def conv_pass(t: np.ndarray, r: int) -> np.ndarray:
-    out = np.zeros_like(t)
-    return conv_pass_into(t, r, out)
-
-
-def kahan_cumsum(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    return kahan_cumsum_into(a, out)
-
-
-def dd_cumsum(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    return dd_cumsum_into(a, out)
-
-
-def orbit_counts(perms: np.ndarray) -> np.ndarray:
-    counts = np.empty(perms.shape[0], dtype=np.int64)
-    return orbit_counts_into(np.ascontiguousarray(perms, dtype=np.int64), counts)
-
-
-def local_moments(primes: np.ndarray, ell: int, m: int, eps: float) -> np.ndarray:
-    out = np.empty(primes.shape[0], dtype=np.float64)
-    return local_moments_into(primes.astype(np.float64), ell, m, eps, out)
+    return (1.0 - 1.0 / p) * s

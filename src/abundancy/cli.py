@@ -6,15 +6,13 @@ check that fails, including table-load validation), 2 usage error,
 
 Exact quantities (integer counts, rationals) are written to JSON as
 decimal strings; measured floats are written as JSON numbers. Heavy
-imports happen inside the subcommand handlers so that --threads can cap
-the kernel thread pool before it exists, and --help stays fast.
+imports happen inside the subcommand handlers so that --help stays fast.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +41,6 @@ class RunConfig:
     eps: float = DEFAULT_EPS
     table: str | None = None
     out: str | None = None
-    threads: int | None = None
     max_nmax: int = 50_000_000
     max_work: int = 26_000_000
 
@@ -58,8 +55,6 @@ class RunConfig:
             raise ValueError(f"prime_cutoff must be >= 2: {self.prime_cutoff}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive: {self.eps}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be >= 1: {self.threads}")
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -78,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="abundancy",
         description="Exact arithmetic and limit statistics of B(ell,n)/n^{ell-1}",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap kernel thread pool")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("sieve", help="bulk B(ell,n) table to CSV + sidecar")
@@ -164,7 +157,7 @@ def _cmd_sieve(args) -> int:
     from .sieve import save_table, sieve_b
 
     cfg = RunConfig(subcommand="sieve", ell=args.ell, nmax=args.nmax,
-                    out=args.out, threads=args.threads, max_nmax=args.max_nmax)
+                    out=args.out, max_nmax=args.max_nmax)
     table = sieve_b(cfg.ell, cfg.nmax, max_nmax=cfg.max_nmax)
     save_table(table, cfg.out)
     print(f"sieve ell={cfg.ell} nmax={cfg.nmax} -> {cfg.out} (+ .json sidecar)")
@@ -175,7 +168,7 @@ def _cmd_bruteforce(args) -> int:
     from .permtuples import enumerate_A
 
     cfg = RunConfig(subcommand="bruteforce", ell=args.ell,
-                    threads=args.threads, max_work=args.max_work)
+                    max_work=args.max_work)
     if args.n < 1:
         raise ValueError(f"n must be >= 1: {args.n}")
     at = enumerate_A(cfg.ell, args.n, max_work=cfg.max_work)
@@ -190,8 +183,7 @@ def _cmd_bruteforce(args) -> int:
 def _cmd_genfunc(args) -> int:
     from .genfunc import exp_series
 
-    cfg = RunConfig(subcommand="genfunc", ell=args.ell, nmax=args.nmax,
-                    threads=args.threads)
+    cfg = RunConfig(subcommand="genfunc", ell=args.ell, nmax=args.nmax)
     poly = exp_series(cfg.ell, cfg.nmax)
     if args.out:
         payload = {
@@ -208,7 +200,7 @@ def _cmd_genfunc(args) -> int:
 def _cmd_cauchy(args) -> int:
     from .genfunc import cauchy_check
 
-    RunConfig(subcommand="cauchy", ell=args.ell, threads=args.threads)
+    RunConfig(subcommand="cauchy", ell=args.ell)
     rep = cauchy_check(args.ell, args.n, args.k, args.r, args.M,
                        n_trunc=args.n_trunc)
     if args.out:
@@ -229,7 +221,7 @@ def _cmd_cauchy(args) -> int:
 def _cmd_qcheck(args) -> int:
     from .qseries import verify_power_rule
 
-    RunConfig(subcommand="qcheck", ell=args.ell, threads=args.threads)
+    RunConfig(subcommand="qcheck", ell=args.ell)
     rep = verify_power_rule(args.ell, args.z, args.q, tail_eps=args.eps)
     print(f"qcheck ell={args.ell} q={args.q} z={args.z} terms={rep.terms} "
           f"tail_bound={rep.tail_bound} ok={rep.bound_ok}")
@@ -244,8 +236,7 @@ def _cmd_verify_theorem(args) -> int:
     from .sieve import sieve_b
     from .stats import cesaro_mean, zeta
 
-    cfg = RunConfig(subcommand="verify-theorem", ell=args.ell, nmax=args.nmax,
-                    threads=args.threads)
+    cfg = RunConfig(subcommand="verify-theorem", ell=args.ell, nmax=args.nmax)
     if cfg.ell < 2:
         raise ValueError("verify-theorem needs ell >= 2")
     tol = args.tol if args.tol is not None else _THEOREM_TOL.get(cfg.ell)
@@ -270,7 +261,7 @@ def _cmd_verify_conjecture(args) -> int:
     from .stats import error_series, mu_constant
 
     cfg = RunConfig(subcommand="verify-conjecture", nmax=args.nmax,
-                    bins=args.bins, table=args.table, threads=args.threads)
+                    bins=args.bins, table=args.table)
     if cfg.table is not None:
         table = load_table(cfg.table, ell=2)
     else:
@@ -311,7 +302,7 @@ def _cmd_moments(args) -> int:
 
     cfg = RunConfig(subcommand="moments", ell=args.ell,
                     prime_cutoff=args.prime_cutoff, eps=args.eps,
-                    table=args.table, threads=args.threads)
+                    table=args.table)
     if args.m < 1:
         raise ValueError(f"m must be >= 1: {args.m}")
     result = theoretical_moment(cfg.ell, args.m, prime_cutoff=cfg.prime_cutoff,
@@ -357,7 +348,6 @@ def _parse_twists(text: str) -> tuple[tuple[int, ...], ...]:
 def _cmd_tori(args) -> int:
     from .tori import TorusSpec, build_torus, export_dot, validate
 
-    RunConfig(subcommand="tori", threads=args.threads)
     spec = TorusSpec(dims=_parse_dims(args.dims), twists=_parse_twists(args.twists))
     real = build_torus(spec)
     extra = ""
@@ -395,20 +385,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.threads is not None:
-        if args.threads < 1:
-            print(f"error: threads must be >= 1: {args.threads}", file=sys.stderr)
-            return 2
-        # must land in the environment before the kernel module first loads
-        os.environ.setdefault("NUMBA_NUM_THREADS", str(args.threads))
-        try:
-            import numba
-
-            numba.set_num_threads(
-                min(args.threads, numba.config.NUMBA_NUM_THREADS)
-            )
-        except ImportError:
-            pass
     try:
         return _DISPATCH[args.cmd](args)
     except BudgetError as exc:

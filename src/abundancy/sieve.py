@@ -125,19 +125,36 @@ def _render_csv(table: ArithTable) -> bytes:
     return "\n".join(lines).encode("ascii")
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to a temp file beside path, then rename it over path."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_table(table: ArithTable, path: str | Path) -> None:
-    """Write CSV data plus the JSON sidecar <path>.json."""
+    """Write CSV data plus the JSON sidecar <path>.json, each atomically.
+
+    The sidecar is replaced last, so a reader sees either the old pair, the
+    new pair, or a new CSV under the old sidecar, which fails its checksum.
+    """
     path = Path(path)
     data = _render_csv(table)
-    path.write_bytes(data)
     sidecar = {
         "ell": table.ell,
         "nmax": table.nmax,
         "format_version": FORMAT_VERSION,
         "sha256": hashlib.sha256(data).hexdigest(),
     }
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+    _write_atomic(path, data)
+    _write_atomic(
+        Path(str(path) + ".json"),
+        (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode("ascii"),
     )
 
 

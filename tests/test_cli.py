@@ -15,7 +15,7 @@ def test_runconfig_validation():
     assert cfg.bins == 250 and cfg.prime_cutoff == 10_000 and cfg.eps == 1e-10
     for kw in (
         {"ell": 0}, {"nmax": 0}, {"bins": 0},
-        {"prime_cutoff": 1}, {"eps": 0.0}, {"threads": 0},
+        {"prime_cutoff": 1}, {"eps": 0.0},
     ):
         with pytest.raises(ValueError):
             RunConfig(subcommand="x", **kw)
@@ -172,12 +172,15 @@ def test_usage_errors():
                 "--ell", "0"]) == 2
 
 
-def test_threads_flag(tmp_path):
-    out = tmp_path / "t.csv"
-    assert run(["--threads", "2", "sieve", "--nmax", "100",
-                "--out", str(out)]) == 0
-    assert run(["--threads", "0", "sieve", "--nmax", "100",
-                "--out", str(out)]) == 2
+def test_no_numpy_scalar_repr_on_stdout(tmp_path, capsys):
+    table = tmp_path / "b2.csv"
+    assert run(["sieve", "--nmax", "20000", "--out", str(table)]) == 0
+    assert run(["verify-theorem", "--nmax", "20000", "--tol", "1e-3"]) == 0
+    assert run(["moments", "--m", "2", "--prime-cutoff", "100",
+                "--table", str(table)]) == 0
+    out = capsys.readouterr().out
+    assert "mean=1.6" in out and "empirical=" in out
+    assert "np.float64(" not in out
 
 
 def test_summary_lines_on_stdout(capsys):

@@ -1,11 +1,10 @@
-import hashlib
 import math
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abundancy import _kernels
 
@@ -37,7 +36,9 @@ def test_kahan_cumsum_matches_fsum():
 def test_kahan_sum_close_to_fsum():
     rng = np.random.default_rng(11)
     a = rng.normal(size=100_000)
-    assert abs(_kernels.kahan_sum(a) - math.fsum(a)) < 1e-9
+    total = _kernels.kahan_sum(a)
+    assert type(total) is float
+    assert abs(total - math.fsum(a)) < 1e-9
 
 
 def test_dd_cumsum_tighter_than_kahan():
@@ -68,58 +69,72 @@ def test_local_moments_first_term_bound():
         assert out[0] >= 1.0 - 1.0 / p
 
 
-_PARITY_SCRIPT = r"""
-import hashlib
-import numpy as np
-from abundancy import _kernels
-
-rng = np.random.default_rng(123)
-a = rng.normal(size=50_000)
-t = np.ones(2000, dtype=np.int64)
-conv = _kernels.conv_pass(_kernels.conv_pass(t, 1), 2)
-kah = _kernels.kahan_cumsum(a)
-dig = hashlib.sha256()
-dig.update(conv.tobytes())
-dig.update(kah.tobytes())
-dig.update(np.float64(_kernels.kahan_sum(a)).tobytes())
-print(_kernels.USING_NUMBA, dig.hexdigest())
-"""
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_conv_pass_matches_divisor_sum(r):
+    rng = np.random.default_rng(100 + r)
+    t = rng.integers(-1000, 1000, size=300, dtype=np.int64)
+    out = _kernels.conv_pass(t, r)
+    ref = [
+        sum((m // d) ** r * int(t[d - 1]) for d in range(1, m + 1) if m % d == 0)
+        for m in range(1, 301)
+    ]
+    assert out.dtype == np.int64
+    assert out.tolist() == ref
 
 
-def _run_parity(no_numba: bool) -> tuple[str, str]:
-    env = dict(os.environ)
-    env["ABUNDANCY_NO_NUMBA"] = "1" if no_numba else "0"
-    res = subprocess.run(
-        [sys.executable, "-c", _PARITY_SCRIPT],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    used, digest = res.stdout.split()
-    return used, digest
+def _union_find_orbits(gens: list[list[int]], n: int) -> int:
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for g in gens:
+        for v in range(n):
+            parent[find(v)] = find(g[v])
+    return sum(1 for v in range(n) if find(v) == v)
 
 
-def test_numba_and_numpy_paths_bit_identical():
-    used_jit, dig_jit = _run_parity(no_numba=False)
-    used_np, dig_np = _run_parity(no_numba=True)
-    assert used_np == "False"
-    assert dig_jit == dig_np
-    if used_jit == "False":
-        pytest.skip("numba unavailable; both runs took the numpy path")
+@st.composite
+def _perm_batch(draw):
+    T = draw(st.integers(1, 4))
+    ell = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    perm = st.permutations(list(range(n)))
+    return [[draw(perm) for _ in range(ell)] for _ in range(T)], n
 
 
-def test_moment_kernel_paths_agree_within_eps():
-    script = r"""
-import numpy as np
-from abundancy import _kernels
-ps = np.array([2, 3, 5, 7, 11, 101, 997], dtype=np.float64)
-out = _kernels.local_moments(ps, 3, 2, 1e-12)
-print(" ".join(repr(float(x)) for x in out))
-"""
-    env = dict(os.environ)
-    env["ABUNDANCY_NO_NUMBA"] = "1"
-    res = subprocess.run([sys.executable, "-c", script],
-                         capture_output=True, text=True, env=env, check=True)
-    theirs = [float(x) for x in res.stdout.split()]
-    ps = np.array([2, 3, 5, 7, 11, 101, 997], dtype=np.float64)
-    ours = _kernels.local_moments(ps, 3, 2, 1e-12)
-    # per-prime truncation depth may differ between paths, value must not
-    assert np.allclose(ours, theirs, rtol=0, atol=1e-10)
+@settings(max_examples=200, deadline=None)
+@given(_perm_batch())
+def test_orbit_counts_matches_union_find(batch):
+    tuples, n = batch
+    ks = _kernels.orbit_counts(np.array(tuples, dtype=np.int64))
+    assert ks.tolist() == [_union_find_orbits(gens, n) for gens in tuples]
+
+
+def _exact_local_moment(p: int, ell: int, m: int, tol: Fraction) -> Fraction:
+    """(1 - 1/p) sum_a p^-a ratio(a)^m in rationals, cut once the tail < tol."""
+    q = Fraction(1, p)
+    den = Fraction(1)
+    for i in range(1, ell):
+        den *= 1 - q**i
+    cap = (1 / den) ** m
+    s = Fraction(0)
+    a = 0
+    while q**a * cap / (1 - q) >= tol:
+        num = Fraction(1)
+        for i in range(1, ell):
+            num *= 1 - q ** (a + i)
+        s += q**a * (num / den) ** m
+        a += 1
+    return (1 - q) * s
+
+
+@pytest.mark.parametrize("ell,m", [(2, 1), (2, 3), (3, 2), (4, 2)])
+def test_local_moments_match_exact_series(ell, m):
+    ps = [2, 3, 5, 7, 11, 101, 997]
+    out = _kernels.local_moments(np.array(ps, dtype=np.float64), ell, m, 1e-12)
+    for p, got in zip(ps, out.tolist()):
+        ref = _exact_local_moment(p, ell, m, Fraction(1, 10**13))
+        assert abs(got - float(ref)) <= 1e-10, (p, got, float(ref))

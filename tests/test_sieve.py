@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -88,6 +89,23 @@ def test_save_load_round_trip(tmp_path):
     sidecar = json.loads((tmp_path / "b3.csv.json").read_text())
     assert set(sidecar) == {"ell", "nmax", "format_version", "sha256"}
     assert sidecar["ell"] == 3 and sidecar["nmax"] == 50
+
+
+def test_save_table_failed_replace_keeps_old_table(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    save_table(sieve_b(2, 30), path)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_table(sieve_b(3, 40), path)
+    monkeypatch.undo()
+    back = load_table(path)
+    assert (back.ell, back.nmax) == (2, 30)
+    assert back[30] == 72
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.csv.json"]
 
 
 def test_save_load_bignum_round_trip(tmp_path):
