@@ -1,7 +1,9 @@
 """Hot loops, in NumPy and plain Python.
 
 Integer kernels are exact, and the compensated sums add in a fixed order,
-so every result is bit-reproducible across NumPy builds.
+so every result is bit-reproducible across NumPy builds. Orbit counting
+labels a whole batch of tuples in one flat index space: its Python loops
+run over propagation rounds and fixed-size chunks, never over tuples.
 """
 
 from __future__ import annotations
@@ -84,26 +86,61 @@ def dd_cumsum(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batched orbit counts: perms has shape (T, ell, n), 0-based images.
 
+# Flat positions labelled together. Tuples are independent, so the batch
+# is cut into runs of whole tuples; this bounds the gather buffers, and
+# keeps them in cache, however many tuples come in.
+ORBIT_CHUNK = 1 << 14
+
+
 def orbit_counts(perms: np.ndarray) -> np.ndarray:
-    perms = np.ascontiguousarray(perms, dtype=np.int64)
+    perms = np.asarray(perms)
     T, ell, n = perms.shape
+    # once flattened, an image outside [0, n) would land in another tuple
+    if perms.size and (perms.min() < 0 or perms.max() >= n):
+        raise ValueError(f"permutation images must lie in [0, {n})")
     counts = np.empty(T, dtype=np.int64)
-    labels = np.broadcast_to(np.arange(n, dtype=np.int64), (T, n)).copy()
-    jumps = max(1, n.bit_length())
-    # min-label propagation with pointer jumping, repeated until fixpoint
-    while True:
-        before = labels.copy()
-        for g in range(ell):
-            idx = perms[:, g, :].copy()
-            for _ in range(jumps):
-                pulled = np.take_along_axis(labels, idx, axis=1)
-                labels = np.minimum(labels, pulled)
-                idx = np.take_along_axis(idx, idx, axis=1)
-        if np.array_equal(before, labels):
-            break
-    for t in range(T):
-        counts[t] = len(np.unique(labels[t]))
+    step = max(1, ORBIT_CHUNK // max(n, 1))
+    for lo in range(0, T, step):
+        counts[lo : lo + step] = _flat_orbit_counts(perms[lo : lo + step])
     return counts
+
+
+def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
+    """Min-label propagation with pointer jumping over a flat index space.
+
+    Tuple t's images are offset by t*n, so each generator is one
+    permutation of [0, T*n). Starting from lab[i] = i, each round takes
+    new[i] = min(lab[i], lab[g(i)], lab[g^-1(i)] over all generators g),
+    then jumps new[i] = new[new[i]], until new == lab.
+
+    Why the fixpoint is exact: lab[i] <= i and lab[i] lies in the orbit
+    of i throughout, and neither step raises a label, so at the fixpoint
+    the min step changed nothing either: lab[i] <= lab[g(i)] for every
+    generator g. Each g is a permutation, so lab is constant on its
+    cycles, hence on each orbit, and that constant is an element of the
+    orbit no larger than any element: the orbit's minimum. So each orbit
+    has exactly one root lab[i] == i. The inverses are not needed for
+    this; they let labels travel both ways round a cycle, so the jumps
+    shrink the distance left geometrically and a long cycle takes a
+    logarithmic number of rounds, not one round per step.
+    """
+    T, ell, n = perms.shape
+    size = T * n
+    ident = np.arange(size)
+    # rows: the identity, the generators, their inverses
+    G = np.empty((2 * ell + 1, size), dtype=np.intp)
+    G[0] = ident
+    np.add(perms.transpose(1, 0, 2), n * np.arange(T)[:, None],
+           out=G[1 : ell + 1].reshape(ell, T, n), casting="unsafe")
+    G[ell + 1 :][np.arange(ell)[:, None], G[1 : ell + 1]] = ident
+    lab = ident
+    while True:
+        new = lab[G].min(axis=0)
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    return np.count_nonzero((lab == ident).reshape(T, n), axis=1)
 
 
 # ---------------------------------------------------------------------------

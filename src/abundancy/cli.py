@@ -381,7 +381,15 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # The top level takes no option but -h. argparse would read an
+        # unknown option's value as the subcommand and blame that word.
+        for arg in argv:
+            if not arg.startswith("-"):
+                break
+            if arg not in ("-h", "--help"):
+                parser.error(f"unrecognized arguments: {arg}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

@@ -172,6 +172,15 @@ def test_usage_errors():
                 "--ell", "0"]) == 2
 
 
+def test_unknown_option_before_subcommand_is_named(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["--threads", "2", "sieve", "--nmax", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads" in err
+    assert "invalid choice" not in err
+    assert not out.exists() and not (tmp_path / "x.csv.json").exists()
+
+
 def test_no_numpy_scalar_repr_on_stdout(tmp_path, capsys):
     table = tmp_path / "b2.csv"
     assert run(["sieve", "--nmax", "20000", "--out", str(table)]) == 0

@@ -98,9 +98,9 @@ def _union_find_orbits(gens: list[list[int]], n: int) -> int:
 
 @st.composite
 def _perm_batch(draw):
-    T = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 8))
     ell = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
     perm = st.permutations(list(range(n)))
     return [[draw(perm) for _ in range(ell)] for _ in range(T)], n
 
@@ -111,6 +111,68 @@ def test_orbit_counts_matches_union_find(batch):
     tuples, n = batch
     ks = _kernels.orbit_counts(np.array(tuples, dtype=np.int64))
     assert ks.tolist() == [_union_find_orbits(gens, n) for gens in tuples]
+
+
+def _assert_union_find(perms: np.ndarray) -> None:
+    ks = _kernels.orbit_counts(perms)
+    assert ks.dtype == np.int64 and ks.shape == (perms.shape[0],)
+    n = perms.shape[2]
+    assert ks.tolist() == [_union_find_orbits(gens.tolist(), n) for gens in perms]
+
+
+def _involution_path(n: int) -> np.ndarray:
+    # a swaps (0 1)(2 3)..., b swaps (1 2)(3 4)...: together a path 0-1-...-(n-1)
+    a = np.arange(n)
+    a[0 : n - 1 : 2] += 1
+    a[1 : n : 2] -= 1
+    b = np.arange(n)
+    b[1 : n - 1 : 2] += 1
+    b[2 : n : 2] -= 1
+    return np.stack([a, b])
+
+
+def test_orbit_counts_edge_cases():
+    empty = _kernels.orbit_counts(np.zeros((0, 2, 5), dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    _assert_union_find(np.zeros((3, 1, 1), dtype=np.int64))  # n = 1
+    _assert_union_find(np.array([[[2, 0, 1, 3]], [[0, 1, 2, 3]]]))  # ell = 1
+    cycle = np.roll(np.arange(4096), -1)
+    _assert_union_find(cycle[None, None, :])
+    _assert_union_find(_involution_path(2001)[None])
+    # an identity tuple beside a full cycle: labels leaking across tuples
+    # would merge the identity's fixed points
+    ident = np.tile(np.arange(9), (2, 1))
+    full = np.stack([np.roll(np.arange(9), -1), np.roll(np.arange(9), -3)])
+    _assert_union_find(np.stack([ident, full, ident]))
+
+
+def test_orbit_counts_batch_spans_chunks():
+    # three full chunks of tuples and a partial one
+    n = 10
+    T = 3 * (_kernels.ORBIT_CHUNK // n) + 7
+    rng = np.random.default_rng(23)
+    perms = rng.permuted(np.tile(np.arange(n), (T, 2, 1)), axis=2)
+    _assert_union_find(perms)
+
+
+def test_orbit_counts_int32_and_strided_input():
+    rng = np.random.default_rng(17)
+    perms = np.array(
+        [[rng.permutation(12) for _ in range(3)] for _ in range(5)]
+    )
+    _assert_union_find(perms.astype(np.int32))
+    # a transposed view of a (n, ell, T) array holds the same batch
+    strided = np.ascontiguousarray(perms.transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert not strided.flags.c_contiguous
+    _assert_union_find(strided)
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_orbit_counts_rejects_out_of_range_images(bad):
+    perms = np.array([[[1, 0, 2, 3, 4], [0, 1, 2, 3, 4]]] * 2)
+    perms[1, 1, 3] = bad
+    with pytest.raises(ValueError):
+        _kernels.orbit_counts(perms)
 
 
 def _exact_local_moment(p: int, ell: int, m: int, tol: Fraction) -> Fraction:
