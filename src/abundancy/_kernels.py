@@ -1,9 +1,12 @@
 """Hot loops, in NumPy and plain Python.
 
 Integer kernels are exact, and the compensated sums add in a fixed order,
-so every result is bit-reproducible across NumPy builds. Orbit counting
-labels a whole batch of tuples in one flat index space: its Python loops
-run over propagation rounds and fixed-size chunks, never over tuples.
+so every result is bit-reproducible across NumPy builds. The sums take
+float64 input and run their sequential recurrences over Python floats in
+fixed runs of RUN elements; the order of additions, and so every bit, is
+that of a plain per-element loop over the array. Orbit counting labels a
+whole batch of tuples in one flat index space: its Python loops run over
+propagation rounds and fixed-size chunks, never over tuples.
 """
 
 from __future__ import annotations
@@ -40,46 +43,68 @@ def conv_pass(t: np.ndarray, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Compensated cumulative sums. kahan_* is the working precision used for all
 # reported statistics; dd_* (double-double) is the higher-precision reference.
+#
+# Input is converted to float64 at entry. The recurrences are sequential, so
+# they run element by element in ascending order, over Python floats: the
+# input is taken RUN elements at a time with tolist(), and each run of
+# prefix sums is written back in one slice assignment. Python floats are
+# IEEE binary64 like np.float64 scalars, so the bits are those of the same
+# loop over the array's own elements; only NumPy's per-scalar cost is gone.
+
+# Elements converted to Python floats at a time; bounds the lists' memory.
+RUN = 1 << 14
+
 
 def kahan_cumsum(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)
     s = 0.0
     c = 0.0
-    for i in range(a.shape[0]):
-        y = a[i] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
+    for start in range(0, a.shape[0], RUN):
+        run = []
+        push = run.append
+        for x in a[start : start + RUN].tolist():
+            y = x - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+            push(s)
+        out[start : start + RUN] = run
     return out
 
 
 def kahan_sum(a: np.ndarray) -> float:
+    a = np.asarray(a, dtype=np.float64)
     s = 0.0
     c = 0.0
-    for i in range(a.shape[0]):
-        y = a[i] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return float(s)
+    for start in range(0, a.shape[0], RUN):
+        for x in a[start : start + RUN].tolist():
+            y = x - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+    return s
 
 
 def dd_cumsum(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)
     hi = 0.0
     lo = 0.0
-    for i in range(a.shape[0]):
-        x = a[i]
-        s = hi + x
-        b = s - hi
-        err = (hi - (s - b)) + (x - b)
-        lo += err
-        hi = s
-        t = hi + lo
-        lo -= t - hi
-        hi = t
-        out[i] = hi
+    for start in range(0, a.shape[0], RUN):
+        run = []
+        push = run.append
+        for x in a[start : start + RUN].tolist():
+            s = hi + x
+            b = s - hi
+            err = (hi - (s - b)) + (x - b)
+            lo += err
+            hi = s
+            t = hi + lo
+            lo -= t - hi
+            hi = t
+            push(hi)
+        out[start : start + RUN] = run
     return out
 
 

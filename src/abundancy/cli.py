@@ -5,7 +5,8 @@ check that fails, including table-load validation), 2 usage error,
 3 budget or resource refusal.
 
 Exact quantities (integer counts, rationals) are written to JSON as
-decimal strings; measured floats are written as JSON numbers. Heavy
+decimal strings; measured floats are written as JSON numbers. Every output
+file is written to a temp file and renamed over its target. Heavy
 imports happen inside the subcommand handlers so that --help stays fast.
 """
 
@@ -16,8 +17,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
+from ._files import write_atomic
 from .errors import BudgetError, TableLoadError, VerificationFailure
 
 DEFAULT_ELL = 2
@@ -65,7 +66,8 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +274,7 @@ def _cmd_verify_conjecture(args) -> int:
         lines.extend(f"{left!r},{right!r},{count}"
                      for left, right, count in summary.histogram)
         lines.append("")
-        Path(args.hist).write_text("\n".join(lines))
+        write_atomic(args.hist, "\n".join(lines).encode("utf-8"))
     if args.summary:
         _write_json(args.summary, {
             "nmax": summary.nmax,

@@ -9,12 +9,17 @@ bound (N (ln N + 1))^{l-1} < 2^63 guarantees every intermediate fits
 computation promotes to Python integers automatically.
 
 Tables round-trip through a CSV file (header ``n,value``) plus a JSON
-sidecar ``<path>.json`` holding {ell, nmax, format_version, sha256}.
+sidecar ``<path>.json`` holding {ell, nmax, format_version, sha256}. Both
+are rendered in runs of rows and written atomically. The loader parses a
+file in the canonical form save_table writes in C (np.loadtxt), and any
+other file row by row; the checks, and the typed errors they raise, are
+the same on both paths.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -23,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from ._files import write_atomic
 from .errors import (
     BudgetError,
     ChecksumMismatch,
@@ -118,23 +124,22 @@ def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTa
 # ---------------------------------------------------------------------------
 # persistence
 
+_HEADER = b"n,value\n"
+_ROW = "%d,%d\n"
+
+
 def _render_csv(table: ArithTable) -> bytes:
-    lines = ["n,value"]
-    lines.extend(f"{n},{table[n]}" for n in range(1, table.nmax + 1))
-    lines.append("")
-    return "\n".join(lines).encode("ascii")
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write data to a temp file beside path, then rename it over path."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    # One %-format call renders a run of rows: the cells alternate n, value.
+    parts = [_HEADER]
+    for start in range(0, table.nmax, _kernels.RUN):
+        run = table.values[start : start + _kernels.RUN]
+        if isinstance(run, np.ndarray):
+            run = run.tolist()
+        cells = [0] * (2 * len(run))
+        cells[0::2] = range(start + 1, start + 1 + len(run))
+        cells[1::2] = run
+        parts.append((_ROW * len(run) % tuple(cells)).encode("ascii"))
+    return b"".join(parts)
 
 
 def save_table(table: ArithTable, path: str | Path) -> None:
@@ -151,53 +156,64 @@ def save_table(table: ArithTable, path: str | Path) -> None:
         "format_version": FORMAT_VERSION,
         "sha256": hashlib.sha256(data).hexdigest(),
     }
-    _write_atomic(path, data)
-    _write_atomic(
+    write_atomic(path, data)
+    write_atomic(
         Path(str(path) + ".json"),
         (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode("ascii"),
     )
 
 
-def load_table(
-    path: str | Path, *, ell: int | None = None, nmax: int | None = None
-) -> ArithTable:
-    """Load and validate a saved table.
-
-    Checks, in order: sidecar readable, format_version, sha256 of the data
-    file, row shape, and (when given) the caller's expected ell and nmax.
-    """
-    path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
+def _read_sidecar(sidecar_path: Path) -> dict:
     try:
         sidecar = json.loads(sidecar_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedTable(f"cannot read sidecar {sidecar_path}: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise MalformedTable(f"sidecar {sidecar_path} is not a JSON object")
     if sidecar.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"format_version {sidecar.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != sidecar.get("sha256"):
-        raise ChecksumMismatch(f"sha256 mismatch for {path}")
-    file_ell = sidecar.get("ell")
-    file_nmax = sidecar.get("nmax")
-    if ell is not None and file_ell != ell:
-        raise MetadataMismatch(f"table has ell={file_ell}, caller expected ell={ell}")
-    if nmax is not None and file_nmax != nmax:
-        raise MetadataMismatch(
-            f"table has nmax={file_nmax}, caller expected nmax={nmax}"
-        )
-    lines = data.decode("ascii").split("\n")
-    if not lines or lines[0] != "n,value":
-        raise MalformedTable("missing 'n,value' header")
-    if lines[-1] != "":
-        raise MalformedTable("data file not newline-terminated")
-    rows = lines[1:-1]
-    if len(rows) != file_nmax:
-        raise MalformedTable(f"expected {file_nmax} rows, found {len(rows)}")
+    for key in ("ell", "nmax"):
+        value = sidecar.get(key)
+        if type(value) is not int or value < 1:
+            raise MalformedTable(
+                f"sidecar {sidecar_path}: {key} must be a positive integer, "
+                f"got {value!r}"
+            )
+    return sidecar
+
+
+def _parse_canonical(data: bytes, nmax: int) -> np.ndarray | None:
+    """The values of a canonical int64 data file, parsed in C, else None.
+
+    Canonical: the header, then rows n,value for n = 1..nmax, each of
+    digits only, each ending in a newline, every value below 2^63. This is
+    what save_table writes. Anything else (signs, spaces, blank lines, a
+    third column, a wrong n, a value beyond int64) returns None and goes to
+    the row loop, which accepts or rejects it as it always has.
+    """
+    # Which strings np.loadtxt reads as int64 depends on the NumPy version;
+    # digits alone are read alike by every version and by int(). With the
+    # header checked, its letters are all that may remain.
+    if data.translate(None, b"0123456789,\n") != b"nvalue":
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, delimiter=",",
+                          skiprows=1, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if rows.shape != (nmax, 2) or not np.array_equal(
+        rows[:, 0], np.arange(1, nmax + 1)
+    ):
+        return None
+    return rows[:, 1].copy()
+
+
+def _parse_rows(data: bytes) -> np.ndarray | tuple[int, ...]:
+    """Row-by-row parse of any data file; the source of every row error."""
     out: list[int] = []
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(data.decode("ascii").split("\n")[1:-1], start=1):
         try:
             n_str, v_str = row.split(",")
             n = int(n_str)
@@ -207,10 +223,50 @@ def load_table(
         if n != i:
             raise MalformedTable(f"row {i} has n={n}")
         out.append(v)
-    if out and max(out) < 2**63:
-        values: object = np.array(out, dtype=np.int64)
-    else:
-        values = tuple(out)
+    if max(out) < 2**63:  # nmax >= 1, so out is never empty
+        return np.array(out, dtype=np.int64)
+    return tuple(out)
+
+
+def load_table(
+    path: str | Path, *, ell: int | None = None, nmax: int | None = None
+) -> ArithTable:
+    """Load and validate a saved table.
+
+    Checks, in order: sidecar readable, a JSON object, format_version,
+    positive integer ell and nmax (all before the data file is read);
+    sha256 of the data file; the caller's expected ell and nmax (when
+    given); ASCII bytes, header, trailing newline, row count, and each
+    row's shape and n. A canonical file is parsed in C; any other goes
+    through a row loop, with the same checks and errors either way.
+    """
+    path = Path(path)
+    sidecar = _read_sidecar(Path(str(path) + ".json"))
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != sidecar.get("sha256"):
+        raise ChecksumMismatch(f"sha256 mismatch for {path}")
+    file_ell = sidecar["ell"]
+    file_nmax = sidecar["nmax"]
+    if ell is not None and file_ell != ell:
+        raise MetadataMismatch(f"table has ell={file_ell}, caller expected ell={ell}")
+    if nmax is not None and file_nmax != nmax:
+        raise MetadataMismatch(
+            f"table has nmax={file_nmax}, caller expected nmax={nmax}"
+        )
+    if not data.isascii():
+        raise MalformedTable(f"non-ASCII bytes in {path}")
+    if not (data.startswith(_HEADER) or data == _HEADER[:-1]):
+        raise MalformedTable("missing 'n,value' header")
+    if not data.endswith(b"\n"):
+        raise MalformedTable("data file not newline-terminated")
+    # every line ends in a newline, so the lines after the header are rows
+    rows = data.count(b"\n") - 1
+    if rows != file_nmax:
+        raise MalformedTable(f"expected {file_nmax} rows, found {rows}")
+    values = _parse_canonical(data, file_nmax)
+    if values is None:
+        values = _parse_rows(data)
     meta = {
         "ell": file_ell,
         "nmax": file_nmax,

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_atomic
 from .bvalues import b_via_flags
 from .core import divisors
 from .errors import BudgetError
@@ -335,4 +336,4 @@ def export_dot(real: TorusRealization, path: str | Path) -> None:
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{names[e.u]}" -- "{names[e.v]}"{suffix};')
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

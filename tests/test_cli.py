@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -135,6 +137,35 @@ def test_verify_conjecture_failure_modes(tmp_path):
                 "exact", "--max-rel-err", "1.0"]) == 0
     assert run(["verify-conjecture", "--nmax", "30000", "--method",
                 "exact"]) == 2  # over the exact-method cap
+
+
+def test_verify_conjecture_non_ascii_table_exit_1(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    data = "n,value\n1,1\n2,3\u00e9\n".encode("utf-8")
+    table.write_bytes(data)
+    (tmp_path / "t.csv.json").write_text(json.dumps({
+        "ell": 2, "nmax": 2, "format_version": 1,
+        "sha256": hashlib.sha256(data).hexdigest(),
+    }))
+    assert run(["verify-conjecture", "--table", str(table)]) == 1
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_summary_write_is_atomic(tmp_path, monkeypatch):
+    summary = tmp_path / "s.json"
+    args = ["verify-conjecture", "--nmax", "2000", "--summary", str(summary)]
+    assert run(args) == 0
+    before = summary.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        run(["verify-conjecture", "--nmax", "3000", "--summary", str(summary)])
+    monkeypatch.undo()
+    assert summary.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
 def test_moments_json(tmp_path):

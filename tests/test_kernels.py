@@ -49,6 +49,79 @@ def test_dd_cumsum_tighter_than_kahan():
     assert abs(dd[-1] - ref) <= 4 * abs(ref) * 2.0**-52
 
 
+def _ref_kahan_cumsum(a):
+    # the recurrence one np.float64 element at a time, as a plain loop
+    out = np.empty_like(a)
+    s = c = 0.0
+    for i in range(a.shape[0]):
+        y = a[i] - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        out[i] = s
+    return out
+
+
+def _ref_dd_cumsum(a):
+    out = np.empty_like(a)
+    hi = lo = 0.0
+    for i in range(a.shape[0]):
+        x = a[i]
+        s = hi + x
+        b = s - hi
+        err = (hi - (s - b)) + (x - b)
+        lo += err
+        hi = s
+        t = hi + lo
+        lo -= t - hi
+        hi = t
+        out[i] = hi
+    return out
+
+
+def _mixed(size, seed):
+    # signed values whose magnitudes span 1e-8..1e8
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** rng.uniform(-8, 8, size=size)
+    return np.where(rng.random(size) < 0.5, -mag, mag)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+RUN = _kernels.RUN
+
+
+@pytest.mark.parametrize("size", [0, 1, RUN - 1, RUN, RUN + 1, 3 * RUN + 5])
+def test_compensated_sums_bit_equal_to_element_loop(size):
+    a = _mixed(size, seed=size)
+    kc = _kernels.kahan_cumsum(a)
+    assert kc.dtype == np.float64 and kc.shape == (size,)
+    assert np.array_equal(_bits(kc), _bits(_ref_kahan_cumsum(a)))
+    dd = _kernels.dd_cumsum(a)
+    assert dd.dtype == np.float64 and dd.shape == (size,)
+    assert np.array_equal(_bits(dd), _bits(_ref_dd_cumsum(a)))
+    total = _kernels.kahan_sum(a)
+    assert type(total) is float
+    ref = _ref_kahan_cumsum(a)[-1] if size else 0.0
+    assert _bits(total) == _bits(ref)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_compensated_sums_convert_input_to_float64(dtype):
+    # the contract: input is converted to float64 at entry, so the result
+    # is that of the float64 copy, not of arithmetic in the input's dtype
+    rng = np.random.default_rng(29)
+    a = (rng.normal(size=RUN + 7) * 1e6).astype(dtype)
+    a64 = a.astype(np.float64)
+    for kernel in (_kernels.kahan_cumsum, _kernels.dd_cumsum):
+        out = kernel(a)
+        assert out.dtype == np.float64
+        assert np.array_equal(_bits(out), _bits(kernel(a64)))
+    assert _bits(_kernels.kahan_sum(a)) == _bits(_kernels.kahan_sum(a64))
+
+
 def test_orbit_counts():
     # identity on 4 points: 4 orbits; 4-cycle: 1; two 2-cycles: 2
     ident = [0, 1, 2, 3]

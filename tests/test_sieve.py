@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from abundancy import _kernels
 from abundancy.bvalues import b_via_recursion
 from abundancy.errors import (
     BudgetError,
@@ -14,6 +16,7 @@ from abundancy.errors import (
 )
 from abundancy.sieve import (
     ArithTable,
+    _parse_canonical,
     cached_sieve,
     load_table,
     save_table,
@@ -148,8 +151,6 @@ def test_load_rejects_version_and_shape(tmp_path):
 
     # checksum is over the data bytes, so shape attacks need a fresh sidecar
     def reseal():
-        import hashlib
-
         m = json.loads(side.read_text())
         m["format_version"] = 1
         m["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -174,6 +175,102 @@ def test_load_rejects_version_and_shape(tmp_path):
     reseal()
     with pytest.raises(MalformedTable):
         load_table(path)
+
+
+def _seal(path, data: bytes, ell=2, nmax=5):
+    path.write_bytes(data)
+    side = {"ell": ell, "nmax": nmax, "format_version": 1,
+            "sha256": hashlib.sha256(data).hexdigest()}
+    (path.parent / (path.name + ".json")).write_text(json.dumps(side))
+
+
+def _render_reference(table) -> bytes:
+    lines = ["n,value"] + [f"{n},{table[n]}" for n in range(1, table.nmax + 1)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_save_load_round_trip_across_run_boundary(tmp_path):
+    nmax = _kernels.RUN + 3
+    t = sieve_b(2, nmax)
+    path = tmp_path / "b2.csv"
+    save_table(t, path)
+    assert path.read_bytes() == _render_reference(t)
+    assert _parse_canonical(path.read_bytes(), nmax) is not None  # C path
+    back = load_table(path, ell=2, nmax=nmax)
+    assert isinstance(back.values, np.ndarray) and back.values.dtype == np.int64
+    assert np.array_equal(back.values, t.values)
+
+
+def test_save_load_bignum_round_trip_across_run_boundary(tmp_path):
+    # ell = 20 tables hold values beyond int64; these are made up, since
+    # the loader checks the file, not the arithmetic
+    nmax = _kernels.RUN + 3
+    values = (1,) + tuple(2**70 + 3 * n for n in range(2, nmax + 1))
+    t = ArithTable(ell=20, nmax=nmax, values=values, metadata={})
+    path = tmp_path / "b20.csv"
+    save_table(t, path)
+    assert path.read_bytes() == _render_reference(t)
+    back = load_table(path, ell=20, nmax=nmax)
+    assert isinstance(back.values, tuple)
+    assert back.values == values
+
+
+@pytest.mark.parametrize("body", [
+    b"1,1\n2,3\n\n4,7\n",             # blank line
+    b"1,1\n2,3\n  \n4,7\n",           # whitespace-only line
+    b"1,1\n2,3\n3,4\n4,7,9\n",        # third column on one row
+    b"1,1,0\n2,3,0\n3,4,0\n4,7,0\n",  # third column on every row
+    b"1,1\n3,4\n2,3\n4,7\n",          # n out of order
+    b"1,1\n2,3\n3,4\n5,7\n",          # n skips a value
+    b"1,1\n2,3\r3,4\n4,7\n",          # carriage return inside a row
+    b"1,1\n2,3\n3,\n4,7\n",           # empty value
+    b"1,1\n2,3\n3,4.0\n4,7\n",        # float value
+])
+def test_load_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "t.csv"
+    _seal(path, b"n,value\n" + body, nmax=4)
+    with pytest.raises(MalformedTable):
+        load_table(path)
+
+
+def test_load_accepts_what_the_row_loop_accepts(tmp_path):
+    # not what save_table writes, but int() reads these, and always has
+    path = tmp_path / "t.csv"
+    data = b"n,value\n1,1\n2, 3\n03,+4\n4,7 \n"
+    _seal(path, data, nmax=4)
+    assert _parse_canonical(data, 4) is None  # row loop
+    back = load_table(path)
+    assert isinstance(back.values, np.ndarray)
+    assert back.values.tolist() == [1, 3, 4, 7]
+
+
+def test_load_rejects_non_ascii_data(tmp_path):
+    path = tmp_path / "t.csv"
+    _seal(path, "n,value\n1,1\n2,3\u00e9\n".encode("utf-8"), nmax=2)
+    with pytest.raises(MalformedTable, match="non-ASCII"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("sidecar", [
+    "[]", '"table"', "3", "null",
+    '{"format_version": 1, "ell": 2}',
+    '{"format_version": 1, "ell": "2", "nmax": 5}',
+    '{"format_version": 1, "ell": 2, "nmax": 0}',
+    '{"format_version": 1, "ell": 0, "nmax": 5}',
+    '{"format_version": 1, "ell": 2, "nmax": -5}',
+    '{"format_version": 1, "ell": 2, "nmax": 5.0}',
+    '{"format_version": 1, "ell": 2, "nmax": true}',
+    b'{"format_version": 1, "ell": "\xff", "nmax": 5}',
+])
+def test_load_rejects_malformed_sidecar_before_reading_data(tmp_path, sidecar):
+    # the data file does not exist: reading it would raise FileNotFoundError
+    side = tmp_path / "t.csv.json"
+    if isinstance(sidecar, bytes):
+        side.write_bytes(sidecar)
+    else:
+        side.write_text(sidecar)
+    with pytest.raises(MalformedTable):
+        load_table(tmp_path / "t.csv")
 
 
 def test_missing_sidecar(tmp_path):
