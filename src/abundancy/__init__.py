@@ -28,7 +28,7 @@ _EXPORTS = {
     "PowerRuleReport": "qseries",
     # bulk tables
     "ArithTable": "sieve", "sieve_b": "sieve", "save_table": "sieve",
-    "load_table": "sieve", "cached_sieve": "sieve",
+    "load_table": "sieve",
     # brute-force oracle
     "PermTuple": "permtuples", "ATable": "permtuples",
     "enumerate_A": "permtuples", "bell_transform": "permtuples",

@@ -1,10 +1,11 @@
 """Hot loops, in NumPy and plain Python.
 
-Integer kernels are exact, and the compensated sums add in a fixed order,
-so every result is bit-reproducible across NumPy builds. The sums take
-float64 input and run their sequential recurrences over Python floats in
-fixed runs of RUN elements; the order of additions, and so every bit, is
-that of a plain per-element loop over the array. Orbit counting labels a
+Integer kernels are exact, over int64 where the caller bounds the values
+and over Python ints otherwise, and the compensated sums add in a fixed
+order, so every result is bit-reproducible across NumPy builds. The sums
+take float64 input and run their sequential recurrences over Python floats
+in fixed runs of RUN elements; the order of additions, and so every bit,
+is that of a plain per-element loop over the array. Orbit counting labels a
 whole batch of tuples in one flat index space: its Python loops run over
 propagation rounds and fixed-size chunks, never over tuples.
 """
@@ -19,9 +20,15 @@ import numpy as np
 USING_NUMBA = False
 
 
+# Elements handled per step by the kernels below; bounds every temporary.
+RUN = 1 << 14
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet convolution pass: out[m] = sum_{d|m} (m/d)^r t[d], 1-based values
-# stored at index n-1. int64 only; caller guarantees no overflow.
+# stored at index n-1. Runs in t's dtype: int64, where the caller guarantees
+# no overflow, or object, where every element is a Python int and the pass
+# is exact. Each slice update covers at most RUN elements.
 
 def conv_pass(t: np.ndarray, r: int) -> np.ndarray:
     out = np.zeros_like(t)
@@ -30,13 +37,17 @@ def conv_pass(t: np.ndarray, r: int) -> np.ndarray:
     # d-major for small d, q-major for small q; the two ranges partition
     # all (d, q) pairs with d*q <= n.
     for d in range(1, lim + 1):
-        q = np.arange(1, n // d + 1, dtype=np.int64)
-        out[d - 1 :: d] += q**r * t[d - 1]
+        q_end = n // d + 1
+        for q_lo in range(1, q_end, RUN):
+            q_hi = min(q_lo + RUN, q_end)
+            q = np.arange(q_lo, q_hi, dtype=t.dtype)
+            out[d * q_lo - 1 : d * q_hi - 1 : d] += q**r * t[d - 1]
     for q in range(1, lim + 1):
-        d_lo, d_hi = lim + 1, n // q
-        if d_hi < d_lo:
-            continue
-        out[q * d_lo - 1 :: q][: d_hi - d_lo + 1] += q**r * t[d_lo - 1 : d_hi]
+        qr = q**r
+        d_end = n // q + 1
+        for d_lo in range(lim + 1, d_end, RUN):
+            d_hi = min(d_lo + RUN, d_end)
+            out[q * d_lo - 1 : q * d_hi - 1 : q] += qr * t[d_lo - 1 : d_hi - 1]
     return out
 
 
@@ -50,10 +61,6 @@ def conv_pass(t: np.ndarray, r: int) -> np.ndarray:
 # prefix sums is written back in one slice assignment. Python floats are
 # IEEE binary64 like np.float64 scalars, so the bits are those of the same
 # loop over the array's own elements; only NumPy's per-scalar cost is gone.
-
-# Elements converted to Python floats at a time; bounds the lists' memory.
-RUN = 1 << 14
-
 
 def kahan_cumsum(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)

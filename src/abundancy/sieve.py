@@ -3,10 +3,10 @@
 Pass r turns t_r into t_{r+1}(m) = sum_{d|m} (m/d)^r t_r(d); starting from
 the all-ones table, l-1 passes give B(l, .). Work is O(l N log N).
 
-Values are exact. A fixed-width int64 path is used only when the a-priori
-bound (N (ln N + 1))^{l-1} < 2^63 guarantees every intermediate fits
-(B(l, n) <= sigma(n)^{l-1} <= (n (ln n + 1))^{l-1}); otherwise the
-computation promotes to Python integers automatically.
+Values are exact. The passes run over int64 when the a-priori bound
+(N (ln N + 1))^{l-1} < 2^63 guarantees every intermediate fits
+(B(l, n) <= sigma(n)^{l-1} <= (n (ln n + 1))^{l-1}); otherwise the same
+passes run over an object array of Python ints.
 
 Tables round-trip through a CSV file (header ``n,value``) plus a JSON
 sidecar ``<path>.json`` holding {ell, nmax, format_version, sha256}. Both
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +33,6 @@ from .errors import (
     ChecksumMismatch,
     MalformedTable,
     MetadataMismatch,
-    TableLoadError,
     VersionMismatch,
 )
 
@@ -78,20 +76,6 @@ def _int64_safe(ell: int, nmax: int) -> bool:
     return (nmax * mult) ** (ell - 1) < 2**63
 
 
-def _sieve_exact(ell: int, nmax: int) -> list[int]:
-    t = [1] * nmax
-    for r in range(1, ell):
-        out = [0] * nmax
-        for d in range(1, nmax + 1):
-            td = t[d - 1]
-            q = 1
-            for m in range(d, nmax + 1, d):
-                out[m - 1] += q**r * td
-                q += 1
-        t = out
-    return t
-
-
 def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTable:
     """Table of B(ell, n), n = 1..nmax. Refuses nmax beyond max_nmax."""
     if ell < 1:
@@ -103,15 +87,11 @@ def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTa
             f"nmax={nmax} exceeds the memory budget ({max_nmax}); "
             "raise max_nmax explicitly to proceed"
         )
-    if _int64_safe(ell, nmax):
-        t = np.ones(nmax, dtype=np.int64)
-        for r in range(1, ell):
-            t = _kernels.conv_pass(t, r)
-        values: object = t
-        dtype = "int64"
-    else:
-        values = tuple(_sieve_exact(ell, nmax))
-        dtype = "object"
+    dtype = "int64" if _int64_safe(ell, nmax) else "object"
+    t = np.ones(nmax, dtype=dtype)
+    for r in range(1, ell):
+        t = _kernels.conv_pass(t, r)
+    values = t if dtype == "int64" else tuple(t.tolist())
     meta = {
         "ell": ell,
         "nmax": nmax,
@@ -223,7 +203,7 @@ def _parse_rows(data: bytes) -> np.ndarray | tuple[int, ...]:
         if n != i:
             raise MalformedTable(f"row {i} has n={n}")
         out.append(v)
-    if max(out) < 2**63:  # nmax >= 1, so out is never empty
+    if -(2**63) <= min(out) and max(out) < 2**63:  # nmax >= 1: out is not empty
         return np.array(out, dtype=np.int64)
     return tuple(out)
 
@@ -275,27 +255,3 @@ def load_table(
     }
     return ArithTable(ell=file_ell, nmax=file_nmax, values=values, metadata=meta)
 
-
-# ---------------------------------------------------------------------------
-# cache
-
-def cache_dir() -> Path:
-    env = os.environ.get("ABUNDANCY_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "abundancy"
-
-
-def cached_sieve(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTable:
-    """sieve_b with a transparent on-disk cache keyed by (ell, nmax)."""
-    directory = cache_dir()
-    path = directory / f"b_ell{ell}_n{nmax}.csv"
-    if path.exists():
-        try:
-            return load_table(path, ell=ell, nmax=nmax)
-        except TableLoadError:
-            pass  # stale or corrupt cache entry: recompute below
-    table = sieve_b(ell, nmax, max_nmax=max_nmax)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_table(table, path)
-    return table

@@ -142,17 +142,31 @@ def test_local_moments_first_term_bound():
         assert out[0] >= 1.0 - 1.0 / p
 
 
+def _divisor_sum(t: list[int], r: int) -> list[int]:
+    # out[m] = sum_{d|m} (m/d)^r t[d], one term per multiple m = d*q
+    n = len(t)
+    out = [0] * n
+    for d in range(1, n + 1):
+        for q in range(1, n // d + 1):
+            out[d * q - 1] += q**r * t[d - 1]
+    return out
+
+
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_conv_pass_matches_divisor_sum(r):
     rng = np.random.default_rng(100 + r)
     t = rng.integers(-1000, 1000, size=300, dtype=np.int64)
     out = _kernels.conv_pass(t, r)
-    ref = [
-        sum((m // d) ** r * int(t[d - 1]) for d in range(1, m + 1) if m % d == 0)
-        for m in range(1, 301)
-    ]
     assert out.dtype == np.int64
-    assert out.tolist() == ref
+    assert out.tolist() == _divisor_sum(t.tolist(), r)
+    # Python ints beyond +-2^63, and long enough that both loops cross
+    # several run boundaries
+    n = 2 * _kernels.RUN + 5
+    big = [v * 2**64 + 1 for v in rng.integers(-1000, 1000, size=n).tolist()]
+    out = _kernels.conv_pass(np.array(big, dtype=object), r)
+    assert out.dtype == object
+    assert all(type(v) is int for v in out)
+    assert out.tolist() == _divisor_sum(big, r)
 
 
 def _union_find_orbits(gens: list[list[int]], n: int) -> int:

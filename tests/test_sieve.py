@@ -17,7 +17,6 @@ from abundancy.errors import (
 from abundancy.sieve import (
     ArithTable,
     _parse_canonical,
-    cached_sieve,
     load_table,
     save_table,
     sieve_b,
@@ -61,6 +60,13 @@ def test_exact_path_promotion():
     assert t[10] > 2**63
     for n in range(1, 11):
         assert t[n] == b_via_recursion(20, n)
+    # the exact passes cross run boundaries of both kernel loops
+    t = sieve_b(5, 20_000)
+    assert isinstance(t.values, tuple)
+    assert t.metadata["creation"]["dtype"] == "object"
+    assert all(type(v) is int for v in t.values)
+    for n in (1, 2, 9_973, _kernels.RUN, _kernels.RUN + 1, 19_999, 20_000):
+        assert t[n] == b_via_recursion(5, n)
 
 
 def test_int64_path_top_of_range():
@@ -244,6 +250,19 @@ def test_load_accepts_what_the_row_loop_accepts(tmp_path):
     assert back.values.tolist() == [1, 3, 4, 7]
 
 
+def test_load_picks_int64_only_within_its_range(tmp_path):
+    # below -2^63 the row loop keeps Python ints; -2^63 itself is int64
+    path = tmp_path / "t.csv"
+    _seal(path, b"n,value\n1,1\n2,-99999999999999999999\n", nmax=2)
+    back = load_table(path)
+    assert isinstance(back.values, tuple)
+    assert back.values == (1, -99999999999999999999)
+    _seal(path, b"n,value\n1,1\n2,-9223372036854775808\n", nmax=2)
+    back = load_table(path)
+    assert isinstance(back.values, np.ndarray) and back.values.dtype == np.int64
+    assert back[2] == -(2**63)
+
+
 def test_load_rejects_non_ascii_data(tmp_path):
     path = tmp_path / "t.csv"
     _seal(path, "n,value\n1,1\n2,3\u00e9\n".encode("utf-8"), nmax=2)
@@ -278,22 +297,3 @@ def test_missing_sidecar(tmp_path):
     path.write_text("n,value\n1,1\n")
     with pytest.raises(MalformedTable):
         load_table(path)
-
-
-def test_cached_sieve(tmp_path, monkeypatch):
-    monkeypatch.setenv("ABUNDANCY_CACHE_DIR", str(tmp_path))
-    t1 = cached_sieve(2, 50)
-    assert (tmp_path / "b_ell2_n50.csv").exists()
-    assert (tmp_path / "b_ell2_n50.csv.json").exists()
-    t2 = cached_sieve(2, 50)
-    assert t1[50] == t2[50] == 93
-
-
-def test_cached_sieve_recovers_from_corruption(tmp_path, monkeypatch):
-    monkeypatch.setenv("ABUNDANCY_CACHE_DIR", str(tmp_path))
-    cached_sieve(2, 30)
-    (tmp_path / "b_ell2_n30.csv").write_text("garbage")
-    t = cached_sieve(2, 30)
-    assert t[30] == 72
-    # and the cache file was rewritten clean
-    assert load_table(tmp_path / "b_ell2_n30.csv")[30] == 72
