@@ -159,8 +159,13 @@ def test_conv_pass_matches_divisor_sum(r):
     out = _kernels.conv_pass(t, r)
     assert out.dtype == np.int64
     assert out.tolist() == _divisor_sum(t.tolist(), r)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_conv_pass_exact_over_python_ints(r):
     # Python ints beyond +-2^63, and long enough that both loops cross
     # several run boundaries
+    rng = np.random.default_rng(200 + r)
     n = 2 * _kernels.RUN + 5
     big = [v * 2**64 + 1 for v in rng.integers(-1000, 1000, size=n).tolist()]
     out = _kernels.conv_pass(np.array(big, dtype=object), r)

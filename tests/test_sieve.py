@@ -69,6 +69,19 @@ def test_exact_path_promotion():
         assert t[n] == b_via_recursion(5, n)
 
 
+def test_exact_passes_agree_with_int64_sieve():
+    # where int64 is safe, the same passes over Python ints give the same
+    # table; nmax crosses run boundaries of both kernel loops
+    nmax = 2 * _kernels.RUN + 7
+    ref = sieve_b(3, nmax)
+    assert ref.metadata["creation"]["dtype"] == "int64"
+    t = np.ones(nmax, dtype=object)
+    for r in (1, 2):
+        t = _kernels.conv_pass(t, r)
+    assert t.dtype == object
+    assert t.tolist() == ref.values.tolist()
+
+
 def test_int64_path_top_of_range():
     # ell=3 at nmax=10^6 stays on int64: values near (n ln n)^2 ~ 2e14
     t = sieve_b(3, 1000)
