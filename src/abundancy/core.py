@@ -1,8 +1,8 @@
 """Primes, factorization, and divisor machinery.
 
-Everything here returns exact Python integers. Factorization uses a
-smallest-prime-factor table below a size cap and trial division above it,
-so repeated small queries are cheap without unbounded memory growth.
+Everything here returns exact Python integers. Factorization is trial
+division by 2 and the odd numbers up to sqrt(n), the one path for every n;
+the module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-
-# SPF table is grown lazily in power-of-two steps, never past this cap.
-_SPF_CAP = 1 << 20
-
-_spf: np.ndarray | None = None
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -28,23 +23,6 @@ def primes_up_to(limit: int) -> list[int]:
         if mask[p]:
             mask[p * p :: p] = False
     return [int(p) for p in np.nonzero(mask)[0]]
-
-
-def _spf_table(upto: int) -> np.ndarray:
-    global _spf
-    if _spf is None or len(_spf) <= upto:
-        size = 1 << 16
-        while size <= upto:
-            size <<= 1
-        size = min(size, _SPF_CAP)
-        table = np.zeros(size, dtype=np.int64)
-        table[1] = 1
-        for p in range(2, size):
-            if table[p] == 0:
-                sl = table[p::p]
-                sl[sl == 0] = p
-        _spf = table
-    return _spf
 
 
 @dataclass(frozen=True)
@@ -77,28 +55,17 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     value = n
     factors: list[tuple[int, int]] = []
-    if n < _SPF_CAP:
-        table = _spf_table(n)
-        while n > 1:
-            p = int(table[n])
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
             a = 0
-            while n % p == 0:
-                n //= p
+            while n % d == 0:
+                n //= d
                 a += 1
-            factors.append((p, a))
-    else:
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                a = 0
-                while n % d == 0:
-                    n //= d
-                    a += 1
-                factors.append((d, a))
-            d += 1 if d == 2 else 2
-        if n > 1:
-            factors.append((n, 1))
-    factors.sort()
+            factors.append((d, a))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
     return Factorization(tuple(factors), value)
 
 

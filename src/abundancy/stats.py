@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .core import primes_up_to
+from .errors import MalformedTable
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -78,13 +79,25 @@ def mu_constant() -> float:
 
 
 def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
-    """(B(ell,n)/n^{ell-1})^m for n = 1..N, each rounded once to double."""
+    """(B(ell,n)/n^{ell-1})^m for n = 1..N, each rounded once to double.
+
+    Every index lies in [1, (1 + ln n)^{ell-1}], since n^{ell-1} <= B(ell,n)
+    <= sigma(n)^{ell-1} and sigma(n)/n <= H_n <= 1 + ln n; a table with a
+    value outside that range raises MalformedTable naming the first bad n.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > table.nmax:
         raise ValueError(f"N={N} exceeds table.nmax={table.nmax}")
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = table.values_float()[:N] / n ** (table.ell - 1)
+    bad = ~((terms >= 1.0) & (terms <= (1.0 + np.log(n)) ** (table.ell - 1)))
+    if bad.any():
+        first = int(np.argmax(bad)) + 1
+        raise MalformedTable(
+            f"value at n={first} cannot be B({table.ell}, {first}): "
+            f"{table[first]}"
+        )
     if m != 1:
         terms = terms**m
     return terms
@@ -304,6 +317,8 @@ def theoretical_moment(
         raise ValueError("m must be >= 1")
     if prime_cutoff < 2:
         raise ValueError("prime_cutoff must be >= 2")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
     ps = primes_up_to(prime_cutoff)
     eps_local = eps / len(ps)
     factors = _kernels.local_moments(

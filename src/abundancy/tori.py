@@ -187,21 +187,16 @@ class TorusChecks:
         )
 
 
-def _row_canon(M: np.ndarray) -> bytes:
-    """Order-free fingerprint of a matrix viewed as a set of rows."""
-    return M[np.lexsort(M.T)].tobytes()
-
-
 def validate(real: TorusRealization, *, max_n: int = VALIDATE_MAX_N) -> TorusChecks:
     """The four structural checks; failures are reported, not raised.
 
     group_order_n materializes all prod_r pi_r^{c_r} with c_r < f_r as an
-    n x n matrix of permutation rows; the generated group has order n iff
-    those rows are n distinct permutations and the set is closed under
-    every generator (inverses are positive powers in a finite group).
-    Closure under pi is tested as set equality pi G = G; left
-    multiplication by a permutation is injective, so sorted-row equality
-    suffices. Checks read real.perms, so a tampered tuple is seen.
+    n x n matrix G of permutation rows; it holds iff those rows are n
+    distinct permutations and the set is closed under every generator, so
+    that they are the whole generated group, of order n (inverses are
+    positive powers in a finite group). Closure under pi is tested as
+    equality of the row sets of pi G and G. Checks read real.perms, so a
+    tampered tuple is seen.
     """
     pis = [np.asarray(p, dtype=np.int64) - 1 for p in real.perms.perms]
     n = pis[0].shape[0]
@@ -218,10 +213,9 @@ def validate(real: TorusRealization, *, max_n: int = VALIDATE_MAX_N) -> TorusChe
         for t in range(1, f):
             G[t * count : (t + 1) * count] = pi[G[(t - 1) * count : t * count]]
         count *= f
-    Gs = G[np.lexsort(G.T)]
-    distinct = n == 1 or not np.any(np.all(Gs[1:] == Gs[:-1], axis=1))
-    canon = Gs.tobytes()
-    closed = all(_row_canon(pi[G]) == canon for pi in pis)
+    rows = set(map(bytes, G))
+    distinct = len(rows) == n
+    closed = all(set(map(bytes, pi[G])) == rows for pi in pis)
     basepoint_bijective = np.unique(G[:, 0]).size == n
     return TorusChecks(
         commutes=commutes,
@@ -273,19 +267,6 @@ def spec_count(ell: int, n: int) -> int:
     return total
 
 
-def _relabel(
-    perms: tuple[tuple[int, ...], ...], sigma: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    n = len(sigma)
-    out = []
-    for p in perms:
-        q = [0] * n
-        for i in range(n):
-            q[sigma[i] - 1] = sigma[p[i] - 1]
-        out.append(tuple(q))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class DoubleCountResult:
     ell: int
@@ -308,9 +289,9 @@ def double_count_check(
     seen: set[tuple[tuple[int, ...], ...]] = set()
     sigmas = list(itertools.permutations(range(1, n + 1)))
     for spec in all_specs(ell, n):
-        perms = build_torus(spec).perms.perms
+        perms = build_torus(spec).perms
         for sigma in sigmas:
-            seen.add(_relabel(perms, sigma))
+            seen.add(perms.conjugate(sigma).perms)
     expected = factorial(n - 1) * b_via_flags(ell, n)
     match = seen == brute and len(seen) == expected
     return DoubleCountResult(

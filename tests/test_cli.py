@@ -151,6 +151,23 @@ def test_verify_conjecture_non_ascii_table_exit_1(tmp_path, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_impossible_table_values_exit_1(tmp_path, capsys):
+    # sealed and well-formed, but -10^20 cannot be B(2, 2)
+    table = tmp_path / "t.csv"
+    data = b"n,value\n1,1\n2,-99999999999999999999\n"
+    table.write_bytes(data)
+    (tmp_path / "t.csv.json").write_text(json.dumps({
+        "ell": 2, "nmax": 2, "format_version": 1,
+        "sha256": hashlib.sha256(data).hexdigest(),
+    }))
+    assert run(["verify-conjecture", "--table", str(table)]) == 1
+    assert run(["moments", "--ell", "2", "--m", "1", "--prime-cutoff", "100",
+                "--table", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("verification failed: value at n=2") == 2
+    assert "mean_E" not in captured.out and "moments" not in captured.out
+
+
 def test_summary_write_is_atomic(tmp_path, monkeypatch):
     summary = tmp_path / "s.json"
     args = ["verify-conjecture", "--nmax", "2000", "--summary", str(summary)]

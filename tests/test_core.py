@@ -21,7 +21,7 @@ def test_factorize_small():
 
 
 def test_factorize_above_spf_cap():
-    # forces the trial-division branch
+    # n just past 2^20: the factors still multiply back and ascend
     n = (1 << 20) + 7
     fac = factorize(n)
     prod = 1
@@ -30,6 +30,37 @@ def test_factorize_above_spf_cap():
     assert prod == n
     ps = [p for p, _ in fac.factors]
     assert ps == sorted(ps)
+
+
+def _factors_by_brute_force(n: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            out.append((p, a))
+        if n == 1:
+            break
+    return tuple(out)
+
+
+def test_factorize_matches_brute_force_to_5000():
+    for n in range(1, 5001):
+        fac = factorize(n)
+        assert fac.value == n
+        assert fac.factors == _factors_by_brute_force(n), n
+
+
+@pytest.mark.parametrize("n", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+def test_factorize_around_two_to_the_twenty(n):
+    assert factorize(n).factors == _factors_by_brute_force(n)
+
+
+def test_divisors_match_brute_force_to_2000():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_factorize_rejects_zero():

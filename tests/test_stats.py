@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from abundancy.core import primes_up_to
-from abundancy.sieve import sieve_b
+from abundancy.errors import MalformedTable
+from abundancy.sieve import ArithTable, sieve_b
 from abundancy.stats import (
     EULER_GAMMA,
     _replica_mean,
@@ -86,6 +87,25 @@ def test_index_terms_guards(table2):
         cesaro_mean(table2, 0)
     with pytest.raises(ValueError):
         cesaro_mean(table2, table2.nmax + 1)
+
+
+@pytest.mark.parametrize("values, first_bad", [
+    ((1, -99999999999999999999), 2),  # below n^{ell-1}
+    ((1, 3, 2, 7), 3),                # B(2, 3) = 4; 2 < 3
+    ((1, 3, 4, 7, 6, 12, 8, 15, 13, 100), 10),  # 100/10 > 1 + ln 10
+])
+def test_index_terms_reject_impossible_values(values, first_bad):
+    table = ArithTable(ell=2, nmax=len(values), values=values, metadata={})
+    for stat in (lambda t: cesaro_mean(t, t.nmax),
+                 lambda t: empirical_moment(t, 2, t.nmax),
+                 lambda t: error_series(t)):
+        with pytest.raises(MalformedTable, match=f"n={first_bad} "):
+            stat(table)
+
+
+@pytest.mark.parametrize("ell, nmax", [(2, 5000), (3, 5000), (5, 500), (20, 60)])
+def test_index_terms_accept_sieved_tables(ell, nmax):
+    assert cesaro_mean(sieve_b(ell, nmax), nmax) > 1.0
 
 
 def test_empirical_m1_equals_cesaro(table2):
@@ -288,6 +308,10 @@ def test_theoretical_moment_guards():
             theoretical_moment(*bad)
     with pytest.raises(ValueError):
         theoretical_moment(2, 1, prime_cutoff=1)
+    # the tail loop would never end for eps <= 0 once the terms underflow
+    for eps in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            theoretical_moment(2, 1, eps=eps)
 
 
 def test_empirical_second_moment_near_theoretical(table2):

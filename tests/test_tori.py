@@ -80,6 +80,64 @@ def test_tampered_tuple_reported_not_hidden():
     assert not checks.all_true()
 
 
+def _compose(p, q):
+    """p after q, both 1-based tuples."""
+    return tuple(p[q[i] - 1] for i in range(len(q)))
+
+
+def _reference_checks(p, q):
+    """The four checks on a dims=(2, 2) tuple (p, q), from Python tuples."""
+    n = len(p)
+    e = tuple(range(1, n + 1))
+    orbit = {1}
+    frontier = [1]
+    while frontier:
+        i = frontier.pop()
+        for g in (p, q):
+            if g[i - 1] not in orbit:
+                orbit.add(g[i - 1])
+                frontier.append(g[i - 1])
+    group = {e}
+    frontier = [e]
+    while frontier:
+        h = frontier.pop()
+        for g in (p, q):
+            gh = _compose(g, h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    # row order of validate's table: q^b p^a, a fastest
+    products = [_compose(qb, pa) for qb in (e, q) for pa in (e, p)]
+    return (
+        _compose(p, q) == _compose(q, p),
+        len(orbit) == n,
+        len(set(products)) == n and set(products) == group,
+        len({g[0] for g in products}) == n,
+    )
+
+
+def test_validate_matches_reference_on_pairs_of_s4():
+    # every pair, so that closure fails with distinct rows too; among
+    # commuting pairs in dims (2, 2), distinct rows are always closed
+    real = build_torus(TorusSpec(dims=(2, 2), twists=((1,),)))
+    s4 = list(itertools.permutations(range(1, 5)))
+    seen = set()
+    commuting = 0
+    for p, q in itertools.product(s4, repeat=2):
+        tampered = dataclasses.replace(real, perms=PermTuple(perms=(p, q)))
+        c = validate(tampered)
+        got = (c.commutes, c.transitive, c.group_order_n, c.basepoint_bijective)
+        assert got == _reference_checks(p, q), (p, q, got)
+        seen.add(got)
+        commuting += c.commutes
+    assert commuting == 24 * 5  # |S_4| times its number of classes
+    assert (False, True, False, True) in seen  # distinct rows, not closed
+    c = validate(dataclasses.replace(real, perms=PermTuple(perms=(
+        (1, 2, 3, 4), (2, 3, 4, 1)))))
+    assert c.commutes and c.transitive
+    assert not c.group_order_n and not c.basepoint_bijective
+
+
 def test_validate_budget():
     real = build_torus(TorusSpec(dims=(3000,), twists=()))
     with pytest.raises(BudgetError):
