@@ -14,7 +14,6 @@ the recursion anchor (value 1); the local-factor route requires l >= 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import divisors, factorize
 from .qseries import qpoch
@@ -37,13 +36,21 @@ def b_via_flags(ell: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def b_via_recursion(ell: int, n: int) -> int:
+    """Divisor recursion, memoized within the call; nothing outlives it."""
     if ell < 1 or n < 1:
         raise ValueError("need ell >= 1 and n >= 1")
-    if ell == 1:
-        return 1
-    return sum((n // d) ** (ell - 1) * b_via_recursion(ell - 1, d) for d in divisors(n))
+    memo: dict[tuple[int, int], int] = {}
+
+    def rec(ell: int, n: int) -> int:
+        if ell == 1:
+            return 1
+        if (ell, n) not in memo:
+            memo[ell, n] = sum((n // d) ** (ell - 1) * rec(ell - 1, d)
+                               for d in divisors(n))
+        return memo[ell, n]
+
+    return rec(ell, n)
 
 
 def local_factor(ell: int, p: int, a: int) -> int:

@@ -1,13 +1,16 @@
 """Command-line surface: reproducible experiments, machine-readable files.
 
-Exit codes: 0 success, 1 verification failure (an identity or tolerance
-check that fails, including table-load validation), 2 usage error,
-3 budget or resource refusal.
+The handlers pass the parsed arguments straight to the library, which
+validates them, and map its exceptions to exit codes: 0 success,
+1 verification failure (a failed identity, tolerance or table-load check),
+2 usage error (ValueError), 3 budget or resource refusal (BudgetError).
 
 Exact quantities (integer counts, rationals) are written to JSON as
 decimal strings; measured floats are written as JSON numbers. Every output
 file is written to a temp file and renamed over its target. Heavy
-imports happen inside the subcommand handlers so that --help stays fast.
+imports happen inside the subcommand handlers so that --help stays fast
+and never loads NumPy; that is why the --max-nmax and --max-work defaults
+are literals equal to sieve.DEFAULT_MAX_NMAX and permtuples.DEFAULT_MAX_WORK.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._files import write_atomic
@@ -28,34 +30,6 @@ DEFAULT_PRIME_CUTOFF = 10_000
 DEFAULT_EPS = 1e-10
 
 _THEOREM_TOL = {2: 2e-5, 3: 1e-3}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common parameters; subcommand-specific flags stay on argv."""
-
-    subcommand: str
-    ell: int = DEFAULT_ELL
-    nmax: int = DEFAULT_NMAX
-    bins: int = DEFAULT_BINS
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
-    eps: float = DEFAULT_EPS
-    table: str | None = None
-    out: str | None = None
-    max_nmax: int = 50_000_000
-    max_work: int = 26_000_000
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1: {self.ell}")
-        if self.nmax < 1:
-            raise ValueError(f"nmax must be >= 1: {self.nmax}")
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1: {self.bins}")
-        if self.prime_cutoff < 2:
-            raise ValueError(f"prime_cutoff must be >= 2: {self.prime_cutoff}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive: {self.eps}")
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -158,35 +132,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sieve(args) -> int:
     from .sieve import save_table, sieve_b
 
-    cfg = RunConfig(subcommand="sieve", ell=args.ell, nmax=args.nmax,
-                    out=args.out, max_nmax=args.max_nmax)
-    table = sieve_b(cfg.ell, cfg.nmax, max_nmax=cfg.max_nmax)
-    save_table(table, cfg.out)
-    print(f"sieve ell={cfg.ell} nmax={cfg.nmax} -> {cfg.out} (+ .json sidecar)")
+    table = sieve_b(args.ell, args.nmax, max_nmax=args.max_nmax)
+    save_table(table, args.out)
+    print(f"sieve ell={args.ell} nmax={args.nmax} -> {args.out} (+ .json sidecar)")
     return 0
 
 
 def _cmd_bruteforce(args) -> int:
     from .permtuples import enumerate_A
 
-    cfg = RunConfig(subcommand="bruteforce", ell=args.ell,
-                    max_work=args.max_work)
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1: {args.n}")
-    at = enumerate_A(cfg.ell, args.n, max_work=cfg.max_work)
+    at = enumerate_A(args.ell, args.n, max_work=args.max_work)
     row = {str(k): str(at[k]) for k in range(1, args.n + 1)}
     if args.out:
-        _write_json(args.out, {"ell": cfg.ell, "n": args.n, "counts": row})
+        _write_json(args.out, {"ell": args.ell, "n": args.n, "counts": row})
     compact = ",".join(f"{k}:{v}" for k, v in row.items())
-    print(f"bruteforce ell={cfg.ell} n={args.n} total={at.total()} counts={{{compact}}}")
+    print(f"bruteforce ell={args.ell} n={args.n} total={at.total()} counts={{{compact}}}")
     return 0
 
 
 def _cmd_genfunc(args) -> int:
     from .genfunc import exp_series
 
-    cfg = RunConfig(subcommand="genfunc", ell=args.ell, nmax=args.nmax)
-    poly = exp_series(cfg.ell, cfg.nmax)
+    poly = exp_series(args.ell, args.nmax)
     if args.out:
         payload = {
             "ell": poly.ell,
@@ -194,7 +161,7 @@ def _cmd_genfunc(args) -> int:
             "rows": [[str(c) for c in row] for row in poly.rows],
         }
         _write_json(args.out, payload)
-    print(f"genfunc ell={cfg.ell} N={cfg.nmax} rows={cfg.nmax + 1}"
+    print(f"genfunc ell={args.ell} N={args.nmax} rows={args.nmax + 1}"
           + (f" -> {args.out}" if args.out else ""))
     return 0
 
@@ -202,7 +169,6 @@ def _cmd_genfunc(args) -> int:
 def _cmd_cauchy(args) -> int:
     from .genfunc import cauchy_check
 
-    RunConfig(subcommand="cauchy", ell=args.ell)
     rep = cauchy_check(args.ell, args.n, args.k, args.r, args.M,
                        n_trunc=args.n_trunc)
     if args.out:
@@ -223,7 +189,6 @@ def _cmd_cauchy(args) -> int:
 def _cmd_qcheck(args) -> int:
     from .qseries import verify_power_rule
 
-    RunConfig(subcommand="qcheck", ell=args.ell)
     rep = verify_power_rule(args.ell, args.z, args.q, tail_eps=args.eps)
     print(f"qcheck ell={args.ell} q={args.q} z={args.z} terms={rep.terms} "
           f"tail_bound={rep.tail_bound} ok={rep.bound_ok}")
@@ -238,20 +203,19 @@ def _cmd_verify_theorem(args) -> int:
     from .sieve import sieve_b
     from .stats import cesaro_mean, zeta
 
-    cfg = RunConfig(subcommand="verify-theorem", ell=args.ell, nmax=args.nmax)
-    if cfg.ell < 2:
-        raise ValueError("verify-theorem needs ell >= 2")
-    tol = args.tol if args.tol is not None else _THEOREM_TOL.get(cfg.ell)
+    if args.ell < 2:  # sieve_b accepts ell = 1; the theorem does not
+        raise ValueError(f"verify-theorem needs ell >= 2, got {args.ell}")
+    tol = args.tol if args.tol is not None else _THEOREM_TOL.get(args.ell)
     if tol is None:
-        raise ValueError(f"no default tolerance for ell={cfg.ell}; pass --tol")
-    table = sieve_b(cfg.ell, cfg.nmax)
-    mean = cesaro_mean(table, cfg.nmax)
+        raise ValueError(f"no default tolerance for ell={args.ell}; pass --tol")
+    table = sieve_b(args.ell, args.nmax)
+    mean = cesaro_mean(table, args.nmax)
     ref = 1.0
-    for i in range(2, cfg.ell + 1):
+    for i in range(2, args.ell + 1):
         ref *= zeta(i, 1e-15)
     diff = abs(mean - ref)
     ok = diff <= tol
-    print(f"verify-theorem ell={cfg.ell} N={cfg.nmax} mean={mean!r} "
+    print(f"verify-theorem ell={args.ell} N={args.nmax} mean={mean!r} "
           f"ref={ref!r} |diff|={diff:.3e} tol={tol:.1e} ok={ok}")
     if not ok:
         raise VerificationFailure(f"|mean - ref| = {diff:.3e} > tol = {tol:.1e}")
@@ -262,13 +226,11 @@ def _cmd_verify_conjecture(args) -> int:
     from .sieve import load_table, sieve_b
     from .stats import error_series, mu_constant
 
-    cfg = RunConfig(subcommand="verify-conjecture", nmax=args.nmax,
-                    bins=args.bins, table=args.table)
-    if cfg.table is not None:
-        table = load_table(cfg.table, ell=2)
+    if args.table is not None:
+        table = load_table(args.table, ell=2)
     else:
-        table = sieve_b(2, cfg.nmax)
-    summary = error_series(table, bins=cfg.bins, method=args.method)
+        table = sieve_b(2, args.nmax)
+    summary = error_series(table, bins=args.bins, method=args.method)
     if args.hist:
         lines = ["bin_left,bin_right,count"]
         lines.extend(f"{left!r},{right!r},{count}"
@@ -302,15 +264,10 @@ def _cmd_moments(args) -> int:
     from .sieve import load_table
     from .stats import empirical_moment, theoretical_moment
 
-    cfg = RunConfig(subcommand="moments", ell=args.ell,
-                    prime_cutoff=args.prime_cutoff, eps=args.eps,
-                    table=args.table)
-    if args.m < 1:
-        raise ValueError(f"m must be >= 1: {args.m}")
-    result = theoretical_moment(cfg.ell, args.m, prime_cutoff=cfg.prime_cutoff,
-                                eps=cfg.eps)
-    if cfg.table is not None:
-        table = load_table(cfg.table, ell=cfg.ell)
+    result = theoretical_moment(args.ell, args.m, prime_cutoff=args.prime_cutoff,
+                                eps=args.eps)
+    if args.table is not None:
+        table = load_table(args.table, ell=args.ell)
         result = replace(result,
                          empirical=empirical_moment(table, args.m, table.nmax))
     if args.out:

@@ -75,7 +75,7 @@ def series_L(ell: int, N: int) -> list[Fraction]:
 def exp_series(ell: int, N: int) -> SeriesPoly:
     """The full coefficient triangle A(ell, n, k) for n <= N."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValueError(f"N must be >= 1, got {N}")
     b = sieve_b(ell, N)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, N + 1):

@@ -124,9 +124,9 @@ def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
     commuting with every prefix member remain candidates.
     """
     if ell < 1:
-        raise ValueError("ell must be >= 1")
+        raise ValueError(f"ell must be >= 1, got {ell}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     work = factorial(n) ** ell
     if work > max_work:
         raise BudgetError(

@@ -52,7 +52,7 @@ def verify_power_rule(
     bound_ok reports |lhs_truncated - rhs_exact| <= tail_eps.
     """
     if ell < 2:
-        raise ValueError("ell must be >= 2")
+        raise ValueError(f"ell must be >= 2, got {ell}")
     z = Fraction(z)
     q = Fraction(q)
     eps = Fraction(tail_eps) if not isinstance(tail_eps, float) else Fraction(str(tail_eps))

@@ -63,12 +63,6 @@ class ArithTable:
     def __len__(self) -> int:
         return self.nmax
 
-    def values_float(self) -> np.ndarray:
-        """Values as float64 (spec for bulk statistics; may round above 2^53)."""
-        if isinstance(self.values, np.ndarray):
-            return self.values.astype(np.float64)
-        return np.array([float(v) for v in self.values], dtype=np.float64)
-
 
 def _int64_safe(ell: int, nmax: int) -> bool:
     # sigma(n) <= n (ln n + 1) <= n * mult with the bit-length overshoot
@@ -79,9 +73,9 @@ def _int64_safe(ell: int, nmax: int) -> bool:
 def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTable:
     """Table of B(ell, n), n = 1..nmax. Refuses nmax beyond max_nmax."""
     if ell < 1:
-        raise ValueError("ell must be >= 1")
+        raise ValueError(f"ell must be >= 1, got {ell}")
     if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
     if nmax > max_nmax:
         raise BudgetError(
             f"nmax={nmax} exceeds the memory budget ({max_nmax}); "

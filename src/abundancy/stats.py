@@ -79,24 +79,44 @@ def mu_constant() -> float:
 
 
 def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
-    """(B(ell,n)/n^{ell-1})^m for n = 1..N, each rounded once to double.
+    """(B(ell,n)/n^{ell-1})^m for n = 1..N as doubles.
+
+    An int64 table divides in float64, vectorized: each index is rounded
+    once wherever B(ell,n) and n^{ell-1} are both at most 2^53, as they are
+    for every ell = 2 table. Any other table divides Python ints, so every
+    index is rounded once.
 
     Every index lies in [1, (1 + ln n)^{ell-1}], since n^{ell-1} <= B(ell,n)
     <= sigma(n)^{ell-1} and sigma(n)/n <= H_n <= 1 + ln n; a table with a
     value outside that range raises MalformedTable naming the first bad n.
+    So does an index beyond the float range: a true index is below
+    (n/phi(n)) zeta(2)...zeta(ell-1) < 3n.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > table.nmax:
         raise ValueError(f"N={N} exceeds table.nmax={table.nmax}")
+    ell = table.ell
     n = np.arange(1, N + 1, dtype=np.float64)
-    terms = table.values_float()[:N] / n ** (table.ell - 1)
-    bad = ~((terms >= 1.0) & (terms <= (1.0 + np.log(n)) ** (table.ell - 1)))
+    values = table.values[:N]
+    if isinstance(values, np.ndarray):
+        terms = values / n ** (ell - 1)
+    else:
+        terms = np.empty(N, dtype=np.float64)
+        for i, v in enumerate(values):
+            try:
+                terms[i] = v / (i + 1) ** (ell - 1)
+            except OverflowError:
+                raise MalformedTable(
+                    f"value at n={i + 1} cannot be B({ell}, {i + 1}): "
+                    "its index exceeds the float range"
+                ) from None
+    with np.errstate(over="ignore"):  # a bound beyond the float range is inf
+        bad = ~((terms >= 1.0) & (terms <= (1.0 + np.log(n)) ** (ell - 1)))
     if bad.any():
         first = int(np.argmax(bad)) + 1
         raise MalformedTable(
-            f"value at n={first} cannot be B({table.ell}, {first}): "
-            f"{table[first]}"
+            f"value at n={first} cannot be B({ell}, {first}): {table[first]}"
         )
     if m != 1:
         terms = terms**m
@@ -211,7 +231,7 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     if table.ell != 2:
         raise ValueError(f"error series is defined for ell=2, got ell={table.ell}")
     if bins < 1:
-        raise ValueError("bins must be >= 1")
+        raise ValueError(f"bins must be >= 1, got {bins}")
     if N is None:
         N = table.nmax
     terms = _index_terms(table, N)
@@ -312,13 +332,13 @@ def theoretical_moment(
     disagreement beyond tail_bound + eps triggers a warning.
     """
     if ell < 2:
-        raise ValueError("ell must be >= 2")
+        raise ValueError(f"ell must be >= 2, got {ell}")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValueError(f"m must be >= 1, got {m}")
     if prime_cutoff < 2:
-        raise ValueError("prime_cutoff must be >= 2")
+        raise ValueError(f"prime_cutoff must be >= 2, got {prime_cutoff}")
     if eps <= 0.0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"eps must be positive, got {eps}")
     ps = primes_up_to(prime_cutoff)
     eps_local = eps / len(ps)
     factors = _kernels.local_moments(

@@ -24,7 +24,7 @@ enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from pathlib import Path
@@ -35,9 +35,8 @@ from ._files import write_atomic
 from .bvalues import b_via_flags
 from .core import divisors
 from .errors import BudgetError
-from .permtuples import PermTuple, transitive_tuples
+from .permtuples import DEFAULT_MAX_WORK, PermTuple, transitive_tuples
 
-DEFAULT_MAX_WORK = 26_000_000
 VALIDATE_MAX_N = 2048
 
 
@@ -100,7 +99,6 @@ class EdgeRecord:
 class TorusRealization:
     spec: TorusSpec
     perms: PermTuple
-    pi_arrays: tuple[np.ndarray, ...] = field(repr=False)  # 0-based copies
 
     @cached_property
     def coords(self) -> tuple[tuple[int, ...], ...]:
@@ -119,10 +117,9 @@ class TorusRealization:
         n = self.spec.n
         counts: dict[tuple[int, int], list[int]] = {}
         block = 1
-        for r, f in enumerate(self.spec.dims, start=1):
-            pi = self.pi_arrays[r - 1]
+        for pi, f in zip(self.perms.perms, self.spec.dims):
             for u in range(n):
-                v = int(pi[u])
+                v = pi[u] - 1
                 key = (min(u, v) + 1, max(u, v) + 1)
                 slot = counts.setdefault(key, [0, 0])
                 wrapped = (u // block) % f == f - 1
@@ -165,10 +162,8 @@ def build_torus(spec: TorusSpec) -> TorusRealization:
             rho[(f - 1) * m :] = chain
         rhos.append(rho)
         m *= f
-    n = m
-    pis = tuple(_lift(rho, n) for rho in rhos)
-    perms = PermTuple(perms=tuple(tuple((pi + 1).tolist()) for pi in pis))
-    return TorusRealization(spec=spec, perms=perms, pi_arrays=pis)
+    perms = tuple(tuple((_lift(rho, m) + 1).tolist()) for rho in rhos)
+    return TorusRealization(spec=spec, perms=PermTuple(perms=perms))
 
 
 @dataclass(frozen=True)

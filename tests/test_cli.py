@@ -1,26 +1,71 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from abundancy.cli import RunConfig, main
+import abundancy
+from abundancy import permtuples, sieve
+from abundancy.cli import build_parser, main
 
 
 def run(argv):
     return main(argv)
 
 
-def test_runconfig_validation():
-    cfg = RunConfig(subcommand="sieve")
-    assert cfg.ell == 2 and cfg.nmax == 1_000_000
-    assert cfg.bins == 250 and cfg.prime_cutoff == 10_000 and cfg.eps == 1e-10
-    for kw in (
-        {"ell": 0}, {"nmax": 0}, {"bins": 0},
-        {"prime_cutoff": 1}, {"eps": 0.0},
-    ):
-        with pytest.raises(ValueError):
-            RunConfig(subcommand="x", **kw)
+def test_parser_defaults():
+    parse = build_parser().parse_args
+    args = parse(["sieve", "--out", "x.csv"])
+    assert args.ell == 2 and args.nmax == 10**6
+    assert parse(["verify-conjecture"]).bins == 250
+    args = parse(["moments", "--m", "1"])
+    assert args.prime_cutoff == 10**4 and args.eps == 1e-10
+
+
+def test_budget_defaults_match_the_library():
+    parse = build_parser().parse_args
+    assert parse(["sieve", "--out", "x.csv"]).max_nmax == sieve.DEFAULT_MAX_NMAX
+    assert parse(["bruteforce", "--n", "1"]).max_work == permtuples.DEFAULT_MAX_WORK
+
+
+def test_help_does_not_import_numpy():
+    src = str(Path(abundancy.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from abundancy.cli import main\n"
+        "for argv in (['--help'], ['sieve', '--help']):\n"
+        "    assert main(argv) == 0\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve", "--ell", "0"], "ell must be >= 1, got 0"),
+    (["sieve", "--nmax", "0"], "nmax must be >= 1, got 0"),
+    (["verify-conjecture", "--nmax", "100", "--bins", "0"],
+     "bins must be >= 1, got 0"),
+    (["moments", "--m", "1", "--prime-cutoff", "1"],
+     "prime_cutoff must be >= 2, got 1"),
+    (["moments", "--m", "1", "--eps", "0"], "eps must be positive, got 0.0"),
+])
+def test_bad_values_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
+    outputs = {
+        "sieve": ["--out", str(tmp_path / "t.csv")],
+        "verify-conjecture": ["--hist", str(tmp_path / "h.csv"),
+                              "--summary", str(tmp_path / "s.json")],
+        "moments": ["--out", str(tmp_path / "m.json")],
+    }[argv[0]]
+    assert run(argv + outputs) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sieve_writes_csv_and_sidecar(tmp_path):
@@ -199,6 +244,16 @@ def test_moments_json(tmp_path):
     assert payload["tail_bound"] > 0
     assert run(["moments", "--m", "0"]) == 2
     assert run(["moments", "--ell", "1", "--m", "1"]) == 2
+
+
+def test_moments_on_an_exact_path_table(tmp_path, capsys):
+    # B(200, n) overflows int64, so the table holds Python ints; its index
+    # is divided as ints and rounded once
+    table = tmp_path / "t.csv"
+    assert run(["sieve", "--ell", "200", "--nmax", "100", "--out", str(table)]) == 0
+    assert run(["moments", "--ell", "200", "--m", "1", "--prime-cutoff", "100",
+                "--table", str(table)]) == 0
+    assert "empirical=2.2443930304792516 " in capsys.readouterr().out
 
 
 def test_tori_cli(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from abundancy.errors import MalformedTable
 from abundancy.sieve import ArithTable, sieve_b
 from abundancy.stats import (
     EULER_GAMMA,
+    _index_terms,
     _replica_mean,
     cesaro_mean,
     empirical_moment,
@@ -106,6 +108,22 @@ def test_index_terms_reject_impossible_values(values, first_bad):
 @pytest.mark.parametrize("ell, nmax", [(2, 5000), (3, 5000), (5, 500), (20, 60)])
 def test_index_terms_accept_sieved_tables(ell, nmax):
     assert cesaro_mean(sieve_b(ell, nmax), nmax) > 1.0
+
+
+def test_exact_path_terms_round_once():
+    table = sieve_b(6, 3000)
+    assert table.metadata["creation"]["dtype"] == "object"
+    terms = _index_terms(table, table.nmax)
+    assert terms.tolist() == [float(Fraction(v, n**5))
+                              for n, v in enumerate(table.values, start=1)]
+
+
+def test_cesaro_mean_beyond_float_range_values():
+    # B(200, n) exceeds the float range; its index does not
+    assert cesaro_mean(sieve_b(200, 100), 100) == 2.2443930304792516
+    table = ArithTable(ell=2, nmax=3, values=(1, 3, 10**400), metadata={})
+    with pytest.raises(MalformedTable, match="n=3 "):
+        cesaro_mean(table, 3)
 
 
 def test_empirical_m1_equals_cesaro(table2):

@@ -153,6 +153,13 @@ def test_edges_grid_counts():
     assert sum(e.dashed for e in real.edges) == 10  # 6 + 4 wrap edges
 
 
+def test_edges_follow_replaced_perms():
+    real = build_torus(TorusSpec(dims=(4, 6), twists=((1,),)))
+    other = build_torus(TorusSpec(dims=(4, 6), twists=((3,),)))
+    assert real.edges != other.edges
+    assert dataclasses.replace(real, perms=other.perms).edges == other.edges
+
+
 def test_edges_small_torus_collapse():
     # 2 x 2: forward and wrap steps coincide, multiplicity collapses them
     real = build_torus(TorusSpec(dims=(2, 2), twists=((1,),)))
