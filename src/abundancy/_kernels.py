@@ -1,13 +1,15 @@
 """Hot loops, in NumPy and plain Python.
 
 Integer kernels are exact, over int64 where the caller bounds the values
-and over Python ints otherwise, and the compensated sums add in a fixed
-order, so every result is bit-reproducible across NumPy builds. The sums
-take float64 input and run their sequential recurrences over Python floats
-in fixed runs of RUN elements; the order of additions, and so every bit,
-is that of a plain per-element loop over the array. Orbit counting labels a
-whole batch of tuples in one flat index space: its Python loops run over
-propagation rounds and fixed-size chunks, never over tuples.
+and over Python ints otherwise, and the compensated cumulative sums add in
+a fixed order, so every result is bit-reproducible across NumPy builds.
+The cumsums take float64 input and run their sequential recurrences (Kahan,
+double-double) over Python floats in fixed runs of RUN elements; the order
+of additions, and so every bit, is that of a plain per-element loop over
+the array. Totals are not summed here: callers use math.fsum, which is
+correctly rounded. Orbit counting labels a whole batch of tuples in one
+flat index space: its Python loops run over propagation rounds and
+fixed-size chunks, never over tuples.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ def conv_pass(t: np.ndarray, r: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compensated cumulative sums. kahan_* is the working precision used for all
-# reported statistics; dd_* (double-double) is the higher-precision reference.
+# Compensated cumulative sums. kahan_cumsum is the working precision of the
+# headline running sums; dd_cumsum (double-double) is the higher-precision
+# reference.
 #
 # Input is converted to float64 at entry. The recurrences are sequential, so
 # they run element by element in ascending order, over Python floats: the
@@ -78,19 +81,6 @@ def kahan_cumsum(a: np.ndarray) -> np.ndarray:
             push(s)
         out[start : start + RUN] = run
     return out
-
-
-def kahan_sum(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    s = 0.0
-    c = 0.0
-    for start in range(0, a.shape[0], RUN):
-        for x in a[start : start + RUN].tolist():
-            y = x - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-    return s
 
 
 def dd_cumsum(a: np.ndarray) -> np.ndarray:

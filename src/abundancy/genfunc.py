@@ -20,6 +20,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, pi, sqrt
+from sys import float_info
 
 from .permtuples import ATable
 from .sieve import sieve_b
@@ -164,7 +165,8 @@ def cauchy_check(
     in M. L is truncated at n_trunc >= n, which leaves the target
     coefficient untouched (only aliased orders ~ r^M are perturbed).
     The k-th power is taken as a literal complex power of the polynomial
-    value, so no branch choice ever arises.
+    value, so no branch choice ever arises. A ValueError names r, n or k
+    when r^n, k! or L(z)^k leaves the normal float range.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0,1): {r}")
@@ -176,6 +178,12 @@ def cauchy_check(
         n_trunc = max(n + 2, 48)
     if n_trunc < n:
         raise ValueError(f"n_trunc ({n_trunc}) must be >= n ({n})")
+    if r**n < float_info.min:
+        raise ValueError(f"r**n underflows the float range for r={r}, n={n}")
+    try:
+        kfact = float(factorial(k))
+    except OverflowError:
+        raise ValueError(f"k! exceeds the float range for k={k}") from None
     if n == 0:
         exact = Fraction(1) if k == 0 else Fraction(0)
     elif k == 0 or k > n:
@@ -184,14 +192,18 @@ def cauchy_check(
         exact = exp_series(ell, n).coeff(n, k)
     b = sieve_b(ell, n_trunc)
     l_coef = [0.0] + [b[m] / m for m in range(1, n_trunc + 1)]
-    kfact = float(factorial(k))
     acc = 0.0 + 0.0j
     for j in range(M):
         z = cmath.rect(r, 2.0 * pi * j / M)
         lz = 0.0 + 0.0j
         for c in reversed(l_coef):
             lz = lz * z + c
-        acc += lz**k / z**n
+        try:
+            acc += lz**k / z**n
+        except OverflowError:
+            raise ValueError(
+                f"L(z)**k exceeds the float range for k={k}, r={r}"
+            ) from None
     numeric = (acc / (M * kfact)).real
     return CauchyReport(
         ell=ell,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 from typing import Sequence
 
@@ -66,14 +65,10 @@ class PermTuple:
     def ell(self) -> int:
         return len(self.perms)
 
-    @cached_property
-    def _orbit_count(self) -> int:
-        arr = np.array(self.perms, dtype=np.int64) - 1
-        return int(orbit_counts(arr[None, :, :])[0])
-
     def orbit_count(self) -> int:
         """Number of orbits of the subgroup generated by the tuple."""
-        return self._orbit_count
+        arr = np.array(self.perms, dtype=np.int64) - 1
+        return int(orbit_counts(arr[None, :, :])[0])
 
     def is_transitive(self) -> bool:
         return self.orbit_count() == 1

@@ -8,13 +8,15 @@ Three layers:
   * moments of the limiting distribution as Euler products of per-prime
     local factors, with explicit tail bounds.
 
-All headline float accumulations run compensated (Kahan) in fixed
-ascending-n order; a double-double reference and an exact-rational small-N
-variant exist for cross-checking the rounding model. The naive replica of
-the published pipeline fixes every operation: a sequential float64 cumsum
-S, E = (S - zeta(2) n) + (1/2) ln n, and a mean whose sum runs over
-consecutive 8192-element blocks (NumPy's default buffer size), each summed
-with NumPy's classic pairwise rule, the block sums added left to right.
+Headline totals (Cesaro means, empirical moments, the mean of E) are
+correctly rounded sums (math.fsum); headline cumulative sums run
+compensated (Kahan) in fixed ascending-n order. A double-double reference
+and an exact-rational small-N variant exist for cross-checking the
+rounding model. The naive replica of the published pipeline fixes every
+operation: a sequential float64 cumsum S, E = (S - zeta(2) n) + (1/2) ln n,
+and a mean whose sum runs over consecutive 8192-element blocks (NumPy's
+default buffer size), each summed with NumPy's classic pairwise rule, the
+block sums added left to right.
 The sum is made of explicit elementwise additions, so its result does not
 depend on how a NumPy build chunks its reductions.
 """
@@ -124,17 +126,17 @@ def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
 
 
 def cesaro_mean(table, N: int) -> float:
-    """(1/N) sum_{n<=N} B(ell,n)/n^{ell-1}, compensated, ascending order."""
+    """(1/N) sum_{n<=N} B(ell,n)/n^{ell-1}, the sum correctly rounded."""
     terms = _index_terms(table, N)
-    return _kernels.kahan_sum(terms) / N
+    return math.fsum(terms.tolist()) / N
 
 
 def empirical_moment(table, m: int, N: int) -> float:
-    """(1/N) sum_{n<=N} (B(ell,n)/n^{ell-1})^m, compensated."""
+    """(1/N) sum_{n<=N} (B(ell,n)/n^{ell-1})^m, the sum correctly rounded."""
     if m < 1:
         raise ValueError("m must be >= 1")
     terms = _index_terms(table, N, m)
-    return _kernels.kahan_sum(terms) / N
+    return math.fsum(terms.tolist()) / N
 
 
 # The published digits come from NumPy's buffered reduction: np.mean fed the
@@ -217,7 +219,8 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     spanning [min, max], right-open except the last.
 
     method selects the accumulation model for the two cumulative sums:
-      kahan  compensated, ascending order (the headline path)
+      kahan  Kahan-compensated cumsums in ascending order and a
+             correctly rounded mean (the headline path)
       naive  the published pipeline digit for digit: sequential float64
              cumsum, E = (S - zeta(2) n) + (1/2) ln n, and the mean over
              8192-element blocks (NumPy's default buffer size) with
@@ -241,7 +244,7 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     if method == "kahan":
         S = _kernels.kahan_cumsum(terms)
         E = S - z2 * narr + 0.5 * np.log(narr)
-        mean_E = _kernels.kahan_sum(E) / N
+        mean_E = math.fsum(E.tolist()) / N
         X = _kernels.kahan_cumsum(E + mu)
     elif method == "naive":
         S = np.cumsum(terms)

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from ._files import write_atomic
 from .bvalues import b_via_flags
 from .core import divisors
@@ -131,38 +132,27 @@ class TorusRealization:
         )
 
 
-def _lift(perm: np.ndarray, size: int) -> np.ndarray:
-    """Block-diagonal extension of perm to [0, size), size a multiple of len."""
-    m = perm.shape[0]
-    base = np.arange(0, size, m, dtype=np.int64).reshape(-1, 1)
-    return (base + perm).ravel()
-
-
 def build_torus(spec: TorusSpec) -> TorusRealization:
-    """Construct the vertex permutations, coordinates, and edge list."""
-    dims = spec.dims
-    ell = spec.ell
-    rhos: list[np.ndarray] = []  # rhos[r-1] permutes the first f_1..f_r block
+    """The permutations pi_1..pi_ell, each built on the whole vertex set.
+
+    With stride m = f_1...f_{r-1}, pi_r sends u to u + m unless coordinate
+    r wraps (u // m % f_r == f_r - 1); a wrapped u goes to u - (f_r - 1) m,
+    carried through phi_t - 1 steps of each pi_t with t < r, in order.
+    """
+    u = np.arange(spec.n, dtype=np.int64)
+    pis: list[np.ndarray] = []
     m = 1
-    for r in range(1, ell + 1):
-        f = dims[r - 1]
-        if r == 1:
-            rho = (np.arange(f, dtype=np.int64) + 1) % f
-        else:
-            chain = np.arange(m, dtype=np.int64)
-            phi = spec.twists[r - 2]
-            for t in range(1, r):
-                steps = phi[t - 1] - 1
-                if steps:
-                    lifted = _lift(rhos[t - 1], m)
-                    for _ in range(steps):
-                        chain = lifted[chain]
-            rho = np.empty(m * f, dtype=np.int64)
-            rho[: (f - 1) * m] = np.arange(m, f * m, dtype=np.int64)
-            rho[(f - 1) * m :] = chain
-        rhos.append(rho)
+    for f, phi in zip(spec.dims, ((),) + spec.twists):
+        pi = u + m
+        wrap = u // m % f == f - 1
+        w = u[wrap] - (f - 1) * m
+        for pi_t, phi_t in zip(pis, phi):
+            for _ in range(phi_t - 1):
+                w = pi_t[w]
+        pi[wrap] = w
+        pis.append(pi)
         m *= f
-    perms = tuple(tuple((_lift(rho, m) + 1).tolist()) for rho in rhos)
+    perms = tuple(tuple((pi + 1).tolist()) for pi in pis)
     return TorusRealization(spec=spec, perms=PermTuple(perms=perms))
 
 
@@ -193,28 +183,27 @@ def validate(real: TorusRealization, *, max_n: int = VALIDATE_MAX_N) -> TorusChe
     equality of the row sets of pi G and G. Checks read real.perms, so a
     tampered tuple is seen.
     """
-    pis = [np.asarray(p, dtype=np.int64) - 1 for p in real.perms.perms]
-    n = pis[0].shape[0]
+    P = np.array(real.perms.perms, dtype=np.int64) - 1
+    n = P.shape[1]
     if n > max_n:
         raise BudgetError(f"validate materializes an n x n table; n={n} > {max_n}")
-    commutes = all(
-        np.array_equal(p[q], q[p]) for p, q in itertools.combinations(pis, 2)
-    )
-    transitive = real.perms.orbit_count() == 1
+    PP = P[:, P]  # PP[a, b] = pi_a after pi_b
+    commutes = np.array_equal(PP, PP.transpose(1, 0, 2))
+    transitive = _kernels.orbit_counts(P[None])[0] == 1
     G = np.empty((n, n), dtype=np.int64)
     G[0] = np.arange(n, dtype=np.int64)
     count = 1
-    for pi, f in zip(pis, real.spec.dims):
+    for pi, f in zip(P, real.spec.dims):
         for t in range(1, f):
             G[t * count : (t + 1) * count] = pi[G[(t - 1) * count : t * count]]
         count *= f
     rows = set(map(bytes, G))
     distinct = len(rows) == n
-    closed = all(set(map(bytes, pi[G])) == rows for pi in pis)
+    closed = all(set(map(bytes, pi[G])) == rows for pi in P)
     basepoint_bijective = np.unique(G[:, 0]).size == n
     return TorusChecks(
         commutes=commutes,
-        transitive=transitive,
+        transitive=bool(transitive),
         group_order_n=bool(distinct and closed),
         basepoint_bijective=bool(basepoint_bijective),
     )

@@ -129,6 +129,17 @@ def test_cauchy_exit_codes(tmp_path):
                 "--grid", "64"]) == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--n", "200", "--k", "3", "--r", "0.01", "-M", "16"], "r=0.01, n=200"),
+    (["--n", "5", "--k", "200", "--r", "0.5", "-M", "8"], "k=200"),
+])
+def test_cauchy_float_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, named):
+    out = tmp_path / "c.json"
+    assert run(["cauchy", "--ell", "2", *argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_qcheck_exit_codes():
     assert run(["qcheck", "--ell", "3", "--q", "1/3", "--z", "1",
                 "--eps", "1e-12"]) == 0

@@ -120,6 +120,16 @@ def test_cauchy_guards():
         cauchy_check(2, 5, 2, 0.5, 64, n_trunc=4)
 
 
+@pytest.mark.parametrize("args, named", [
+    ((2, 200, 3, 0.01, 16), "r=0.01, n=200"),  # r**n underflows
+    ((2, 5, 200, 0.5, 8), "k=200"),  # k! beyond the float range
+    ((2, 150, 150, 0.99, 8), "k=150, r=0.99"),  # L(z)**k overflows
+])
+def test_cauchy_float_range_refused(args, named):
+    with pytest.raises(ValueError, match=named):
+        cauchy_check(*args)
+
+
 def test_hr_ratio_near_one_and_tightening():
     vals = {n: hr_ratio(n, 1) for n in (100, 200, 400)}
     assert 0.9 < vals[100] < 1.1

@@ -126,6 +126,13 @@ def test_cesaro_mean_beyond_float_range_values():
         cesaro_mean(table, 3)
 
 
+def test_cesaro_mean_sum_is_correctly_rounded():
+    # Kahan summation lands one ulp high here (1.6029327949172338)
+    table = sieve_b(2, 62)
+    terms = _index_terms(table, 62).tolist()
+    assert cesaro_mean(table, 62) == math.fsum(terms) / 62 == 1.602932794917234
+
+
 def test_empirical_m1_equals_cesaro(table2):
     assert empirical_moment(table2, 1, 500_000) == cesaro_mean(table2, 500_000)
     with pytest.raises(ValueError):

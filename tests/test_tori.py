@@ -80,6 +80,56 @@ def test_tampered_tuple_reported_not_hidden():
     assert not checks.all_true()
 
 
+def test_non_adjacent_generators_must_commute():
+    real = build_torus(TorusSpec(dims=(2, 2, 2), twists=((1,), (1, 1))))
+    p1, p2, _ = real.perms.perms
+    p3 = (1, 2, 3, 4, 5, 8, 7, 6)
+    assert PermTuple(perms=(p2, p3)).commutes()
+    assert not PermTuple(perms=(p1, p3)).commutes()
+    checks = validate(dataclasses.replace(real, perms=PermTuple(perms=(p1, p2, p3))))
+    assert not checks.commutes
+
+
+def _ref_step(spec, coord, r):
+    """One step of direction r (0-based) on 1-based coordinates, literally:
+    step coordinate r; on wrapping past f_r, take phi_t - 1 steps of each
+    lower direction t in turn."""
+    c = list(coord)
+    if c[r] < spec.dims[r]:
+        c[r] += 1
+        return c
+    c[r] = 1
+    for t in range(r):
+        for _ in range(spec.twists[r - 1][t] - 1):
+            c = _ref_step(spec, c, t)
+    return c
+
+
+def _ref_perms(spec):
+    strides = [1]
+    for f in spec.dims[:-1]:
+        strides.append(strides[-1] * f)
+
+    def index(c):
+        return 1 + sum((i - 1) * m for i, m in zip(c, strides))
+
+    coords = [[u // m % f + 1 for f, m in zip(spec.dims, strides)]
+              for u in range(spec.n)]
+    return tuple(tuple(index(_ref_step(spec, c, r)) for c in coords)
+                 for r in range(spec.ell))
+
+
+def test_perms_match_literal_coordinate_steps():
+    # pins the perms themselves: a wrong twist step count still validates
+    count = 0
+    for ell, nmax in ((1, 16), (2, 16), (3, 16), (4, 8)):
+        for n in range(1, nmax + 1):
+            for spec in all_specs(ell, n):
+                assert build_torus(spec).perms.perms == _ref_perms(spec), spec
+                count += 1
+    assert count == 5959
+
+
 def _compose(p, q):
     """p after q, both 1-based tuples."""
     return tuple(p[q[i] - 1] for i in range(len(q)))
