@@ -19,7 +19,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, pi, sqrt
+from math import exp, factorial, gcd, pi, sqrt
+from operator import mul
 from sys import float_info
 
 from .permtuples import ATable
@@ -119,8 +120,12 @@ def partition_numbers(N: int) -> list[int]:
 def h_vector(ell: int, N: int, x) -> list[Fraction]:
     """H_{ell,n}(x) for n = 0..N, by the scalar form of the same recurrence.
 
-    Cheaper than exp_series when only point values of the polynomials are
-    needed (the k-resolved triangle is never formed).
+    h_n = (x/n) sum_{m=1}^{n} B(ell,m) h_{n-m}. Cheaper than exp_series
+    when only point values of the polynomials are needed (the k-resolved
+    triangle is never formed). The values already computed are kept as
+    integer numerators over one common denominator D, so each step's sum
+    is one integer dot product and one Fraction; the numerators are
+    rescaled only when a new value's denominator does not divide D.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -128,12 +133,19 @@ def h_vector(ell: int, N: int, x) -> list[Fraction]:
     h = [Fraction(1)]
     if N == 0:
         return h
-    b = sieve_b(ell, N)
+    table = sieve_b(ell, N)
+    b = [table[m] for m in range(1, N + 1)]
+    nums = [1]  # h[k] == nums[k] / D
+    D = 1
     for n in range(1, N + 1):
-        acc = Fraction(0)
-        for m in range(1, n + 1):
-            acc += b[m] * h[n - m]
-        h.append(x * acc / n)
+        acc = sum(map(mul, b[:n], reversed(nums)))
+        hn = Fraction(x.numerator * acc, x.denominator * n * D)
+        if D % hn.denominator:
+            scale = hn.denominator // gcd(D, hn.denominator)
+            nums = [c * scale for c in nums]
+            D *= scale
+        nums.append(hn.numerator * (D // hn.denominator))
+        h.append(hn)
     return h
 
 

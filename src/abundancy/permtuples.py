@@ -1,4 +1,4 @@
-"""Brute-force enumeration of commuting permutation tuples.
+"""Direct enumeration of commuting permutation tuples.
 
 A(ell, n, k) counts ordered ell-tuples of pairwise-commuting permutations
 of [n] whose joint action has exactly k orbits. This module enumerates
@@ -10,7 +10,14 @@ can cross-check each other:
 and, in the other direction, every A(ell, n, k) is a Bell-type polynomial
 in the B values (see bell_transform).
 
-Cost is factorial; enumerate_A refuses work beyond n!^ell <= max_work.
+The centralizer of each permutation p is built from the equation
+q(p(i)) = p(q(i)) and the cycles of p alone: q maps each cycle of p onto
+a cycle of the same length, the image of one point per cycle is free and
+the rest of the cycle is forced. Tuples are then grown one member at a
+time inside the common centralizer of the prefix, and every tuple
+returned is checked against the definition. The cost follows the number
+of tuples, not n!^ell, but enumerate_A still refuses ell > max_work or
+n!^ell > max_work.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import orbit_counts
-from .errors import BudgetError
+from .errors import BudgetError, VerificationFailure
 
 DEFAULT_MAX_WORK = 26_000_000
 
@@ -111,37 +118,173 @@ class ATable:
         return sum(self.counts)
 
 
+def _cycle_words(P: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Each row's points listed cycle by cycle, and its cycle lengths.
+
+    Cycles come shortest first, ties in order of their smallest point, and
+    each is listed from that point on: i, p(i), p(p(i)), ... The lengths
+    are given in the same order.
+    """
+    n = P.shape[1]
+    words = np.empty_like(P)
+    types = []
+    for a, p in enumerate(P.tolist()):
+        seen = [False] * n
+        cycles = []
+        for start in range(n):
+            cycle = []
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                cycle.append(i)
+                i = p[i]
+            if cycle:
+                cycles.append(cycle)
+        cycles.sort(key=len)
+        words[a] = [i for cycle in cycles for i in cycle]
+        types.append(tuple(map(len, cycles)))
+    return words, types
+
+
+def _block_centralizer(lengths: tuple[int, ...]) -> np.ndarray:
+    """Every z with z(s(j)) = s(z(j)), s the block rotation of the lengths.
+
+    The positions 0..n-1 form consecutive blocks, one per length, and s
+    steps around each block: s(b + k) = b + (k + 1) % L for the block at b
+    of length L. The equation leaves one free choice per block, the image
+    of its first position b: any position of a block of the same length
+    that no other block maps into. The rest of the block is forced,
+    z(b + k) = s^k(z(b)). Blocks of different lengths choose independently.
+    """
+    starts = np.cumsum((0,) + lengths[:-1])
+    by_length: dict[int, list[int]] = {}
+    for b, L in zip(starts.tolist(), lengths):
+        by_length.setdefault(L, []).append(b)
+    Z = np.zeros((1, 0), dtype=np.int64)
+    cols: list[int] = []
+    for L, blocks in by_length.items():
+        b = np.array(blocks, dtype=np.int64)
+        k = np.arange(L)
+        # block i goes to block targets[:, i], its first position to
+        # that block's rots[:, i]-th position
+        targets = np.array(list(itertools.permutations(b)), dtype=np.int64)
+        rots = np.array(
+            list(itertools.product(range(L), repeat=len(b))), dtype=np.int64
+        )
+        img = targets[:, None, :, None] + (rots[None, :, :, None] + k) % L
+        img = img.reshape(-1, len(b) * L)
+        Z = np.concatenate(
+            [np.repeat(Z, len(img), axis=0), np.tile(img, (len(Z), 1))], axis=1
+        )
+        cols.extend((b[:, None] + k).ravel().tolist())
+    out = np.empty_like(Z)
+    out[:, cols] = Z
+    return out
+
+
+def _lex_ranks(Q: np.ndarray) -> np.ndarray:
+    """Rank of each row of Q among all permutations in lexicographic order."""
+    n = Q.shape[1]
+    ranks = np.zeros(len(Q), dtype=np.int64)
+    for i in range(n - 1):
+        ranks = ranks * (n - i) + (Q[:, i + 1 :] < Q[:, i : i + 1]).sum(axis=1)
+    return ranks
+
+
+def _centralizers(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centralizer of every row of P, as sorted ranks (row indices of P).
+
+    P holds all permutations of n points in lexicographic order. Returns
+    (off, flat) with C(P[j]) = flat[off[j]:off[j+1]]. A row p with cycle
+    word w (see _cycle_words) is w s w^-1 for the block rotation s of its
+    cycle lengths, so C(p) = {w z w^-1 : z in C(s)}; each C(s) is built
+    once per cycle type and carried to every p of that type in one gather.
+    """
+    n = P.shape[1]
+    words, types = _cycle_words(P)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for j, t in enumerate(types):
+        classes.setdefault(t, []).append(j)
+    zs = {t: _block_centralizer(t) for t in classes}
+    off = np.concatenate([[0], np.cumsum([len(zs[t]) for t in types])])
+    flat = np.empty(off[-1], dtype=np.int64)
+    for t, members in classes.items():
+        Z = zs[t]
+        W = words[members]
+        # q = w z w^-1, that is q[w[j]] = w[z[j]]
+        Q = np.take_along_axis(
+            W[:, None, :],
+            np.take_along_axis(Z[None], np.argsort(W, axis=1)[:, None, :], axis=2),
+            axis=2,
+        )
+        ranks = _lex_ranks(Q.reshape(-1, n)).reshape(len(members), len(Z))
+        ranks.sort(axis=1)
+        flat[off[members][:, None] + np.arange(len(Z))] = ranks
+    return off, flat
+
+
+def _check_commute(tuples: np.ndarray) -> None:
+    """Raise VerificationFailure unless every tuple's members pairwise commute."""
+    for a in range(tuples.shape[1] - 1):
+        p = tuples[:, a : a + 1]
+        rest = tuples[:, a + 1 :]
+        if not np.array_equal(
+            np.take_along_axis(p, rest, axis=2), np.take_along_axis(rest, p, axis=2)
+        ):
+            raise VerificationFailure(
+                f"a built tuple has a non-commuting pair at member {a}"
+            )
+
+
 def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
     """All ordered ell-tuples of pairwise commuting permutations.
 
-    Returns an array of shape (T, ell, n), entries 0-based. Search runs
-    over prefix centralizers: once the prefix is fixed, only permutations
-    commuting with every prefix member remain candidates.
+    Returns an array of shape (T, ell, n), entries 0-based, in lexicographic
+    order of the members' ranks among all permutations of n points.
+    Centralizers are built from q(p(i)) = p(q(i)) (see _centralizers), not
+    found by testing pairs, so the cost follows the output rather than
+    n!^2. The search runs level by level: every prefix keeps the sorted
+    ranks of the permutations commuting with all its members, and
+    extending it by one of them intersects that set with the new member's
+    centralizer. Every returned tuple is checked against the definition.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    work = factorial(n) ** ell
-    if work > max_work:
-        raise BudgetError(
-            f"n!^ell = {work} exceeds max_work = {max_work} for ell={ell}, n={n}"
-        )
+    if ell > max_work:
+        raise BudgetError(f"ell = {ell} exceeds max_work = {max_work}")
+    # n! >= 2 for n >= 2, so n!^ell > max_work exactly when this capped
+    # power is; the cap keeps the integer small for any ell.
+    if factorial(n) ** min(ell, max_work.bit_length()) > max_work:
+        raise BudgetError(f"n!^ell exceeds max_work = {max_work} for ell={ell}, n={n}")
     P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    found: list[tuple[int, ...]] = []
-
-    def rec(chosen: tuple[int, ...], cand: np.ndarray) -> None:
-        if len(chosen) == ell - 1:
-            found.extend(chosen + (j,) for j in cand.tolist())
-            return
-        sub = P[cand]
-        for pos, j in enumerate(cand.tolist()):
-            p = sub[pos]
-            mask = np.all(sub[:, p] == p[sub], axis=1)
-            rec(chosen + (j,), cand[mask])
-
-    rec((), np.arange(len(P)))
-    return P[np.array(found, dtype=np.int64)]
+    N = len(P)
+    rows = np.arange(N)[:, None]
+    if ell > 1:
+        cand_off, cand = _centralizers(P)
+        # every commuting pair (q, x) as q*N + x, ascending
+        pairs = np.repeat(np.arange(N), np.diff(cand_off)) * N + cand
+        for _ in range(ell - 2):
+            sizes = np.diff(cand_off)
+            parent = np.repeat(np.arange(len(rows)), sizes)
+            rows = np.column_stack([rows[parent], cand])
+            # a new row's candidates: its prefix's that commute with its new member
+            lens = sizes[parent]
+            ends = np.cumsum(lens)
+            first = cand_off[:-1][parent]
+            pos = np.arange(ends[-1]) + np.repeat(first - (ends - lens), lens)
+            x = cand[pos]
+            test = np.repeat(cand, lens) * N + x
+            hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
+            cand = x[hit]
+            kept = np.concatenate([[0], np.cumsum(hit)])
+            cand_off = kept[np.concatenate([[0], ends])]
+        parent = np.repeat(np.arange(len(rows)), np.diff(cand_off))
+        rows = np.column_stack([rows[parent], cand])
+    tuples = P[rows]
+    _check_commute(tuples)
+    return tuples
 
 
 def enumerate_A(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> ATable:

@@ -106,6 +106,13 @@ def test_bruteforce_row_and_budget(tmp_path, capsys):
     assert run(["bruteforce", "--ell", "2", "--n", "0"]) == 2
 
 
+def test_bruteforce_long_tuples_at_n_1(capsys):
+    assert run(["bruteforce", "--ell", "3000", "--n", "1"]) == 0
+    assert "counts={1:1}" in capsys.readouterr().out
+    assert run(["bruteforce", "--ell", "30000000", "--n", "1"]) == 3
+    assert run(["bruteforce", "--ell", "5000", "--n", "7"]) == 3
+
+
 def test_genfunc_json(tmp_path):
     out = tmp_path / "tri.json"
     assert run(["genfunc", "--ell", "2", "--nmax", "4", "--out", str(out)]) == 0

@@ -14,6 +14,7 @@ from abundancy.genfunc import (
     series_L,
 )
 from abundancy.permtuples import enumerate_A
+from abundancy.sieve import sieve_b
 
 F = Fraction
 
@@ -75,6 +76,25 @@ def test_h_vector_extends_to_200():
     p = partition_numbers(200)
     assert [int(v) for v in h] == p
     assert h_point(2, 200, 1) == p[200]
+
+
+def _h_per_term(ell, N, x):
+    # reference: one Fraction addition per term
+    x = Fraction(x)
+    b = sieve_b(ell, N)
+    h = [Fraction(1)]
+    for n in range(1, N + 1):
+        acc = Fraction(0)
+        for m in range(1, n + 1):
+            acc += b[m] * h[n - m]
+        h.append(x * acc / n)
+    return h
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, F(1, 2), F(-3, 7)])
+def test_h_vector_matches_per_term_fractions(x):
+    for ell, N in ((2, 150), (3, 80)):
+        assert h_vector(ell, N, x) == _h_per_term(ell, N, x)
 
 
 def test_h_point_nontrivial_x():

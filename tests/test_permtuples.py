@@ -1,14 +1,19 @@
+import itertools
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abundancy.bvalues import b_via_flags
 from abundancy.errors import BudgetError
+from abundancy.genfunc import partition_numbers
 from abundancy.permtuples import (
+    DEFAULT_MAX_WORK,
     ATable,
     PermTuple,
+    _commuting_tuples,
     b_from_bruteforce,
     bell_transform,
     enumerate_A,
@@ -103,11 +108,72 @@ def test_transitive_tuples_shape():
         assert pt.commutes() and pt.is_transitive()
 
 
+def _pair_filter(ell, n):
+    # Reference search: every candidate is tested against every prefix
+    # member, n!^2 tests at ell = 2.
+    P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    found: list[tuple[int, ...]] = []
+
+    def rec(chosen: tuple[int, ...], cand: np.ndarray) -> None:
+        if len(chosen) == ell - 1:
+            found.extend(chosen + (j,) for j in cand.tolist())
+            return
+        sub = P[cand]
+        for pos, j in enumerate(cand.tolist()):
+            p = sub[pos]
+            mask = np.all(sub[:, p] == p[sub], axis=1)
+            rec(chosen + (j,), cand[mask])
+
+    rec((), np.arange(len(P)))
+    return P[np.array(found, dtype=np.int64)]
+
+
+# Every (ell, n) with n <= 6 that the default budget admits, and (2, 7). At
+# n = 1 and 2 the budget admits ell up to 26 million and 24, with 2^ell
+# tuples at n = 2, so those two rows stop at ell = 10.
+_SEARCH_CASES = [
+    (ell, n)
+    for n in range(1, 7)
+    for ell in range(1, 11)
+    if factorial(n) ** ell <= DEFAULT_MAX_WORK
+] + [(2, 7)]
+
+
+@pytest.mark.parametrize("ell,n", _SEARCH_CASES)
+def test_search_matches_pair_filter(ell, n):
+    got = _commuting_tuples(ell, n, DEFAULT_MAX_WORK)
+    want = _pair_filter(ell, n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_commuting_pairs_count_partitions():
+    # |{(p, q) : pq = qp}| = n! * (number of conjugacy classes) = n! p(n)
+    p = partition_numbers(7)
+    for n in range(1, 8):
+        assert len(_commuting_tuples(2, n, DEFAULT_MAX_WORK)) == factorial(n) * p[n]
+
+
+def test_one_point_tuples_of_any_length():
+    # one candidate per level: the search runs level by level, not recursively
+    assert enumerate_A(1200, 1).counts == (1,)
+
+
 def test_budget_refusal():
     with pytest.raises(BudgetError):
         enumerate_A(2, 12)
     with pytest.raises(BudgetError):
         enumerate_A(3, 5, max_work=10)
+    # refused on ell itself, before n!^ell is formed
+    assert enumerate_A(10, 1, max_work=10).counts == (1,)
+    for ell in (11, 10**8):
+        with pytest.raises(BudgetError):
+            enumerate_A(ell, 1, max_work=10)
+    with pytest.raises(BudgetError):
+        enumerate_A(10**8, 2)
+    # n!^ell has 18,500 digits here: the refusal must not try to print it
+    with pytest.raises(BudgetError):
+        enumerate_A(5000, 7)
 
 
 def test_bell_transform_matches_enumeration():
