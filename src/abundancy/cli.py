@@ -3,7 +3,8 @@
 The handlers pass the parsed arguments straight to the library, which
 validates them, and map its exceptions to exit codes: 0 success,
 1 verification failure (a failed identity, tolerance or table-load check),
-2 usage error (ValueError), 3 budget or resource refusal (BudgetError).
+2 usage error (ValueError), 3 budget or resource refusal (BudgetError,
+MemoryError).
 
 Exact quantities (integer counts, rationals) are written to JSON as
 decimal strings; measured floats are written as JSON numbers. Every output
@@ -20,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ._files import write_atomic
+from ._files import refuse_long_ints, write_atomic
 from .errors import BudgetError, TableLoadError, VerificationFailure
 
 DEFAULT_ELL = 2
@@ -155,6 +156,8 @@ def _cmd_genfunc(args) -> int:
 
     poly = exp_series(args.ell, args.nmax)
     if args.out:
+        refuse_long_ints(((n, max(row)) for n, row in enumerate(poly.rows)),
+                         f"A({args.ell}, n, k)")
         payload = {
             "ell": poly.ell,
             "N": poly.N,
@@ -356,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.cmd](args)
     except BudgetError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except (VerificationFailure, TableLoadError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -16,8 +16,9 @@ a cycle of the same length, the image of one point per cycle is free and
 the rest of the cycle is forced. Tuples are then grown one member at a
 time inside the common centralizer of the prefix, and every tuple
 returned is checked against the definition. The cost follows the number
-of tuples, not n!^ell, but enumerate_A still refuses ell > max_work or
-n!^ell > max_work.
+of tuples, not n!^ell. enumerate_A refuses ell > max_work and
+n!^ell > max_work up front, and an output of more than max_work entries
+(tuples x ell x n) before building the level that shows it.
 """
 
 from __future__ import annotations
@@ -265,23 +266,30 @@ def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
         cand_off, cand = _centralizers(P)
         # every commuting pair (q, x) as q*N + x, ascending
         pairs = np.repeat(np.arange(N), np.diff(cand_off)) * N + cand
-        for _ in range(ell - 2):
-            sizes = np.diff(cand_off)
-            parent = np.repeat(np.arange(len(rows)), sizes)
-            rows = np.column_stack([rows[parent], cand])
-            # a new row's candidates: its prefix's that commute with its new member
-            lens = sizes[parent]
-            ends = np.cumsum(lens)
-            first = cand_off[:-1][parent]
-            pos = np.arange(ends[-1]) + np.repeat(first - (ends - lens), lens)
-            x = cand[pos]
-            test = np.repeat(cand, lens) * N + x
-            hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
-            cand = x[hit]
-            kept = np.concatenate([[0], np.cumsum(hit)])
-            cand_off = kept[np.concatenate([[0], ends])]
-        parent = np.repeat(np.arange(len(rows)), np.diff(cand_off))
+    for width in range(2, ell + 1):
+        # no level has fewer rows than the one before, so the tuples
+        # returned hold at least len(cand) * ell * n entries
+        if len(cand) * ell * n > max_work:
+            raise BudgetError(
+                f"{len(cand)} commuting {width}-tuples already, so the output "
+                f"exceeds max_work = {max_work} entries for ell={ell}, n={n}"
+            )
+        sizes = np.diff(cand_off)
+        parent = np.repeat(np.arange(len(rows)), sizes)
         rows = np.column_stack([rows[parent], cand])
+        if width == ell:
+            break
+        # a new row's candidates: its prefix's that commute with its new member
+        lens = sizes[parent]
+        ends = np.cumsum(lens)
+        first = cand_off[:-1][parent]
+        pos = np.arange(ends[-1]) + np.repeat(first - (ends - lens), lens)
+        x = cand[pos]
+        test = np.repeat(cand, lens) * N + x
+        hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
+        cand = x[hit]
+        kept = np.concatenate([[0], np.cumsum(hit)])
+        cand_off = kept[np.concatenate([[0], ends])]
     tuples = P[rows]
     _check_commute(tuples)
     return tuples

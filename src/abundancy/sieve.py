@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._files import write_atomic
+from ._files import refuse_long_ints, write_atomic
 from .errors import (
     BudgetError,
     ChecksumMismatch,
@@ -121,8 +121,11 @@ def save_table(table: ArithTable, path: str | Path) -> None:
 
     The sidecar is replaced last, so a reader sees either the old pair, the
     new pair, or a new CSV under the old sidecar, which fails its checksum.
+    A value too long for str() raises BudgetError before either is written.
     """
     path = Path(path)
+    if not isinstance(table.values, np.ndarray):  # int64 has 19 digits at most
+        refuse_long_ints(enumerate(table.values, 1), f"B({table.ell}, n)")
     data = _render_csv(table)
     sidecar = {
         "ell": table.ell,

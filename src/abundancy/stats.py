@@ -27,6 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -218,7 +219,8 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     ambiguous), and a histogram of cumsum(E + mu) over equal-width bins
     spanning [min, max], right-open except the last.
 
-    method selects the accumulation model for the two cumulative sums:
+    method picks the cumulative-sum kernel and the rule for the mean; E,
+    its mean and the walk cumsum(E + mu) are otherwise the same code:
       kahan  Kahan-compensated cumsums in ascending order and a
              correctly rounded mean (the headline path)
       naive  the published pipeline digit for digit: sequential float64
@@ -227,8 +229,9 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
              classic pairwise sums, block sums added left to right from
              0.0; see _replica_mean. Independent of how a NumPy build
              chunks reductions.
-      dd     double-double cumsum, exact-sum mean (reference)
-      exact  exact-rational partial sums, capped at N <= 20000
+      dd     double-double cumsums, correctly rounded mean (reference)
+      exact  exact-rational partial sums S, capped at N <= 20000; the
+             walk runs in double-double and the mean is correctly rounded
     All methods agree to well below 1e-8 on the mean at N = 10^6.
     """
     if table.ell != 2:
@@ -237,45 +240,28 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
         raise ValueError(f"bins must be >= 1, got {bins}")
     if N is None:
         N = table.nmax
-    terms = _index_terms(table, N)
-    narr = np.arange(1, N + 1, dtype=np.float64)
-    z2 = zeta(2, 1e-15)
-    mu = mu_constant()
-    if method == "kahan":
-        S = _kernels.kahan_cumsum(terms)
-        E = S - z2 * narr + 0.5 * np.log(narr)
-        mean_E = math.fsum(E.tolist()) / N
-        X = _kernels.kahan_cumsum(E + mu)
-    elif method == "naive":
-        S = np.cumsum(terms)
-        E = S - z2 * narr + 0.5 * np.log(narr)
-        mean_E = _replica_mean(E)
-        X = np.cumsum(E + mu)
-    elif method == "dd":
-        S = _kernels.dd_cumsum(terms)
-        E = S - z2 * narr + 0.5 * np.log(narr)
-        mean_E = math.fsum(E) / N
-        X = _kernels.dd_cumsum(E + mu)
-    elif method == "exact":
-        if N > _EXACT_NMAX_CAP:
-            raise ValueError(
-                f"exact method capped at N <= {_EXACT_NMAX_CAP} (got {N})"
-            )
-        acc = Fraction(0)
-        S = np.empty(N, dtype=np.float64)
-        for i in range(N):
-            acc += Fraction(table[i + 1], i + 1)
-            S[i] = float(acc)
-        E = S - z2 * narr + 0.5 * np.log(narr)
-        mean_E = math.fsum(E) / N
-        X = _kernels.dd_cumsum(E + mu)
-    else:
+    # looked up per call, so that a wrapper set on _kernels is the one used
+    cumsum = {"kahan": _kernels.kahan_cumsum, "naive": np.cumsum,
+              "dd": _kernels.dd_cumsum, "exact": _kernels.dd_cumsum}.get(method)
+    if cumsum is None:
         raise ValueError(f"unknown method: {method!r}")
+    if method == "exact" and N > _EXACT_NMAX_CAP:
+        raise ValueError(f"exact method capped at N <= {_EXACT_NMAX_CAP} (got {N})")
+    terms = _index_terms(table, N)
+    if method == "exact":
+        partial = accumulate(Fraction(table[n], n) for n in range(1, N + 1))
+        S = np.array([float(s) for s in partial])
+    else:
+        S = cumsum(terms)
+    narr = np.arange(1, N + 1, dtype=np.float64)
+    mu = mu_constant()
+    E = S - zeta(2, 1e-15) * narr + 0.5 * np.log(narr)
+    mean_E = _replica_mean(E) if method == "naive" else math.fsum(E) / N
+    X = cumsum(E + mu)
     counts, edges = np.histogram(X, bins=bins)
     hist = tuple(
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
     )
-    mean_E = float(mean_E)
     return ErrorSummary(
         nmax=N,
         mean_E=mean_E,

@@ -122,6 +122,39 @@ def test_genfunc_json(tmp_path):
     assert run(["genfunc", "--nmax", "0"]) == 2
 
 
+
+@pytest.mark.parametrize("argv, named", [
+    (["sieve", "--ell", "5000", "--nmax", "10", "--out"], "B(5000, n) at n=8"),
+    (["genfunc", "--ell", "5000", "--nmax", "10", "--out"], "A(5000, n, k) at n=6"),
+])
+def test_values_past_the_int_str_limit_exit_3_and_write_nothing(
+        tmp_path, capsys, argv, named):
+    limit = sys.get_int_max_str_digits()
+    if limit != 4300:
+        pytest.skip(f"the first n named is for the default limit, not {limit}")
+    assert run(argv + [str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget refused: ")
+    assert f"{named} has more than {limit} digits" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_genfunc_without_out_prints_any_length(capsys):
+    # the values are only refused where they would be written
+    assert run(["genfunc", "--ell", "5000", "--nmax", "10"]) == 0
+    assert capsys.readouterr().out == "genfunc ell=5000 N=10 rows=11\n"
+
+
+def test_memory_error_exits_3_without_traceback(monkeypatch, capsys):
+    import abundancy.tori
+
+    def exhaust(spec):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(abundancy.tori, "build_torus", exhaust)
+    assert run(["tori", "--dims", "100000,100000", "--twists", "1"]) == 3
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 74.5 GiB\n"
+
 def test_cauchy_exit_codes(tmp_path):
     out = tmp_path / "c.json"
     assert run(["cauchy", "--n", "5", "--k", "2", "--r", "0.3",

@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import factorial
 
 import numpy as np
@@ -175,6 +176,18 @@ def test_budget_refusal():
     with pytest.raises(BudgetError):
         enumerate_A(5000, 7)
 
+
+
+def test_output_bound_refuses_before_allocating():
+    # admitted by n!^ell = 2^24, but the output would be 2^24 tuples (6.4 GB)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="1048576 commuting 20-tuples"):
+        enumerate_A(24, 2)
+    assert time.perf_counter() - start < 1.0
+    # an output of exactly max_work entries (tuples x ell x n) is admitted
+    assert enumerate_A(5, 2, max_work=2**5 * 5 * 2).total() == 2**5
+    with pytest.raises(BudgetError):
+        enumerate_A(5, 2, max_work=2**5 * 5 * 2 - 1)
 
 def test_bell_transform_matches_enumeration():
     for ell, nmax in ((2, 6), (3, 4)):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from abundancy import _kernels, stats
 from abundancy.core import primes_up_to
 from abundancy.errors import MalformedTable
 from abundancy.sieve import ArithTable, sieve_b
@@ -257,6 +259,64 @@ def test_error_series_guards(table2, table3):
     with pytest.raises(ValueError):
         error_series(table2, bins=0)
 
+
+
+# Recorded before the methods shared one pipeline; any moved bit fails.
+# N = 3*8192 + 5 ends the naive mean on a partial block.
+@pytest.mark.parametrize("method, N, mean_E, last_E, hist_sha256", [
+    ("kahan", 10**6, -0.38508486931399744, 0.3774636010638517,
+     "5b3f1a10cf19f3789973150f92ae89dd74dd3f0df2eca9c6853f81715aa961fc"),
+    ("dd", 10**6, -0.3850848693140019, 0.3774636010638517,
+     "216246931c96a2b2132b5135c0fee92f3200a7ce519f47a450f2bd8a79752367"),
+    ("naive", 10**6, -0.38508487292161986, 0.3774636129382145,
+     "7b7501d3e1bd3f073c4907be2db84c03b20893076036258530614413c93b6c3b"),
+    ("kahan", 24581, -0.3851607189191287, -0.7185259340055428,
+     "264193524c58b717183d6f0bb510873e7e105c23c82a9c56accc7f78f107cd49"),
+    ("dd", 24581, -0.38516071891912307, -0.7185259340055428,
+     "0adc79c1761526ef875546a127e8aadd8721cb0d41f3222d1969c84aef755ca3"),
+    ("naive", 24581, -0.3851607189158436, -0.718525934129234,
+     "f77f8d3c510e4fd5038993eb9c965722ded0c50e2e7f730e7f1107ef092cffea"),
+    ("exact", 20000, -0.38525154018846625, 0.15925580135642647,
+     "a4debd2fa0f8def1567a75ea7865a5781e04a0003b66d47154196c890fd273d7"),
+], ids=["kahan-1e6", "dd-1e6", "naive-1e6", "kahan-24581", "dd-24581",
+        "naive-24581", "exact-20000"])
+def test_error_series_pinned_bits(table2, method, N, mean_E, last_E, hist_sha256):
+    summary = error_series(table2, N, method=method)
+    assert summary.mean_E == mean_E
+    assert summary.last_E == last_E
+    digest = hashlib.sha256(repr(summary.histogram).encode()).hexdigest()
+    assert digest == hist_sha256
+
+
+def test_error_series_kernel_per_method(table2, monkeypatch):
+    calls = []
+    for name in ("kahan_cumsum", "dd_cumsum"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name,
+            lambda a, name=name, kernel=kernel: calls.append(name) or kernel(a),
+        )
+    expected = {
+        "kahan": ["kahan_cumsum"] * 2,
+        "dd": ["dd_cumsum"] * 2,
+        "exact": ["dd_cumsum"],
+        "naive": [],
+    }
+    for method, names in expected.items():
+        calls.clear()
+        error_series(table2, 1000, method=method)
+        assert calls == names, method
+
+
+def test_error_series_checks_method_before_reading_the_table(table2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_index_terms ran")
+
+    monkeypatch.setattr(stats, "_index_terms", refuse)
+    with pytest.raises(ValueError, match="unknown method: 'mystery'"):
+        error_series(table2, 100, method="mystery")
+    with pytest.raises(ValueError, match=r"exact method capped at N <= 20000 \(got 20001\)"):
+        error_series(sieve_b(2, 100), 20_001, method="exact")
 
 # ---------------------------------------------------------------------------
 # moments
