@@ -1,8 +1,9 @@
 """Primes, factorization, and divisor machinery.
 
 Everything here returns exact Python integers. Factorization is trial
-division by 2 and the odd numbers up to sqrt(n), the one path for every n;
-the module keeps no state between calls.
+division by 2 and the odd numbers up to sqrt(n), the one path for every n,
+and it refuses with BudgetError past MAX_TRIAL_DIVISOR; the module keeps
+no state between calls.
 """
 
 from __future__ import annotations
@@ -11,6 +12,12 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
+
+from .errors import BudgetError
+
+# factorize refuses an n that still needs trial divisors past this bound,
+# so no call spends more than about a second in the division loop.
+MAX_TRIAL_DIVISOR = 10**7
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -50,20 +57,35 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1. Raises ValueError for n < 1."""
+    """Factor n >= 1. Raises ValueError for n < 1.
+
+    Raises BudgetError, naming n, when the odd trial divisors up to
+    MAX_TRIAL_DIVISOR run out before one of them squared passes what is
+    left of n.
+    """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     value = n
     factors: list[tuple[int, int]] = []
-    d = 2
-    while d * d <= n:
+    a = 0
+    while n % 2 == 0:
+        n //= 2
+        a += 1
+    if a:
+        factors.append((2, a))
+    for d in range(3, MAX_TRIAL_DIVISOR + 1, 2):
+        if d * d > n:
+            break
         if n % d == 0:
             a = 0
             while n % d == 0:
                 n //= d
                 a += 1
             factors.append((d, a))
-        d += 1 if d == 2 else 2
+    else:
+        raise BudgetError(
+            f"factorize({value}) needs trial divisors past {MAX_TRIAL_DIVISOR}"
+        )
     if n > 1:
         factors.append((n, 1))
     return Factorization(tuple(factors), value)

@@ -178,7 +178,8 @@ def cauchy_check(
     coefficient untouched (only aliased orders ~ r^M are perturbed).
     The k-th power is taken as a literal complex power of the polynomial
     value, so no branch choice ever arises. A ValueError names r, n or k
-    when r^n, k! or L(z)^k leaves the normal float range.
+    when r^n, k! or L(z)^k leaves the normal float range, and ell and the
+    first m when a coefficient B(ell, m)/m of L does.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0,1): {r}")
@@ -203,7 +204,14 @@ def cauchy_check(
     else:
         exact = exp_series(ell, n).coeff(n, k)
     b = sieve_b(ell, n_trunc)
-    l_coef = [0.0] + [b[m] / m for m in range(1, n_trunc + 1)]
+    l_coef = [0.0]
+    for m in range(1, n_trunc + 1):
+        try:
+            l_coef.append(b[m] / m)
+        except OverflowError:
+            raise ValueError(
+                f"B(ell, m)/m exceeds the float range for ell={ell}, m={m}"
+            ) from None
     acc = 0.0 + 0.0j
     for j in range(M):
         z = cmath.rect(r, 2.0 * pi * j / M)

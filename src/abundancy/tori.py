@@ -138,21 +138,24 @@ def build_torus(spec: TorusSpec) -> TorusRealization:
     With stride m = f_1...f_{r-1}, pi_r sends u to u + m unless coordinate
     r wraps (u // m % f_r == f_r - 1); a wrapped u goes to u - (f_r - 1) m,
     carried through phi_t - 1 steps of each pi_t with t < r, in order.
+    Those pi_t move only the lower block u % m, so every wrapped vertex
+    gets the same carry: it is found once, on the m vertices of one lower
+    block, and written into the wrap slab of each upper block.
     """
-    u = np.arange(spec.n, dtype=np.int64)
-    pis: list[np.ndarray] = []
+    n = spec.n
+    u = np.arange(n, dtype=np.int64)
+    out = np.empty((spec.ell, n), dtype=np.int64)
     m = 1
-    for f, phi in zip(spec.dims, ((),) + spec.twists):
-        pi = u + m
-        wrap = u // m % f == f - 1
-        w = u[wrap] - (f - 1) * m
-        for pi_t, phi_t in zip(pis, phi):
+    for pi, f, phi in zip(out, spec.dims, ((),) + spec.twists):
+        np.add(u, m, out=pi)
+        carry = u[:m]
+        for pi_t, phi_t in zip(out, phi):
             for _ in range(phi_t - 1):
-                w = pi_t[w]
-        pi[wrap] = w
-        pis.append(pi)
+                carry = pi_t[carry]
+        # pi viewed as (upper block, coordinate r, lower block)
+        pi.reshape(-1, f, m)[:, f - 1] = u[:: f * m, None] + carry
         m *= f
-    perms = tuple(tuple((pi + 1).tolist()) for pi in pis)
+    perms = tuple(map(tuple, (out + 1).tolist()))
     return TorusRealization(spec=spec, perms=PermTuple(perms=perms))
 
 
@@ -176,12 +179,20 @@ def validate(real: TorusRealization, *, max_n: int = VALIDATE_MAX_N) -> TorusChe
     """The four structural checks; failures are reported, not raised.
 
     group_order_n materializes all prod_r pi_r^{c_r} with c_r < f_r as an
-    n x n matrix G of permutation rows; it holds iff those rows are n
-    distinct permutations and the set is closed under every generator, so
-    that they are the whole generated group, of order n (inverses are
-    positive powers in a finite group). Closure under pi is tested as
-    equality of the row sets of pi G and G. Checks read real.perms, so a
-    tampered tuple is seen.
+    n x n matrix G of permutation rows, each direction's powers filled by
+    doubling; it holds iff those rows are n distinct permutations and the
+    set is closed under every generator, so that they are the whole
+    generated group, of order n (inverses are positive powers in a finite
+    group). basepoint_bijective asks whether the first column G[:, 0] is a
+    bijection. When it is, the rows are distinct and inv[G[i, 0]] = i finds
+    the one row of G that starts with a given point, so a row of pi G lies
+    in G iff it equals the row that inv names: closure is checked by
+    lookup. Generators are taken one at a time, so beside G only one
+    generator's pi G and its looked-up rows are held, never ell of them.
+    When the first column is not a bijection, closure falls back to
+    comparing the row sets of pi G and G, so group_order_n keeps its
+    meaning on any tuple. Checks read real.perms, so a tampered tuple is
+    seen.
     """
     P = np.array(real.perms.perms, dtype=np.int64) - 1
     n = P.shape[1]
@@ -194,17 +205,31 @@ def validate(real: TorusRealization, *, max_n: int = VALIDATE_MAX_N) -> TorusChe
     G[0] = np.arange(n, dtype=np.int64)
     count = 1
     for pi, f in zip(P, real.spec.dims):
-        for t in range(1, f):
-            G[t * count : (t + 1) * count] = pi[G[(t - 1) * count : t * count]]
+        # rows [k count, (k + j) count) are pi^k applied to rows [0, j count)
+        k = 1
+        while k < f:
+            j = min(k, f - k)
+            pk = pi[G[(k - 1) * count]]  # row (k - 1) count is pi^(k - 1)
+            G[k * count : (k + j) * count] = pk[G[: j * count]]
+            k += j
         count *= f
-    rows = set(map(bytes, G))
-    distinct = len(rows) == n
-    closed = all(set(map(bytes, pi[G])) == rows for pi in P)
-    basepoint_bijective = np.unique(G[:, 0]).size == n
+    first = G[:, 0]
+    inv = np.zeros(n, dtype=np.int64)
+    inv[first] = G[0]  # a point missing from first keeps 0, and first[0] = 0
+    basepoint_bijective = np.array_equal(first[inv], G[0])
+    if basepoint_bijective:
+        group_order_n = all(
+            np.array_equal(pg, G[inv[pg[:, 0]]]) for pg in (pi[G] for pi in P)
+        )
+    else:
+        rows = set(map(bytes, G))
+        group_order_n = len(rows) == n and all(
+            set(map(bytes, pi[G])) == rows for pi in P
+        )
     return TorusChecks(
         commutes=commutes,
         transitive=bool(transitive),
-        group_order_n=bool(distinct and closed),
+        group_order_n=bool(group_order_n),
         basepoint_bijective=bool(basepoint_bijective),
     )
 

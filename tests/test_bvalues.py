@@ -1,6 +1,10 @@
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from abundancy.bvalues import (
     abundancy_index,
@@ -9,6 +13,8 @@ from abundancy.bvalues import (
     b_via_recursion,
     local_factor,
 )
+from abundancy.errors import BudgetError
+from abundancy.sieve import sieve_b
 
 
 def sigma(n):
@@ -48,6 +54,36 @@ def test_multiplicativity_on_coprime_split():
         assert b_via_multiplicativity(ell, 36) == (
             b_via_multiplicativity(ell, 4) * b_via_multiplicativity(ell, 9)
         )
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return {ell: sieve_b(ell, 2000) for ell in range(2, 6)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(ell=st.integers(2, 5), n=st.integers(1, 2000))
+def test_pointwise_routes_match_the_sieve(tables, ell, n):
+    want = tables[ell][n]
+    assert b_via_flags(ell, n) == want
+    assert b_via_recursion(ell, n) == want
+    assert b_via_multiplicativity(ell, n) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(ell=st.integers(2, 5), m=st.integers(1, 2000), k=st.integers(1, 2000))
+def test_recursion_is_multiplicative_on_coprime_pairs(ell, m, k):
+    assume(gcd(m, k) == 1)
+    assert b_via_recursion(ell, m * k) == (
+        b_via_recursion(ell, m) * b_via_recursion(ell, k)
+    )
+
+
+def test_multiplicativity_refuses_a_large_prime_in_bounded_time():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=str(2**61 - 1)):
+        b_via_multiplicativity(2, 2**61 - 1)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_abundancy_index():

@@ -170,13 +170,18 @@ def test_cauchy_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["--n", "200", "--k", "3", "--r", "0.01", "-M", "16"], "r=0.01, n=200"),
-    (["--n", "5", "--k", "200", "--r", "0.5", "-M", "8"], "k=200"),
+    (["--ell", "2", "--n", "200", "--k", "3", "--r", "0.01", "-M", "16"],
+     "r=0.01, n=200"),
+    (["--ell", "2", "--n", "5", "--k", "200", "--r", "0.5", "-M", "8"], "k=200"),
+    (["--ell", "1100", "--n", "10", "--k", "1", "--r", "0.1", "-M", "8",
+      "--n-trunc", "12"], "ell=1100, m=2"),
 ])
 def test_cauchy_float_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, named):
     out = tmp_path / "c.json"
-    assert run(["cauchy", "--ell", "2", *argv, "--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
+    assert run(["cauchy", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert err.startswith("usage error: ") and err.count("\n") == 1  # no traceback
     assert list(tmp_path.iterdir()) == []
 
 

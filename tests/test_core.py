@@ -63,6 +63,11 @@ def test_divisors_match_brute_force_to_2000():
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
+def test_factorize_below_the_trial_bound_square():
+    # a prime near 10^12 needs divisors up to 10^6 only
+    assert factorize(10**12 + 39).factors == ((10**12 + 39, 1),)
+
+
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         factorize(0)

@@ -144,6 +144,7 @@ def test_cauchy_guards():
     ((2, 200, 3, 0.01, 16), "r=0.01, n=200"),  # r**n underflows
     ((2, 5, 200, 0.5, 8), "k=200"),  # k! beyond the float range
     ((2, 150, 150, 0.99, 8), "k=150, r=0.99"),  # L(z)**k overflows
+    ((1100, 10, 1, 0.1, 8, 12), "ell=1100, m=2"),  # B(ell, m)/m overflows
 ])
 def test_cauchy_float_range_refused(args, named):
     with pytest.raises(ValueError, match=named):

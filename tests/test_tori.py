@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abundancy.bvalues import b_via_recursion
 from abundancy.errors import BudgetError
@@ -135,31 +138,38 @@ def _compose(p, q):
     return tuple(p[q[i] - 1] for i in range(len(q)))
 
 
-def _reference_checks(p, q):
-    """The four checks on a dims=(2, 2) tuple (p, q), from Python tuples."""
-    n = len(p)
+def _reference_checks(perms, dims):
+    """The four checks on a tuple acting in dims, from Python tuples."""
+    n = len(perms[0])
     e = tuple(range(1, n + 1))
     orbit = {1}
     frontier = [1]
     while frontier:
         i = frontier.pop()
-        for g in (p, q):
+        for g in perms:
             if g[i - 1] not in orbit:
                 orbit.add(g[i - 1])
                 frontier.append(g[i - 1])
+    # closure by breadth-first search; past n elements the order is not n
     group = {e}
     frontier = [e]
-    while frontier:
+    while frontier and len(group) <= n:
         h = frontier.pop()
-        for g in (p, q):
+        for g in perms:
             gh = _compose(g, h)
             if gh not in group:
                 group.add(gh)
                 frontier.append(gh)
-    # row order of validate's table: q^b p^a, a fastest
-    products = [_compose(qb, pa) for qb in (e, q) for pa in (e, p)]
+    # row order of validate's table: prod_r pi_r^{c_r}, c_1 fastest
+    products = [e]
+    for g, f in zip(perms, dims):
+        powers = [e]
+        for _ in range(f - 1):
+            powers.append(_compose(g, powers[-1]))
+        products = [_compose(gc, h) for gc in powers for h in products]
     return (
-        _compose(p, q) == _compose(q, p),
+        all(_compose(a, b) == _compose(b, a)
+            for a, b in itertools.combinations(perms, 2)),
         len(orbit) == n,
         len(set(products)) == n and set(products) == group,
         len({g[0] for g in products}) == n,
@@ -177,7 +187,7 @@ def test_validate_matches_reference_on_pairs_of_s4():
         tampered = dataclasses.replace(real, perms=PermTuple(perms=(p, q)))
         c = validate(tampered)
         got = (c.commutes, c.transitive, c.group_order_n, c.basepoint_bijective)
-        assert got == _reference_checks(p, q), (p, q, got)
+        assert got == _reference_checks((p, q), (2, 2)), (p, q, got)
         seen.add(got)
         commuting += c.commutes
     assert commuting == 24 * 5  # |S_4| times its number of classes
@@ -186,6 +196,60 @@ def test_validate_matches_reference_on_pairs_of_s4():
         (1, 2, 3, 4), (2, 3, 4, 1)))))
     assert c.commutes and c.transitive
     assert not c.group_order_n and not c.basepoint_bijective
+
+
+@st.composite
+def _drawn_tuple(draw, specs):
+    """A tuple on the vertices of specs' dims: random permutations, or a
+    built torus or disjoint cycles of lengths f_r, relabeled; a relabeled
+    torus may have one pair of images swapped."""
+    dims, n = specs[0].dims, specs[0].n
+    points = list(range(1, n + 1))
+    kind = draw(st.sampled_from(("random", "torus", "cycles")))
+    if kind == "random":
+        return tuple(tuple(draw(st.permutations(points))) for _ in dims)
+    if kind == "torus":
+        perms = build_torus(draw(st.sampled_from(specs))).perms
+    else:
+        # commuting, closed and of order n, but not transitive
+        cycles, start = [], 0
+        for f in dims:
+            p = list(points)
+            for i in range(f):
+                p[start + i] = start + (i + 1) % f + 1
+            cycles.append(tuple(p))
+            start += f
+        perms = PermTuple(perms=tuple(cycles))
+    perms = list(perms.conjugate(draw(st.permutations(points))).perms)
+    if kind == "torus" and draw(st.booleans()):
+        r = draw(st.integers(0, len(dims) - 1))
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        p = list(perms[r])
+        p[i], p[j] = p[j], p[i]
+        perms[r] = tuple(p)
+    return tuple(perms)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 2), (4, 6)])
+def test_validate_matches_reference_on_drawn_tuples(dims):
+    # every draw is validated against the same spec of dims; both closure
+    # paths (lookup when the basepoint map is bijective, row sets when it
+    # is not) must be taken, each with both answers
+    specs = [s for s in all_specs(len(dims), math.prod(dims)) if s.dims == dims]
+    real = build_torus(specs[0])
+    paths = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_drawn_tuple(specs))
+    def check(perms):
+        c = validate(dataclasses.replace(real, perms=PermTuple(perms=perms)))
+        got = (c.commutes, c.transitive, c.group_order_n, c.basepoint_bijective)
+        assert got == _reference_checks(perms, dims), (perms, got)
+        paths.add((c.basepoint_bijective, c.group_order_n))
+
+    check()
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_validate_budget():
