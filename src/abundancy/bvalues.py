@@ -37,20 +37,16 @@ def b_via_flags(ell: int, n: int) -> int:
 
 
 def b_via_recursion(ell: int, n: int) -> int:
-    """Divisor recursion, memoized within the call; nothing outlives it."""
+    """Divisor recursion, one level at a time over the divisors of n."""
     if ell < 1 or n < 1:
         raise ValueError("need ell >= 1 and n >= 1")
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(ell: int, n: int) -> int:
-        if ell == 1:
-            return 1
-        if (ell, n) not in memo:
-            memo[ell, n] = sum((n // d) ** (ell - 1) * rec(ell - 1, d)
-                               for d in divisors(n))
-        return memo[ell, n]
-
-    return rec(ell, n)
+    divs = divisors(n)
+    sub = {d: divisors(d) for d in divs}
+    level = dict.fromkeys(divs, 1)  # B(1, d)
+    for j in range(2, ell + 1):
+        level = {d: sum((d // e) ** (j - 1) * level[e] for e in sub[d])
+                 for d in divs}
+    return level[n]
 
 
 def local_factor(ell: int, p: int, a: int) -> int:

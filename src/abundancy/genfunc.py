@@ -197,6 +197,12 @@ def cauchy_check(
         kfact = float(factorial(k))
     except OverflowError:
         raise ValueError(f"k! exceeds the float range for k={k}") from None
+    # B(ell, 2)/2 = 2^(ell-1) - 1/2 is the first coefficient past the float
+    # range when any is; refuse before the series and the sieve are built
+    if n_trunc >= 2 and ell > float_info.max_exp:
+        raise ValueError(
+            f"B(ell, m)/m exceeds the float range for ell={ell}, m=2"
+        )
     if n == 0:
         exact = Fraction(1) if k == 0 else Fraction(0)
     elif k == 0 or k > n:

@@ -5,8 +5,15 @@ the all-ones table, l-1 passes give B(l, .). Work is O(l N log N).
 
 Values are exact. The passes run over int64 when the a-priori bound
 (N (ln N + 1))^{l-1} < 2^63 guarantees every intermediate fits
-(B(l, n) <= sigma(n)^{l-1} <= (n (ln n + 1))^{l-1}); otherwise the same
-passes run over an object array of Python ints.
+(B(l, n) <= sigma(n)^{l-1} <= (n (ln n + 1))^{l-1}). Otherwise the same
+passes run in int64 over a (k, N) stack of residues, one row per prime p_i,
+and each value is rebuilt from its k residues by Garner's mixed-radix CRT
+into a Python int. Each prime satisfies p^2 (2 isqrt(N) + 2) < 2^63, since a
+pass adds at most 2 sqrt(N) products below p^2 into a slot before it
+reduces mod p (24 bits at N = 5e7, 26 at 2e5). The primes' product exceeds
+the bound 2^8-fold, and every value's top Garner digit is checked against
+the bound, so a corrupt residue raises ArithmeticError instead of yielding
+a wrong value.
 
 Tables round-trip through a CSV file (header ``n,value``) plus a JSON
 sidecar ``<path>.json`` holding {ell, nmax, format_version, sha256}. Both
@@ -21,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +36,7 @@ import numpy as np
 
 from . import _kernels
 from ._files import refuse_long_ints, write_atomic
+from .core import primes_up_to
 from .errors import (
     BudgetError,
     ChecksumMismatch,
@@ -64,10 +73,102 @@ class ArithTable:
         return self.nmax
 
 
-def _int64_safe(ell: int, nmax: int) -> bool:
-    # sigma(n) <= n (ln n + 1) <= n * mult with the bit-length overshoot
+def _bound(ell: int, nmax: int) -> int:
+    # sigma(n) <= n (ln n + 1) <= n * mult with the bit-length overshoot,
+    # and B(ell, n) <= sigma(n)^(ell-1)
     mult = max(nmax.bit_length(), 4)
-    return (nmax * mult) ** (ell - 1) < 2**63
+    return (nmax * mult) ** (ell - 1)
+
+
+def _int64_safe(ell: int, nmax: int) -> bool:
+    return _bound(ell, nmax) < 2**63
+
+
+def _prime_bits(nmax: int) -> int:
+    """Widest b with 2^(2b) (2 isqrt(nmax) + 2) <= 2^63.
+
+    A pass adds one product below p^2 per divisor of a slot, at most
+    2 sqrt(nmax) of them, before it reduces mod p; primes below 2^b keep
+    that sum in int64.
+    """
+    slots = 2 * math.isqrt(nmax) + 2
+    return (63 - (slots - 1).bit_length()) // 2
+
+
+def _moduli(ell: int, nmax: int) -> list[int]:
+    """The largest primes below 2^_prime_bits(nmax), descending, whose
+    product exceeds _bound(ell, nmax) * 2^8; found by sieving windows of
+    RUN candidates below 2^b with the primes up to 2^(b/2)."""
+    hi = 1 << _prime_bits(nmax)
+    need = _bound(ell, nmax) << 8
+    small = np.array(primes_up_to(math.isqrt(hi)), dtype=np.int64)
+    primes: list[int] = []
+    prod = 1
+    while prod <= need:
+        lo = hi - _kernels.RUN  # well above every small prime
+        mask = np.ones(_kernels.RUN, dtype=bool)
+        for s, first in zip(small.tolist(), ((-lo) % small).tolist()):
+            mask[first::s] = False
+        for c in reversed((np.flatnonzero(mask) + lo).tolist()):
+            primes.append(c)
+            prod *= c
+            if prod > need:
+                break
+        hi = lo
+    return primes
+
+
+def _crt(res: np.ndarray, primes: list[int], bound: int) -> tuple[int, ...]:
+    """Values in [0, bound] from their residues, by Garner's mixed-radix CRT.
+
+    res[i] holds the values mod primes[i]. Value x has the digits v_i of
+    x = v_0 + v_1 P_1 + ... + v_{k-1} P_{k-1}, P_i = p_0 ... p_{i-1}, so
+    v_i = (x - (v_0 + ... + v_{i-1} P_{i-1})) P_i^-1 mod p_i. The digits are
+    found in int64 and the values built as Python ints, RUN columns at a
+    time. The primes' product exceeds the bound 2^8-fold, so a top digit past
+    bound // P_{k-1} means a residue was wrong: ArithmeticError.
+    """
+    k = len(primes)
+    col = np.array(primes, dtype=np.int64)[:, None]
+    # radix[i, j] = P_j mod p_i for j < i, and inv[i] = P_i^-1 mod p_i
+    radix = np.zeros((k, k), dtype=np.int64)
+    inv = []
+    for i, p in enumerate(primes):
+        P = 1
+        for j in range(i):
+            radix[i, j] = P
+            P = P * primes[j] % p
+        inv.append(pow(P, -1, p))
+    top = bound // math.prod(primes[:-1])
+    # terms of a digit's dot product summed before a reduction, each < p^2
+    group = (1 << 62) // max(primes) ** 2
+    # two digits make one int64 word, v_i + v_{i+1} p_i < p_i p_{i+1}, which
+    # halves the Python-int steps
+    word_radix = [a * b for a, b in zip(primes[0::2], primes[1::2])]
+    values: list[int] = []
+    for lo in range(0, res.shape[1], _kernels.RUN):
+        x = res[:, lo : lo + _kernels.RUN]
+        v = np.empty_like(x)
+        for i, p in enumerate(primes):
+            s = np.zeros(x.shape[1], dtype=np.int64)
+            for j in range(0, i, group):
+                j_hi = min(i, j + group)
+                s = (s + radix[i, j:j_hi] @ v[j:j_hi]) % p
+            v[i] = (x[i] - s) % p * inv[i] % p
+        bad = np.flatnonzero(v[-1] > top)
+        if bad.size:
+            raise ArithmeticError(
+                f"residues at n={lo + int(bad[0]) + 1} rebuild a value past the "
+                f"bound {bound}: the residue stack is corrupt"
+            )
+        words = v[0::2].copy()
+        words[: k // 2] += v[1::2] * col[0 : k - 1 : 2]
+        run = words[-1].tolist()
+        for j in range(len(words) - 2, -1, -1):
+            r = word_radix[j]
+            run = [a * r + b for a, b in zip(run, words[j].tolist())]
+        values.extend(run)
+    return tuple(values)
 
 
 def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTable:
@@ -81,16 +182,31 @@ def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTa
             f"nmax={nmax} exceeds the memory budget ({max_nmax}); "
             "raise max_nmax explicitly to proceed"
         )
-    dtype = "int64" if _int64_safe(ell, nmax) else "object"
-    t = np.ones(nmax, dtype=dtype)
-    for r in range(1, ell):
-        t = _kernels.conv_pass(t, r)
-    values = t if dtype == "int64" else tuple(t.tolist())
+    creation = {"algorithm": "divisor-sum passes"}
+    if _int64_safe(ell, nmax):
+        t = np.ones(nmax, dtype=np.int64)
+        for r in range(1, ell):
+            t = _kernels.conv_pass(t, r)
+        values = t
+        creation["dtype"] = "int64"
+    else:
+        primes = _moduli(ell, nmax)
+        p = np.array(primes, dtype=np.int64)[:, None]
+        q = np.arange(1, nmax + 1, dtype=np.int64)
+        t = np.ones((len(primes), nmax), dtype=np.int64)
+        w = np.ones_like(t)
+        for r in range(1, ell):
+            np.multiply(w, q, out=w)  # q^r mod p from q^(r-1)
+            w %= p
+            t = _kernels.conv_pass(t, w, p)
+        del w  # not needed while the values are built
+        values = _crt(t, primes, _bound(ell, nmax))
+        creation.update(dtype="object", primes=len(primes))
     meta = {
         "ell": ell,
         "nmax": nmax,
         "format_version": FORMAT_VERSION,
-        "creation": {"algorithm": "divisor-sum passes", "dtype": dtype},
+        "creation": creation,
     }
     return ArithTable(ell=ell, nmax=nmax, values=values, metadata=meta)
 

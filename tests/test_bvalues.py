@@ -28,6 +28,12 @@ def test_ell2_is_sigma():
         assert b_via_multiplicativity(2, n) == sigma(n)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_recursion_reaches_deep_ell(p):
+    # B(ell, p) = 1 + p + ... + p^(ell-1); one level per ell, no call depth
+    assert b_via_recursion(1200, p) == (p**1200 - 1) // (p - 1)
+
+
 def test_ell1_anchor():
     assert b_via_flags(1, 7) == 1
     assert b_via_recursion(1, 7) == 1

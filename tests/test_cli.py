@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import abundancy
-from abundancy import permtuples, sieve
+from abundancy import genfunc, permtuples, sieve
 from abundancy.cli import build_parser, main
 
 
@@ -175,8 +175,18 @@ def test_cauchy_exit_codes(tmp_path):
     (["--ell", "2", "--n", "5", "--k", "200", "--r", "0.5", "-M", "8"], "k=200"),
     (["--ell", "1100", "--n", "10", "--k", "1", "--r", "0.1", "-M", "8",
       "--n-trunc", "12"], "ell=1100, m=2"),
+    (["--ell", "5000", "--n", "10", "--k", "1", "--r", "0.1", "-M", "8"],
+     "ell=5000, m=2"),
 ])
-def test_cauchy_float_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, named):
+def test_cauchy_float_range_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, argv, named
+):
+    # each refusal comes before the series or the table is built
+    def built(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(genfunc, "sieve_b", built)
+    monkeypatch.setattr(genfunc, "exp_series", built)
     out = tmp_path / "c.json"
     assert run(["cauchy", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err

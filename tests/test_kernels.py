@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abundancy import _kernels
+from abundancy import _kernels, sieve
 
 
 def test_conv_pass_is_sigma():
@@ -150,15 +150,26 @@ def test_conv_pass_matches_divisor_sum(r):
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_conv_pass_exact_over_python_ints(r):
-    # Python ints beyond +-2^63, and long enough that both loops cross
-    # several run boundaries
+    # Python ints beyond 2^63, run as residues modulo primes and rebuilt by
+    # the CRT; long enough that both loops cross several run boundaries
     rng = np.random.default_rng(200 + r)
     n = 2 * _kernels.RUN + 5
-    big = [v * 2**64 + 1 for v in rng.integers(-1000, 1000, size=n).tolist()]
-    out = _kernels.conv_pass(np.array(big, dtype=object), r)
-    assert out.dtype == object
-    assert all(type(v) is int for v in out)
-    assert out.tolist() == _divisor_sum(big, r)
+    big = [v * 2**64 + 1 for v in rng.integers(0, 1000, size=n).tolist()]
+    want = _divisor_sum(big, r)
+    ell = 8  # _bound(8, n) = (16 n)^7 > 2^74 n^3 d(n) > max(want)
+    assert max(want) <= sieve._bound(ell, n)
+    primes = sieve._moduli(ell, n)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    stack = np.array([[v % q for v in big] for q in primes], dtype=np.int64)
+    w = np.array([[pow(q, r, m) for q in range(1, n + 1)] for m in primes],
+                 dtype=np.int64)
+    out = _kernels.conv_pass(stack, w, p)
+    assert out.dtype == np.int64 and out.shape == stack.shape
+    for i, m in enumerate(primes):
+        assert out[i].tolist() == [v % m for v in want]
+    values = sieve._crt(out, primes, sieve._bound(ell, n))
+    assert all(type(v) is int for v in values)
+    assert list(values) == want
 
 
 def _union_find_orbits(gens: list[list[int]], n: int) -> int:

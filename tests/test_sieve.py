@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abundancy import _kernels
+from abundancy import _kernels, sieve
 from abundancy.bvalues import b_via_recursion
 from abundancy.errors import (
     BudgetError,
@@ -69,17 +73,108 @@ def test_exact_path_promotion():
         assert t[n] == b_via_recursion(5, n)
 
 
-def test_exact_passes_agree_with_int64_sieve():
-    # where int64 is safe, the same passes over Python ints give the same
+def test_exact_passes_agree_with_int64_sieve(monkeypatch):
+    # where int64 is safe, the residue passes and the CRT give the same
     # table; nmax crosses run boundaries of both kernel loops
     nmax = 2 * _kernels.RUN + 7
     ref = sieve_b(3, nmax)
     assert ref.metadata["creation"]["dtype"] == "int64"
-    t = np.ones(nmax, dtype=object)
-    for r in (1, 2):
-        t = _kernels.conv_pass(t, r)
-    assert t.dtype == object
-    assert t.tolist() == ref.values.tolist()
+    monkeypatch.setattr(sieve, "_int64_safe", lambda ell, nmax: False)
+    t = sieve_b(3, nmax)
+    assert t.metadata["creation"]["dtype"] == "object"
+    assert t.metadata["creation"]["primes"] >= 2
+    assert t.values == tuple(ref.values.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(ell=st.integers(4, 30), nmax=st.integers(1, 3 * _kernels.RUN),
+       picks=st.lists(st.integers(1, 3 * _kernels.RUN), max_size=4))
+def test_residue_path_matches_recursion(ell, nmax, picks):
+    # forced past _int64_safe, so small tables take the residue path too
+    with mock.patch.object(sieve, "_int64_safe", return_value=False):
+        t = sieve_b(ell, nmax)
+    assert t.metadata["creation"]["dtype"] == "object"
+    assert all(type(v) is int for v in t.values)
+    run_edges = (_kernels.RUN, _kernels.RUN + 1, 2 * _kernels.RUN + 1)
+    for n in {1, 2, nmax, *run_edges, *picks}:
+        if n <= nmax:
+            assert t[n] == b_via_recursion(ell, n), (ell, nmax, n)
+
+
+def _width_classes():
+    # _prime_bits depends on nmax only through isqrt(nmax), and the bound
+    # grows with nmax, so each isqrt class is checked at its largest nmax
+    top = sieve.DEFAULT_MAX_NMAX
+    return [min((s + 1) ** 2 - 1, top) for s in range(1, math.isqrt(top) + 1)]
+
+
+def test_prime_width_rule_for_every_nmax():
+    for nmax in _width_classes():
+        bits = sieve._prime_bits(nmax)
+        slots = 2 * math.isqrt(nmax) + 2
+        # a pass's largest sum of products fits int64, and one bit more would not
+        assert (2**bits - 1) ** 2 * slots < 2**63, nmax
+        assert 2 ** (2 * bits + 2) * slots > 2**63, nmax
+    assert sieve._prime_bits(200_000) == 26
+    assert sieve._prime_bits(sieve.DEFAULT_MAX_NMAX) == 24
+
+
+def test_prime_count_rule():
+    # for each prime width, the first and last nmax of that width
+    classes = _width_classes()
+    ends = {}
+    for nmax in [1, *classes]:
+        ends.setdefault(sieve._prime_bits(nmax), []).append(nmax)
+    for bits, ns in ends.items():
+        for nmax in (ns[0], ns[-1]):
+            for ell in (2, 4, 5, 30, 300):
+                primes = sieve._moduli(ell, nmax)
+                assert primes == sorted(set(primes), reverse=True)
+                assert all(p < 2**bits for p in primes)
+                need = sieve._bound(ell, nmax) << 8
+                assert math.prod(primes) > need, (ell, nmax)
+                assert math.prod(primes[:-1]) <= need, (ell, nmax)
+
+
+def _is_prime(n):
+    # Miller-Rabin with bases 2, 3, 5, 7: exact below 3,215,031,751
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("ell,nmax", [(20, 10), (300, 48), (4, 200_000)])
+def test_moduli_are_the_largest_primes_below_the_width(ell, nmax):
+    primes = sieve._moduli(ell, nmax)
+    below = [c for c in range(2 ** sieve._prime_bits(nmax) - 1, primes[-1] - 1, -1)
+             if _is_prime(c)]
+    assert primes == below
+
+
+def test_corrupt_residue_stack_raises():
+    ell, nmax = 6, 3000
+    primes = sieve._moduli(ell, nmax)
+    bound = sieve._bound(ell, nmax)
+    vals = [b_via_recursion(ell, n) for n in (1, 2, 720, 2999, 3000)]
+    res = np.array([[v % p for v in vals] for p in primes], dtype=np.int64)
+    assert sieve._crt(res, primes, bound) == tuple(vals)
+    for i in range(len(primes)):
+        for j in range(len(vals)):
+            bad = res.copy()
+            bad[i, j] = (bad[i, j] + 1) % primes[i]
+            with pytest.raises(ArithmeticError, match=f"n={j + 1}"):
+                sieve._crt(bad, primes, bound)
 
 
 def test_int64_path_top_of_range():
