@@ -11,8 +11,9 @@ from typing import Iterable
 from .errors import BudgetError
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data to a temp file beside path, then rename it over path.
+def write_atomic(path: str | Path, data: bytes | Iterable[bytes]) -> None:
+    """Write data, bytes or pieces of bytes in turn, to a temp file beside
+    path, then rename it over path.
 
     A failed write or rename removes the temp file and leaves whatever was
     at path before untouched. No fsync: this guards against a crash of
@@ -22,7 +23,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            if isinstance(data, bytes):
+                fh.write(data)
+            else:
+                fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

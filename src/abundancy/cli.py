@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,12 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _check_threshold(flag: str, value: float | None) -> None:
+    # every comparison with NaN is false, so a NaN gate would never fail
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{flag} must be finite and >= 0, got {value}")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -172,6 +179,7 @@ def _cmd_genfunc(args) -> int:
 def _cmd_cauchy(args) -> int:
     from .genfunc import cauchy_check
 
+    _check_threshold("--max-err", args.max_err)
     rep = cauchy_check(args.ell, args.n, args.k, args.r, args.M,
                        n_trunc=args.n_trunc)
     if args.out:
@@ -206,6 +214,7 @@ def _cmd_verify_theorem(args) -> int:
     from .sieve import sieve_b
     from .stats import cesaro_mean, zeta
 
+    _check_threshold("--tol", args.tol)
     if args.ell < 2:  # sieve_b accepts ell = 1; the theorem does not
         raise ValueError(f"verify-theorem needs ell >= 2, got {args.ell}")
     tol = args.tol if args.tol is not None else _THEOREM_TOL.get(args.ell)
@@ -229,6 +238,7 @@ def _cmd_verify_conjecture(args) -> int:
     from .sieve import load_table, sieve_b
     from .stats import error_series, mu_constant
 
+    _check_threshold("--max-rel-err", args.max_rel_err)
     if args.table is not None:
         table = load_table(args.table, ell=2)
     else:

@@ -17,20 +17,25 @@ a wrong value.
 
 Tables round-trip through a CSV file (header ``n,value``) plus a JSON
 sidecar ``<path>.json`` holding {ell, nmax, format_version, sha256}. Both
-are rendered in runs of rows and written atomically. The loader parses a
-file in the canonical form save_table writes in C (np.loadtxt), and any
-other file row by row; the checks, and the typed errors they raise, are
-the same on both paths.
+are written atomically; the CSV is rendered, hashed and written RUN rows at
+a time. An int64 table is rendered in bulk NumPy passes: n and each value
+are split into 4-digit groups, each group becomes its ASCII in one lookup,
+and the leading zeros are dropped. A table of Python ints is rendered by
+%-formatting. The loader parses a file in the canonical form save_table
+writes in bulk NumPy passes too (separator positions, then np.fromstring,
+about 16 K rows a step), and any other file row by row; the checks, and
+the typed errors they raise, are the same on both paths.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -59,6 +64,10 @@ class ArithTable:
     metadata: dict = field(repr=False)
 
     def __post_init__(self):
+        if len(self.values) != self.nmax:
+            raise ValueError(
+                f"table of nmax={self.nmax} given {len(self.values)} values"
+            )
         if isinstance(self.values, np.ndarray):
             self.values.setflags(write=False)
         if self.nmax >= 1 and self[1] != 1:
@@ -216,40 +225,120 @@ def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTa
 
 _HEADER = b"n,value\n"
 _ROW = "%d,%d\n"
+_GROUP = 10_000  # one group of 4 decimal digits
+# comma, comma and minus, and newline as uint32 words, NUL-padded
+_COMMA, _COMMA_MINUS, _NEWLINE = np.frombuffer(
+    b",\0\0\0,-\0\0\n\0\0\0", dtype=np.uint32
+).tolist()
 
 
-def _render_csv(table: ArithTable) -> bytes:
-    # One %-format call renders a run of rows: the cells alternate n, value.
-    parts = [_HEADER]
+@cache
+def _group_ascii() -> np.ndarray:
+    """The ASCII of each group 0..9999 as a uint32 word, in 3 tables of 10^4.
+
+    Table 0 has all four digits, for a group below a nonzero group. Table 1
+    has the group's leading zeros as NUL, for the top group of a number;
+    table 2 too, but keeps the units digit, for a number's only group, so
+    that 0 renders as "0".
+    """
+    g = np.arange(_GROUP)
+    ascii_ = np.empty((3, _GROUP, 4), dtype=np.uint8)
+    for j in range(4):  # j-th digit from the right
+        digit = 48 + g // 10**j % 10
+        lead = g < 10**j
+        ascii_[0, :, 3 - j] = digit
+        ascii_[1, :, 3 - j] = np.where(lead, 0, digit)
+        ascii_[2, :, 3 - j] = np.where(lead & (j > 0), 0, digit)
+    return ascii_.view(np.uint32).ravel()
+
+
+def _put_digits(words: np.ndarray, x: np.ndarray) -> None:
+    """Write the digits of each uint64 x, 4 per word, right-aligned into
+    the columns of words; every column left of the top digit turns NUL."""
+    table = _group_ascii()
+    last = words.shape[1] - 1
+    for j in range(last, -1, -1):
+        q = x // _GROUP
+        idx = x - q * _GROUP
+        idx += (q == 0) * np.uint64(2 * _GROUP if j == last else _GROUP)
+        np.take(table, idx, out=words[:, j])
+        x = q
+
+
+def _groups(x: int) -> int:
+    # 4-digit groups in the decimal digits of x >= 0
+    return -(-len(str(x)) // 4)
+
+
+def _render_csv(table: ArithTable) -> Iterator[bytes]:
+    """The data file's bytes in pieces: the header, then one piece per run
+    of RUN rows "n,value" and a newline. An int64 table is rendered by
+    _render_int64, any other by %-formatting.
+    """
+    yield _HEADER
+    values = table.values
+    int64 = isinstance(values, np.ndarray) and values.dtype == np.int64
     for start in range(0, table.nmax, _kernels.RUN):
-        run = table.values[start : start + _kernels.RUN]
-        if isinstance(run, np.ndarray):
-            run = run.tolist()
-        cells = [0] * (2 * len(run))
-        cells[0::2] = range(start + 1, start + 1 + len(run))
-        cells[1::2] = run
-        parts.append((_ROW * len(run) % tuple(cells)).encode("ascii"))
-    return b"".join(parts)
+        run = values[start : start + _kernels.RUN]
+        yield _render_int64(run, start) if int64 else _render_rows(run, start)
+
+
+def _render_int64(run: np.ndarray, start: int) -> bytes:
+    """The rows of n = start+1, start+2, ... and the int64 values in run.
+
+    Each row is laid out in uint32 words: the groups of n, "," or ",-",
+    the groups of |value|, a newline, with as many groups as the run's
+    largest n and |value| need. Leading zeros are written as NUL and
+    deleted, with the words' padding, by one bytes.translate.
+    """
+    k = len(run)
+    neg = run < 0
+    mag = run.view(np.uint64).copy()
+    np.negative(mag, out=mag, where=neg)  # |-2^63| = 2^63 fits uint64
+    gn, gv = _groups(start + k), _groups(int(mag.max()))
+    words = np.empty((k, gn + gv + 2), dtype=np.uint32)
+    _put_digits(words[:, :gn], np.arange(start + 1, start + k + 1, dtype=np.uint64))
+    words[:, gn] = np.where(neg, _COMMA_MINUS, _COMMA)
+    _put_digits(words[:, gn + 1 : -1], mag)
+    words[:, -1] = _NEWLINE
+    return words.tobytes().translate(None, b"\0")
+
+
+def _render_rows(run, start: int) -> bytes:
+    # One %-format call renders a run of rows: the cells alternate n, value.
+    if isinstance(run, np.ndarray):
+        run = run.tolist()
+    cells = [0] * (2 * len(run))
+    cells[0::2] = range(start + 1, start + 1 + len(run))
+    cells[1::2] = run
+    return (_ROW * len(run) % tuple(cells)).encode("ascii")
 
 
 def save_table(table: ArithTable, path: str | Path) -> None:
     """Write CSV data plus the JSON sidecar <path>.json, each atomically.
 
-    The sidecar is replaced last, so a reader sees either the old pair, the
+    The data is rendered, hashed and written a run of rows at a time. The
+    sidecar is replaced last, so a reader sees either the old pair, the
     new pair, or a new CSV under the old sidecar, which fails its checksum.
     A value too long for str() raises BudgetError before either is written.
     """
     path = Path(path)
     if not isinstance(table.values, np.ndarray):  # int64 has 19 digits at most
         refuse_long_ints(enumerate(table.values, 1), f"B({table.ell}, n)")
-    data = _render_csv(table)
+    digest = hashlib.sha256()
+
+    def pieces():
+        for piece in _render_csv(table):
+            digest.update(piece)
+            yield piece
+
+    write_atomic(path, pieces())
     sidecar = {
         "ell": table.ell,
         "nmax": table.nmax,
         "format_version": FORMAT_VERSION,
-        "sha256": hashlib.sha256(data).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
-    write_atomic(path, data)
     write_atomic(
         Path(str(path) + ".json"),
         (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode("ascii"),
@@ -277,30 +366,63 @@ def _read_sidecar(sidecar_path: Path) -> dict:
     return sidecar
 
 
+# Bytes of a data file parsed per bulk step, cut back to a row's end; a
+# canonical row has at most 38.
+_PARSE_CHUNK = 32 * _kernels.RUN
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
 def _parse_canonical(data: bytes, nmax: int) -> np.ndarray | None:
-    """The values of a canonical int64 data file, parsed in C, else None.
+    """The values of a canonical int64 data file, parsed in bulk, else None.
 
     Canonical: the header, then rows n,value for n = 1..nmax, each of
-    digits only, each ending in a newline, every value below 2^63. This is
-    what save_table writes. Anything else (signs, spaces, blank lines, a
-    third column, a wrong n, a value beyond int64) returns None and goes to
-    the row loop, which accepts or rejects it as it always has.
+    1 to 18 digits, each row ending in a newline. This is what save_table
+    writes for values below 10^18. Anything else (signs, spaces, blank
+    lines, a third column, a wrong n, a longer value) returns None and goes
+    to the row loop, which accepts or rejects it as it always has.
+
+    The file is taken in chunks of about _PARSE_CHUNK bytes that end at a
+    newline. In each, the separators must alternate comma, newline with a
+    field of 1 to 18 digits before each; np.fromstring then reads the
+    fields, newlines turned to commas, and n must count on from the last
+    chunk. Every temporary is bounded by the chunk.
     """
-    # Which strings np.loadtxt reads as int64 depends on the NumPy version;
-    # digits alone are read alike by every version and by int(). With the
+    # Digits alone are read alike by np.fromstring and by int(). With the
     # header checked, its letters are all that may remain.
-    if data.translate(None, b"0123456789,\n") != b"nvalue":
-        return None
-    try:
-        rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, delimiter=",",
-                          skiprows=1, comments=None, ndmin=2)
-    except (ValueError, OverflowError):
-        return None
-    if rows.shape != (nmax, 2) or not np.array_equal(
-        rows[:, 0], np.arange(1, nmax + 1)
+    if not data.startswith(_HEADER) or (
+        data.translate(None, b"0123456789,\n") != b"nvalue"
     ):
         return None
-    return rows[:, 1].copy()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    values = np.empty(nmax, dtype=np.int64)
+    done = 0
+    pos = len(_HEADER)
+    while pos < len(data):
+        end = data.rfind(b"\n", pos, pos + _PARSE_CHUNK) + 1
+        if end == 0:
+            return None
+        text = raw[pos:end]
+        seps = np.flatnonzero(text < ord("0"))  # the rest are digits
+        widths = np.diff(seps, prepend=-1) - 1
+        rows = len(seps) // 2
+        if (
+            len(seps) % 2
+            or done + rows > nmax
+            or np.any(text[seps[0::2]] != ord(","))
+            or np.any(text[seps[1::2]] != ord("\n"))
+            or widths.min() < 1
+            or widths.max() > 18
+        ):
+            return None
+        cells = np.fromstring(
+            data[pos : end - 1].translate(_NEWLINE_TO_COMMA), dtype=np.int64, sep=","
+        ).reshape(rows, 2)
+        if not np.array_equal(cells[:, 0], np.arange(done + 1, done + rows + 1)):
+            return None
+        values[done : done + rows] = cells[:, 1]
+        done += rows
+        pos = end
+    return values if done == nmax else None
 
 
 def _parse_rows(data: bytes) -> np.ndarray | tuple[int, ...]:
@@ -330,8 +452,9 @@ def load_table(
     positive integer ell and nmax (all before the data file is read);
     sha256 of the data file; the caller's expected ell and nmax (when
     given); ASCII bytes, header, trailing newline, row count, and each
-    row's shape and n. A canonical file is parsed in C; any other goes
-    through a row loop, with the same checks and errors either way.
+    row's shape and n. A canonical file is parsed in bulk NumPy passes;
+    any other goes through a row loop, with the same checks and errors
+    either way.
     """
     path = Path(path)
     sidecar = _read_sidecar(Path(str(path) + ".json"))

@@ -211,6 +211,29 @@ def test_verify_theorem_exit_codes():
     assert run(["verify-theorem", "--ell", "4", "--nmax", "1000"]) == 2  # no default tol
 
 
+_GATED = {
+    "--max-rel-err": ["verify-conjecture", "--nmax", "1000"],
+    "--max-err": ["cauchy", "--n", "5", "--k", "2", "--r", "0.3", "--grid", "8"],
+    "--tol": ["verify-theorem", "--nmax", "1000"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_GATED))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-3"])
+def test_non_finite_or_negative_thresholds_exit_2(monkeypatch, capsys, flag, value):
+    # x > nan is false: a NaN gate would pass anything, so it is refused
+    # before any table or series is built
+    def built(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(sieve, "sieve_b", built)
+    monkeypatch.setattr(genfunc, "cauchy_check", built)
+    assert run([*_GATED[flag], f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {flag} must be finite and >= 0, got {float(value)}\n"
+    )
+
+
 def test_verify_conjecture_artifacts(tmp_path):
     table = tmp_path / "t.csv"
     assert run(["sieve", "--nmax", "50000", "--out", str(table)]) == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from abundancy.bvalues import b_via_flags
 from abundancy.errors import BudgetError
-from abundancy.genfunc import partition_numbers
+from abundancy.genfunc import exp_series, partition_numbers
 from abundancy.permtuples import (
     DEFAULT_MAX_WORK,
     ATable,
@@ -194,6 +194,25 @@ def test_bell_transform_matches_enumeration():
         b_row = [b_via_flags(ell, v) for v in range(1, nmax + 1)]
         for n in range(1, nmax + 1):
             assert bell_transform(ell, n, b_row).counts == enumerate_A(ell, n).counts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ell=st.integers(1, 4), n=st.integers(1, 5), extra=st.integers(0, 3))
+def test_bell_transform_counts_the_enumerated_tuples(ell, n, extra):
+    # B(ell, v) from the flag count, orbits from the centralizer search;
+    # values past n in the row are ignored. n!^ell is 2.1e8 at (4, 5), past
+    # the default budget, but the search itself takes under 0.1 s there.
+    b_row = [b_via_flags(ell, v) for v in range(1, n + extra + 1)]
+    brute = enumerate_A(ell, n, max_work=max(DEFAULT_MAX_WORK, factorial(n) ** ell))
+    assert bell_transform(ell, n, b_row).counts == brute.counts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ell=st.integers(1, 5), N=st.integers(1, 16), data=st.data())
+def test_bell_transform_matches_the_exponential_series(ell, N, data):
+    n = data.draw(st.integers(1, N))
+    b_row = [b_via_flags(ell, v) for v in range(1, N + 1)]
+    assert bell_transform(ell, n, b_row).counts == exp_series(ell, N).a_row(n).counts
 
 
 def test_bell_transform_guards():

@@ -197,6 +197,18 @@ def test_corrupt_table_rejected():
         ArithTable(ell=2, nmax=3, values=(2, 3, 4), metadata={})
 
 
+@pytest.mark.parametrize("values, nmax", [
+    (np.array([1, 3, 4]), 5),
+    (np.array([1, 3, 4, 7]), 2),
+    ((1, 3, 4), 5),
+    ((1, 3, 4, 7), 2),
+])
+def test_values_must_number_nmax(values, nmax):
+    # a short table would be saved under a sidecar claiming nmax rows
+    with pytest.raises(ValueError, match=f"nmax={nmax} given {len(values)} values"):
+        ArithTable(ell=2, nmax=nmax, values=values, metadata={})
+
+
 def test_save_load_round_trip(tmp_path):
     t = sieve_b(3, 50)
     path = tmp_path / "b3.csv"
@@ -301,6 +313,105 @@ def _seal(path, data: bytes, ell=2, nmax=5):
 def _render_reference(table) -> bytes:
     lines = ["n,value"] + [f"{n},{table[n]}" for n in range(1, table.nmax + 1)]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# nmax at the run edges and where n gains a digit or a 4-digit group
+_NMAX_EDGES = (1, 2, 9, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001,
+               _kernels.RUN - 1, _kernels.RUN, _kernels.RUN + 1)
+_EXTREMES = (-(2**63), -(2**63) + 1, -(10**18), -1, 0, 9, 10, 9_999, 10_000,
+             10**18 - 1, 10**18, 2**63 - 1)
+# 0, then the least and the largest int64 value of d digits, d = 1..19
+_LEAST = np.array([0] + [10 ** (d - 1) for d in range(2, 20)], dtype=np.int64)
+_MOST = np.array([10**d - 1 for d in range(1, 19)] + [2**63 - 1], dtype=np.int64)
+
+
+@st.composite
+def _int64_tables(draw, nmax=st.one_of(st.sampled_from(_NMAX_EDGES),
+                                       st.integers(1, 40))):
+    """int64 tables with values[0] == 1: random values of up to a drawn
+    number of digits, negative at a drawn rate, and a few picked values."""
+    nmax = draw(nmax)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    digits = rng.integers(0, draw(st.integers(1, 19)), size=nmax)
+    values = rng.integers(_LEAST[digits], _MOST[digits], endpoint=True)
+    negative = rng.random(nmax) < draw(st.sampled_from([0.0, 0.01, 0.5]))
+    values[negative] *= -1
+    picks = st.tuples(st.integers(0, nmax - 1),
+                      st.sampled_from(_EXTREMES) | st.integers(-(2**63), 2**63 - 1))
+    for i, v in draw(st.lists(picks, max_size=4)):
+        values[i] = v
+    values[0] = 1
+    return ArithTable(ell=2, nmax=nmax, values=values, metadata={})
+
+
+# a row of up to 38 bytes always fits 40; 97 cuts some chunks mid-table
+_CHUNKS = st.sampled_from([40, 97, sieve._PARSE_CHUNK])
+
+
+@pytest.mark.filterwarnings("error")  # no input may warn
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(table=_int64_tables(), chunk=_CHUNKS)
+def test_int64_tables_save_as_the_reference_and_load_back(tmp_path_factory, table,
+                                                          chunk):
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    save_table(table, path)
+    data = path.read_bytes()
+    assert data == _render_reference(table)
+    with mock.patch.object(sieve, "_PARSE_CHUNK", chunk):
+        back = load_table(path, ell=2, nmax=table.nmax)
+        bulk = _parse_canonical(data, table.nmax)
+    assert back.values.dtype == np.int64
+    assert np.array_equal(back.values, table.values)
+    # the bulk pass takes every file of values in 0..10^18 - 1, no other
+    canonical = bool(np.all((table.values >= 0) & (table.values < 10**18)))
+    assert (bulk is not None) == canonical
+
+
+def _mutate(raw: bytes, draw) -> bytes:
+    # a separator of a row, or any byte, half the time each; a separator
+    # swapped for the other keeps the count of both
+    seps = [i for i in range(8, len(raw)) if raw[i] in b",\n"]
+    i = draw(st.sampled_from(seps) | st.integers(0, len(raw) - 1))
+    kind = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if kind == "delete":
+        return raw[:i] + raw[i + 1 :]
+    if kind == "duplicate":
+        return raw[: i + 1] + raw[i:]
+    byte = draw(st.sampled_from(b",\n") | st.sampled_from(b"0123456789-+ \r.x\xe9"))
+    return raw[:i] + bytes([byte]) + raw[i + 1 :]
+
+
+def _outcome(load, path):
+    try:
+        values = load(path).values
+    except Exception as exc:
+        return type(exc)
+    if isinstance(values, np.ndarray):
+        return values.dtype, values.tolist()
+    return values
+
+
+@pytest.mark.filterwarnings("error")  # no input may warn
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(table=_int64_tables(nmax=st.integers(1, 12)), chunk=_CHUNKS, data=st.data())
+def test_mutated_canonical_files_read_as_the_row_loop_reads_them(
+    tmp_path_factory, table, chunk, data
+):
+    raw = _mutate(_render_reference(table), data.draw)
+    try:
+        rows = sieve._parse_rows(raw)
+    except Exception:
+        rows = None
+    with mock.patch.object(sieve, "_PARSE_CHUNK", chunk):
+        bulk = _parse_canonical(raw, table.nmax)
+        if bulk is not None:
+            assert isinstance(rows, np.ndarray) and bulk.dtype == np.int64
+            assert np.array_equal(bulk, rows)
+        path = tmp_path_factory.mktemp("m") / "t.csv"
+        _seal(path, raw, nmax=table.nmax)
+        got = _outcome(load_table, path)
+    with mock.patch.object(sieve, "_parse_canonical", return_value=None):
+        assert got == _outcome(load_table, path)
 
 
 def test_save_load_round_trip_across_run_boundary(tmp_path):
