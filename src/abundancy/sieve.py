@@ -23,8 +23,8 @@ are split into 4-digit groups, each group becomes its ASCII in one lookup,
 and the leading zeros are dropped. A table of Python ints is rendered by
 %-formatting. The loader parses a file in the canonical form save_table
 writes in bulk NumPy passes too (separator positions, then np.fromstring,
-about 16 K rows a step), and any other file row by row; the checks, and
-the typed errors they raise, are the same on both paths.
+512 KiB a step), and any other file row by row; the checks, and the typed
+errors they raise, are the same on both paths.
 """
 
 from __future__ import annotations
