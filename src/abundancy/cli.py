@@ -177,17 +177,15 @@ def _cmd_genfunc(args) -> int:
 
 
 def _cmd_cauchy(args) -> int:
+    from dataclasses import asdict
+
     from .genfunc import cauchy_check
 
     _check_threshold("--max-err", args.max_err)
     rep = cauchy_check(args.ell, args.n, args.k, args.r, args.M,
                        n_trunc=args.n_trunc)
     if args.out:
-        _write_json(args.out, {
-            "ell": rep.ell, "n": rep.n, "k": rep.k, "r": rep.r, "M": rep.M,
-            "n_trunc": rep.n_trunc, "numeric": rep.numeric,
-            "exact": str(rep.exact), "abs_err": rep.abs_err,
-        })
+        _write_json(args.out, asdict(rep) | {"exact": str(rep.exact)})
     print(f"cauchy ell={args.ell} n={args.n} k={args.k} r={args.r} M={args.M} "
           f"numeric={rep.numeric!r} exact={rep.exact} abs_err={rep.abs_err:.3e}")
     if args.max_err is not None and rep.abs_err > args.max_err:
@@ -222,9 +220,7 @@ def _cmd_verify_theorem(args) -> int:
         raise ValueError(f"no default tolerance for ell={args.ell}; pass --tol")
     table = sieve_b(args.ell, args.nmax)
     mean = cesaro_mean(table, args.nmax)
-    ref = 1.0
-    for i in range(2, args.ell + 1):
-        ref *= zeta(i, 1e-15)
+    ref = math.prod(zeta(i) for i in range(2, args.ell + 1))
     diff = abs(mean - ref)
     ok = diff <= tol
     print(f"verify-theorem ell={args.ell} N={args.nmax} mean={mean!r} "
@@ -272,7 +268,7 @@ def _cmd_verify_conjecture(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from dataclasses import replace
+    from dataclasses import asdict, replace
 
     from .sieve import load_table
     from .stats import empirical_moment, theoretical_moment
@@ -284,13 +280,7 @@ def _cmd_moments(args) -> int:
         result = replace(result,
                          empirical=empirical_moment(table, args.m, table.nmax))
     if args.out:
-        _write_json(args.out, {
-            "ell": result.ell, "m": result.m,
-            "theoretical": result.theoretical,
-            "empirical": result.empirical,
-            "prime_cutoff": result.prime_cutoff,
-            "tail_bound": result.tail_bound,
-        })
+        _write_json(args.out, asdict(result))
     emp = "" if result.empirical is None else f" empirical={result.empirical!r}"
     print(f"moments ell={result.ell} m={result.m} "
           f"theoretical={result.theoretical!r}{emp} "

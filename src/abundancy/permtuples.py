@@ -10,15 +10,16 @@ can cross-check each other:
 and, in the other direction, every A(ell, n, k) is a Bell-type polynomial
 in the B values (see bell_transform).
 
-The centralizer of each permutation p is built from the equation
-q(p(i)) = p(q(i)) and the cycles of p alone: q maps each cycle of p onto
-a cycle of the same length, the image of one point per cycle is free and
-the rest of the cycle is forced. Tuples are then grown one member at a
-time inside the common centralizer of the prefix, and every tuple
-returned is checked against the definition. The cost follows the number
-of tuples, not n!^ell. enumerate_A refuses ell > max_work and
-n!^ell > max_work up front, and an output of more than max_work entries
-(tuples x ell x n) before building the level that shows it.
+For each cycle type, the centralizer of its block rotation s is taken
+from the list of all permutations by the definition, z(s(i)) = s(z(i)).
+Every p of that type is w s w^-1 for the cycle word w of p, so its
+centralizer is {w z w^-1}, carried over in one gather. Tuples are then
+grown one member at a time inside the common centralizer of the prefix,
+and every tuple returned is checked against the definition. The cost
+follows the number of tuples, not n!^ell. enumerate_A refuses
+ell > max_work and n!^ell > max_work up front, and an output of more than
+max_work entries (tuples x ell x n) before building the level that
+shows it.
 """
 
 from __future__ import annotations
@@ -147,66 +148,32 @@ def _cycle_words(P: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return words, types
 
 
-def _block_centralizer(lengths: tuple[int, ...]) -> np.ndarray:
-    """Every z with z(s(j)) = s(z(j)), s the block rotation of the lengths.
-
-    The positions 0..n-1 form consecutive blocks, one per length, and s
-    steps around each block: s(b + k) = b + (k + 1) % L for the block at b
-    of length L. The equation leaves one free choice per block, the image
-    of its first position b: any position of a block of the same length
-    that no other block maps into. The rest of the block is forced,
-    z(b + k) = s^k(z(b)). Blocks of different lengths choose independently.
-    """
-    starts = np.cumsum((0,) + lengths[:-1])
-    by_length: dict[int, list[int]] = {}
-    for b, L in zip(starts.tolist(), lengths):
-        by_length.setdefault(L, []).append(b)
-    Z = np.zeros((1, 0), dtype=np.int64)
-    cols: list[int] = []
-    for L, blocks in by_length.items():
-        b = np.array(blocks, dtype=np.int64)
-        k = np.arange(L)
-        # block i goes to block targets[:, i], its first position to
-        # that block's rots[:, i]-th position
-        targets = np.array(list(itertools.permutations(b)), dtype=np.int64)
-        rots = np.array(
-            list(itertools.product(range(L), repeat=len(b))), dtype=np.int64
-        )
-        img = targets[:, None, :, None] + (rots[None, :, :, None] + k) % L
-        img = img.reshape(-1, len(b) * L)
-        Z = np.concatenate(
-            [np.repeat(Z, len(img), axis=0), np.tile(img, (len(Z), 1))], axis=1
-        )
-        cols.extend((b[:, None] + k).ravel().tolist())
-    out = np.empty_like(Z)
-    out[:, cols] = Z
-    return out
-
-
-def _lex_ranks(Q: np.ndarray) -> np.ndarray:
-    """Rank of each row of Q among all permutations in lexicographic order."""
-    n = Q.shape[1]
-    ranks = np.zeros(len(Q), dtype=np.int64)
-    for i in range(n - 1):
-        ranks = ranks * (n - i) + (Q[:, i + 1 :] < Q[:, i : i + 1]).sum(axis=1)
-    return ranks
-
-
 def _centralizers(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centralizer of every row of P, as sorted ranks (row indices of P).
 
     P holds all permutations of n points in lexicographic order. Returns
-    (off, flat) with C(P[j]) = flat[off[j]:off[j+1]]. A row p with cycle
-    word w (see _cycle_words) is w s w^-1 for the block rotation s of its
-    cycle lengths, so C(p) = {w z w^-1 : z in C(s)}; each C(s) is built
-    once per cycle type and carried to every p of that type in one gather.
+    (off, flat) with C(P[j]) = flat[off[j]:off[j+1]]. For each cycle type,
+    C(s) of its block rotation s is read off P by the definition,
+    z(s(j)) = s(z(j)) on every row. A row p with cycle word w (see
+    _cycle_words) is w s w^-1, so C(p) = {w z w^-1 : z in C(s)}, carried
+    to every p of that type in one gather and ranked by lookup in P.
     """
     n = P.shape[1]
     words, types = _cycle_words(P)
     classes: dict[tuple[int, ...], list[int]] = {}
     for j, t in enumerate(types):
         classes.setdefault(t, []).append(j)
-    zs = {t: _block_centralizer(t) for t in classes}
+    zs = {}
+    for t in classes:
+        # the block at b of length L steps b + k to b + (k + 1) % L
+        starts = np.cumsum((0,) + t[:-1])
+        s = np.concatenate([b + (np.arange(L) + 1) % L for b, L in zip(starts, t)])
+        zs[t] = P[(P[:, s] == s[P]).all(axis=1)]
+    # A row's base-n code orders rows as P does, so P's codes ascend. The
+    # codes are below n^n, which fits int64 for n <= 15; no P with 15! rows
+    # fits in memory.
+    digits = n ** np.arange(n - 1, -1, -1)
+    codes = P @ digits
     off = np.concatenate([[0], np.cumsum([len(zs[t]) for t in types])])
     flat = np.empty(off[-1], dtype=np.int64)
     for t, members in classes.items():
@@ -218,7 +185,7 @@ def _centralizers(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.take_along_axis(Z[None], np.argsort(W, axis=1)[:, None, :], axis=2),
             axis=2,
         )
-        ranks = _lex_ranks(Q.reshape(-1, n)).reshape(len(members), len(Z))
+        ranks = np.searchsorted(codes, Q @ digits)
         ranks.sort(axis=1)
         flat[off[members][:, None] + np.arange(len(Z))] = ranks
     return off, flat
@@ -242,12 +209,12 @@ def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
 
     Returns an array of shape (T, ell, n), entries 0-based, in lexicographic
     order of the members' ranks among all permutations of n points.
-    Centralizers are built from q(p(i)) = p(q(i)) (see _centralizers), not
-    found by testing pairs, so the cost follows the output rather than
-    n!^2. The search runs level by level: every prefix keeps the sorted
-    ranks of the permutations commuting with all its members, and
-    extending it by one of them intersects that set with the new member's
-    centralizer. Every returned tuple is checked against the definition.
+    Centralizers are tested against one permutation per cycle type and
+    carried to the rest (see _centralizers), not found by testing every
+    pair, so the cost follows the output rather than n!^2. The search runs
+    level by level: every prefix keeps the sorted ranks of the
+    permutations commuting with all its members, and extending it by one
+    of them intersects that set with the new member's centralizer. Every returned tuple is checked against the definition.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")

@@ -381,17 +381,15 @@ def _parse_canonical(data: bytes, nmax: int) -> np.ndarray | None:
     lines, a third column, a wrong n, a longer value) returns None and goes
     to the row loop, which accepts or rejects it as it always has.
 
-    The file is taken in chunks of about _PARSE_CHUNK bytes that end at a
-    newline. In each, the separators must alternate comma, newline with a
-    field of 1 to 18 digits before each; np.fromstring then reads the
-    fields, newlines turned to commas, and n must count on from the last
-    chunk. Every temporary is bounded by the chunk.
+    The header is checked once; the rest of the file is taken in chunks of
+    about _PARSE_CHUNK bytes that end at a newline, and no pass reads the
+    whole file. In each chunk, no byte may lie above "9", the bytes below
+    "0" must alternate comma, newline with a field of 1 to 18 digits before
+    each; np.fromstring then reads the fields, newlines turned to commas,
+    and n must count on from the last chunk. Every temporary is bounded by
+    the chunk.
     """
-    # Digits alone are read alike by np.fromstring and by int(). With the
-    # header checked, its letters are all that may remain.
-    if not data.startswith(_HEADER) or (
-        data.translate(None, b"0123456789,\n") != b"nvalue"
-    ):
+    if not data.startswith(_HEADER):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     values = np.empty(nmax, dtype=np.int64)
@@ -402,11 +400,15 @@ def _parse_canonical(data: bytes, nmax: int) -> np.ndarray | None:
         if end == 0:
             return None
         text = raw[pos:end]
-        seps = np.flatnonzero(text < ord("0"))  # the rest are digits
+        # Below "0" only the separators checked here may occur, and above
+        # "9" nothing, so the fields are digits alone, which np.fromstring
+        # and int() read alike.
+        seps = np.flatnonzero(text < ord("0"))
         widths = np.diff(seps, prepend=-1) - 1
         rows = len(seps) // 2
         if (
-            len(seps) % 2
+            text.max() > ord("9")
+            or len(seps) % 2
             or done + rows > nmax
             or np.any(text[seps[0::2]] != ord(","))
             or np.any(text[seps[1::2]] != ord("\n"))

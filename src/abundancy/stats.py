@@ -32,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import _kernels
-from .core import primes_up_to
+from .core import factorize, primes_up_to
 from .errors import MalformedTable
 
 EULER_GAMMA = 0.5772156649015328606
@@ -298,8 +298,8 @@ def local_moment(ell: int, p: int, m: int, eps: float = 1e-10) -> float:
         raise ValueError("ell must be >= 2")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    if p < 2 or factorize(p).factors != ((p, 1),):
+        raise ValueError(f"p must be a prime >= 2, got {p}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     out = _kernels.local_moments(np.array([p], dtype=np.float64), ell, m, eps)
@@ -341,9 +341,7 @@ def theoretical_moment(
     S = m * cap**m / (P - 1.0)
     tail_bound = value * (math.exp(S) - 1.0)
     if m == 1:
-        ref = 1.0
-        for i in range(2, ell + 1):
-            ref *= zeta(i, 1e-15)
+        ref = math.prod(zeta(i) for i in range(2, ell + 1))
         if abs(value - ref) > tail_bound + eps:
             warnings.warn(
                 f"m=1 self-test: product {value} vs zeta reference {ref} "

@@ -450,11 +450,21 @@ def test_save_load_bignum_round_trip_across_run_boundary(tmp_path):
     b"1,1\n2,3\r3,4\n4,7\n",          # carriage return inside a row
     b"1,1\n2,3\n3,\n4,7\n",           # empty value
     b"1,1\n2,3\n3,4.0\n4,7\n",        # float value
+    b"1,1\n2,3\n3,4e0\n4,7\n",        # a letter in a value
 ])
 def test_load_rejects_malformed_rows(tmp_path, body):
     path = tmp_path / "t.csv"
     _seal(path, b"n,value\n" + body, nmax=4)
     with pytest.raises(MalformedTable):
+        load_table(path)
+
+
+def test_load_counts_rows_before_sizing_the_values(tmp_path):
+    # a resealed sidecar with a huge nmax is refused by the row count,
+    # before an array of nmax values is allocated
+    path = tmp_path / "t.csv"
+    _seal(path, b"n,value\n1,1\n2,3\n3,4\n", nmax=10**12)
+    with pytest.raises(MalformedTable, match="expected 1000000000000 rows, found 3"):
         load_table(path)
 
 

@@ -341,7 +341,7 @@ def test_local_moment_first_term_floor():
 
 
 def test_local_moment_guards():
-    for bad in ((1, 2, 1), (2, 1, 1), (2, 2, 0)):
+    for bad in ((1, 2, 1), (2, 1, 1), (2, 2, 0), (2, 4, 1), (3, 6, 2)):
         with pytest.raises(ValueError):
             local_moment(*bad)
     with pytest.raises(ValueError):
