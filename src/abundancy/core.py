@@ -8,6 +8,7 @@ no state between calls.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -57,12 +58,20 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1. Raises ValueError for n < 1.
+    """Factor the integer n >= 1. Raises ValueError for n < 1, for a bool
+    and for anything operator.index refuses, such as 2.5; NumPy integers
+    are taken, and the factors are Python ints.
 
     Raises BudgetError, naming n, when the odd trial divisors up to
     MAX_TRIAL_DIVISOR run out before one of them squared passes what is
     left of n.
     """
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"factorize needs an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     value = n

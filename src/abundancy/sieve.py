@@ -4,16 +4,16 @@ Pass r turns t_r into t_{r+1}(m) = sum_{d|m} (m/d)^r t_r(d); starting from
 the all-ones table, l-1 passes give B(l, .). Work is O(l N log N).
 
 Values are exact. The passes run over int64 when the a-priori bound
-(N (ln N + 1))^{l-1} < 2^63 guarantees every intermediate fits
-(B(l, n) <= sigma(n)^{l-1} <= (n (ln n + 1))^{l-1}). Otherwise the same
-passes run in int64 over a (k, N) stack of residues, one row per prime p_i,
-and each value is rebuilt from its k residues by Garner's mixed-radix CRT
-into a Python int. Each prime satisfies p^2 (2 isqrt(N) + 2) < 2^63, since a
-pass adds at most 2 sqrt(N) products below p^2 into a slot before it
-reduces mod p (24 bits at N = 5e7, 26 at 2e5). The primes' product exceeds
-the bound 2^8-fold, and every value's top Garner digit is checked against
-the bound, so a corrupt residue raises ArithmeticError instead of yielding
-a wrong value.
+3 (bit_length(N) + 1) N^{l-1} < 2^63 guarantees every intermediate fits,
+since B(l, n) <= (1 + ln n) zeta(2) ... zeta(l-1) n^{l-1} (_bound proves
+it). Otherwise the same passes run in int64 over a (k, N) stack of
+residues, one row per prime p_i, and each value is rebuilt from its k
+residues by Garner's mixed-radix CRT into a Python int. Each prime
+satisfies p^2 (2 isqrt(N) + 2) < 2^63, since a pass adds at most 2 sqrt(N)
+products below p^2 into a slot before it reduces mod p (24 bits at
+N = 5e7, 26 at 2e5). The primes' product exceeds the bound 2^8-fold, and
+every value's top Garner digit is checked against the bound, so a corrupt
+residue raises ArithmeticError instead of yielding a wrong value.
 
 Tables round-trip through a CSV file (header ``n,value``) plus a JSON
 sidecar ``<path>.json`` holding {ell, nmax, format_version, sha256}. Both
@@ -30,6 +30,7 @@ errors they raise, are the same on both paths.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,10 +84,29 @@ class ArithTable:
 
 
 def _bound(ell: int, nmax: int) -> int:
-    # sigma(n) <= n (ln n + 1) <= n * mult with the bit-length overshoot,
-    # and B(ell, n) <= sigma(n)^(ell-1)
-    mult = max(nmax.bit_length(), 4)
-    return (nmax * mult) ** (ell - 1)
+    """3 (bit_length(nmax) + 1) nmax^(ell-1): at least every B(ell, n) with
+    n <= nmax, and every number the int64 passes form on the way.
+
+    Lemma: B(ell, n) <= sigma_{-1}(n) zeta(2) ... zeta(ell-1) n^(ell-1)
+    < 3 (1 + ln n) n^(ell-1).
+    Proof: B(ell, n) sums prod_r f_r^(ell-r) over the ordered factorizations
+    f_1 ... f_ell = n. Divided by n^(ell-1) = prod_r f_r^(ell-1), a term is
+    prod_{r>=2} f_r^-(r-1), and f_1 is fixed by the others. Keep f_2 | n and
+    drop the constraint on f_3, ..., f_ell: each f_r then runs over all
+    positive integers, which gives sigma_{-1}(n) zeta(2) ... zeta(ell-1).
+    Then sigma_{-1}(n) = sum_{d|n} 1/d <= H_n <= 1 + ln n, and the product
+    of zeta(j) over all j >= 2 is 2.2948... < 3. In integers: n < 2^b for
+    b = bit_length(n) and ln 2 < 1, so ln n < b; the bound grows with n,
+    so its value at nmax covers every n <= nmax.
+
+    Mid-pass safety of the int64 path: pass r turns B(r, .) into
+    B(r+1, .), and B(r+1, m) <= B(ell, m) since a pass keeps its d = m term
+    t_r(m) with weight 1. Every term (m/d)^r t_r(d) is non-negative, so each
+    partial sum in a slot is at most the slot's final value. Every weight
+    q^r <= nmax^(ell-1) is below the bound too. The moduli and the CRT's
+    corruption check read the same bound.
+    """
+    return 3 * (nmax.bit_length() + 1) * nmax ** (ell - 1)
 
 
 def _int64_safe(ell: int, nmax: int) -> bool:
@@ -104,27 +124,33 @@ def _prime_bits(nmax: int) -> int:
     return (63 - (slots - 1).bit_length()) // 2
 
 
+@cache
+def _window_primes(bits: int, window: int) -> tuple[int, ...]:
+    """The primes in [hi - RUN, hi), hi = 2^bits - window RUN, descending,
+    sieved with the primes up to sqrt(hi). Kept for the process, since
+    every residue table of a width reads the same windows from the top."""
+    hi = (1 << bits) - window * _kernels.RUN
+    lo = hi - _kernels.RUN  # well above every small prime
+    small = np.array(primes_up_to(math.isqrt(hi)), dtype=np.int64)
+    mask = np.ones(_kernels.RUN, dtype=bool)
+    for s, first in zip(small.tolist(), ((-lo) % small).tolist()):
+        mask[first::s] = False
+    return tuple(reversed((np.flatnonzero(mask) + lo).tolist()))
+
+
 def _moduli(ell: int, nmax: int) -> list[int]:
     """The largest primes below 2^_prime_bits(nmax), descending, whose
-    product exceeds _bound(ell, nmax) * 2^8; found by sieving windows of
-    RUN candidates below 2^b with the primes up to 2^(b/2)."""
-    hi = 1 << _prime_bits(nmax)
+    product exceeds _bound(ell, nmax) * 2^8."""
+    bits = _prime_bits(nmax)
     need = _bound(ell, nmax) << 8
-    small = np.array(primes_up_to(math.isqrt(hi)), dtype=np.int64)
     primes: list[int] = []
     prod = 1
-    while prod <= need:
-        lo = hi - _kernels.RUN  # well above every small prime
-        mask = np.ones(_kernels.RUN, dtype=bool)
-        for s, first in zip(small.tolist(), ((-lo) % small).tolist()):
-            mask[first::s] = False
-        for c in reversed((np.flatnonzero(mask) + lo).tolist()):
+    for window in itertools.count():
+        for c in _window_primes(bits, window):
             primes.append(c)
             prod *= c
             if prod > need:
-                break
-        hi = lo
-    return primes
+                return primes
 
 
 def _crt(res: np.ndarray, primes: list[int], bound: int) -> tuple[int, ...]:

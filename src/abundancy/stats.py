@@ -27,6 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -81,6 +82,23 @@ def mu_constant() -> float:
     return EULER_GAMMA / 2.0 + math.log(24.0 * z2) / 4.0 - z2 / 2.0
 
 
+@cache
+def _zeta_product_up(ell: int) -> float:
+    """zeta(2) zeta(3) ... zeta(ell-1), rounded up: 1.0 for ell <= 2.
+
+    zeta(k) is within 1e-15 of the truth. Past k = 64, where its exact
+    sums only grow, 1 stands in for it, since zeta(k) <= 1 + 2^(1-k)
+    <= 1 + 2^-63. Each factor is widened by
+    2^-40, which exceeds both errors and the rounding of the product, and
+    leaves about a 2^-41 margin for the float error of the range check
+    that uses it.
+    """
+    z = 1.0
+    for k in range(2, ell):
+        z *= (zeta(k) if k <= 64 else 1.0) * (1.0 + 2.0**-40)
+    return z
+
+
 def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
     """(B(ell,n)/n^{ell-1})^m for n = 1..N as doubles.
 
@@ -89,11 +107,13 @@ def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
     for every ell = 2 table. Any other table divides Python ints, so every
     index is rounded once.
 
-    Every index lies in [1, (1 + ln n)^{ell-1}], since n^{ell-1} <= B(ell,n)
-    <= sigma(n)^{ell-1} and sigma(n)/n <= H_n <= 1 + ln n; a table with a
-    value outside that range raises MalformedTable naming the first bad n.
-    So does an index beyond the float range: a true index is below
-    (n/phi(n)) zeta(2)...zeta(ell-1) < 3n.
+    Every index lies in [1, (1 + ln n) zeta(2) ... zeta(ell-1)] for
+    ell >= 2 (the lemma in sieve._bound), and is 1 for ell = 1; a table
+    with a value outside that range raises MalformedTable naming the first
+    bad n. The zeta product is rounded up by _zeta_product_up, so float
+    error can only widen the range; for ell = 2 the upper end is 1 + ln n,
+    which exceeds H_n >= sigma(n)/n by at least 0.19 for n >= 2. An index
+    beyond the float range raises MalformedTable too.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -114,8 +134,8 @@ def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
                     f"value at n={i + 1} cannot be B({ell}, {i + 1}): "
                     "its index exceeds the float range"
                 ) from None
-    with np.errstate(over="ignore"):  # a bound beyond the float range is inf
-        bad = ~((terms >= 1.0) & (terms <= (1.0 + np.log(n)) ** (ell - 1)))
+    cap = (1.0 + np.log(n)) * _zeta_product_up(ell) if ell > 1 else 1.0
+    bad = ~((terms >= 1.0) & (terms <= cap))
     if bad.any():
         first = int(np.argmax(bad)) + 1
         raise MalformedTable(

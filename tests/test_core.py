@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from abundancy.core import Factorization, divisors, factorize, primes_up_to
@@ -71,6 +72,18 @@ def test_factorize_below_the_trial_bound_square():
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_factorize_refuses_non_integers(n):
+    with pytest.raises(ValueError, match=repr(n)):
+        factorize(n)
+
+
+def test_factorize_takes_numpy_integers():
+    fac = factorize(np.int64(12))
+    assert fac == factorize(12)
+    assert all(type(p) is int for p, _ in fac)
 
 
 def test_exponent_lookup():

@@ -156,7 +156,9 @@ def test_conv_pass_exact_over_python_ints(r):
     n = 2 * _kernels.RUN + 5
     big = [v * 2**64 + 1 for v in rng.integers(0, 1000, size=n).tolist()]
     want = _divisor_sum(big, r)
-    ell = 8  # _bound(8, n) = (16 n)^7 > 2^74 n^3 d(n) > max(want)
+    # _bound(9, n) = 51 n^8 > 2^75 n^3 >= max(want): each big value is below
+    # 2^74, and sigma_r(m) <= 2 m^3 for r <= 3
+    ell = 9
     assert max(want) <= sieve._bound(ell, n)
     primes = sieve._moduli(ell, n)
     p = np.array(primes, dtype=np.int64)[:, None]

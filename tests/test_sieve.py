@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abundancy import _kernels, sieve
-from abundancy.bvalues import b_via_recursion
+from abundancy.bvalues import b_via_multiplicativity, b_via_recursion
 from abundancy.errors import (
     BudgetError,
     ChecksumMismatch,
@@ -57,20 +57,20 @@ def test_values_are_read_only():
 
 
 def test_exact_path_promotion():
-    # (nmax * mult)^(ell-1) >= 2^63 forces the Python-int path; the
-    # resulting values genuinely exceed int64 at the top of this range
+    # _bound(ell, nmax) >= 2^63 forces the residue path to Python ints;
+    # the resulting values genuinely exceed int64 at the top of this range
     t = sieve_b(20, 10)
     assert isinstance(t.values, tuple)
     assert t[10] > 2**63
     for n in range(1, 11):
         assert t[n] == b_via_recursion(20, n)
     # the exact passes cross run boundaries of both kernel loops
-    t = sieve_b(5, 20_000)
+    t = sieve_b(6, 20_000)
     assert isinstance(t.values, tuple)
     assert t.metadata["creation"]["dtype"] == "object"
     assert all(type(v) is int for v in t.values)
     for n in (1, 2, 9_973, _kernels.RUN, _kernels.RUN + 1, 19_999, 20_000):
-        assert t[n] == b_via_recursion(5, n)
+        assert t[n] == b_via_recursion(6, n)
 
 
 def test_exact_passes_agree_with_int64_sieve(monkeypatch):
@@ -84,6 +84,34 @@ def test_exact_passes_agree_with_int64_sieve(monkeypatch):
     assert t.metadata["creation"]["dtype"] == "object"
     assert t.metadata["creation"]["primes"] >= 2
     assert t.values == tuple(ref.values.tolist())
+
+
+def test_int64_path_reaches_tables_the_bound_admits(monkeypatch):
+    # 3 (18 + 1) (2e5)^3 < 2^63, so (4, 2e5) runs in int64, and the forced
+    # residue path gives the same table
+    ref = sieve_b(4, 200_000)
+    assert ref.metadata["creation"]["dtype"] == "int64"
+    monkeypatch.setattr(sieve, "_int64_safe", lambda ell, nmax: False)
+    t = sieve_b(4, 200_000)
+    assert t.metadata["creation"]["dtype"] == "object"
+    assert t.values == tuple(ref.values.tolist())
+
+
+# highly abundant n, where B(ell, n)/n^(ell-1) is largest for its size
+HIGHLY_ABUNDANT = (1, 2, 6, 12, 60, 360, 2520, 5040, 55440, 720720, 1441440,
+                   4324320, 21621600, 367567200, 6983776800)
+
+
+@pytest.mark.parametrize("ell", range(2, 12))
+def test_bound_holds_at_highly_abundant_n(ell):
+    for n in (*HIGHLY_ABUNDANT, 2**40, 3**25):
+        assert b_via_multiplicativity(ell, n) <= sieve._bound(ell, n), n
+
+
+@pytest.mark.parametrize("ell,nmax", [(3, 55440), (4, 200_000), (5, 20_000),
+                                      (6, 3000), (20, 10), (200, 100)])
+def test_bound_covers_sieved_tables(ell, nmax):
+    assert max(sieve_b(ell, nmax).values) <= sieve._bound(ell, nmax)
 
 
 @settings(max_examples=40, deadline=None)

@@ -112,6 +112,25 @@ def test_index_terms_accept_sieved_tables(ell, nmax):
     assert cesaro_mean(sieve_b(ell, nmax), nmax) > 1.0
 
 
+@pytest.mark.parametrize("ell", range(2, 7))
+def test_index_terms_accept_sieved_tables_at_highly_abundant_n(ell):
+    for nmax in (2520, 5040):
+        assert cesaro_mean(sieve_b(ell, nmax), nmax) > 1.0
+
+
+@pytest.mark.parametrize("ell", range(3, 7))
+def test_index_terms_refuse_between_the_lemma_and_the_old_range(ell):
+    # the index 20 at n = 1000 lies above (1 + ln n) zeta(2)...zeta(ell-1)
+    # (at most 7.91 * 2.30) and below the old limit (1 + ln n)^(ell-1)
+    n = 1000
+    assert (1 + math.log(n)) * 2.3 < 20 < (1 + math.log(n)) ** (ell - 1)
+    values = list(sieve_b(ell, n).values)
+    values[n - 1] = 20 * n ** (ell - 1)
+    table = ArithTable(ell=ell, nmax=n, values=tuple(values), metadata={})
+    with pytest.raises(MalformedTable, match=f"n={n} "):
+        cesaro_mean(table, n)
+
+
 def test_exact_path_terms_round_once():
     table = sieve_b(6, 3000)
     assert table.metadata["creation"]["dtype"] == "object"
@@ -341,7 +360,7 @@ def test_local_moment_first_term_floor():
 
 
 def test_local_moment_guards():
-    for bad in ((1, 2, 1), (2, 1, 1), (2, 2, 0), (2, 4, 1), (3, 6, 2)):
+    for bad in ((1, 2, 1), (2, 1, 1), (2, 2, 0), (2, 4, 1), (3, 6, 2), (2, 2.5, 1)):
         with pytest.raises(ValueError):
             local_moment(*bad)
     with pytest.raises(ValueError):
