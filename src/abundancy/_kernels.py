@@ -1,9 +1,10 @@
 """Hot loops, in NumPy and plain Python.
 
-Integer kernels are exact, in int64: the caller either bounds the values
-or passes residues modulo primes small enough that a pass cannot overflow
-before it reduces. The compensated cumulative sums add in a fixed order, so
-every result is bit-reproducible across NumPy builds.
+Integer kernels are exact, in int64. The divisor-sum pass runs over a
+stack of rows: the caller either bounds the values (an int64 table is one
+row, with no modulus) or passes residues modulo primes small enough that a
+pass cannot overflow before it reduces. The compensated cumulative sums add
+in a fixed order, so every result is bit-reproducible across NumPy builds.
 The cumsums take float64 input and run their sequential recurrences (Kahan,
 double-double) over Python floats in fixed runs of RUN elements; the order
 of additions, and so every bit, is that of a plain per-element loop over
@@ -29,20 +30,18 @@ RUN = 1 << 14
 
 # ---------------------------------------------------------------------------
 # Dirichlet convolution pass: out[m] = sum_{d|m} (m/d)^r t[d], 1-based values
-# stored at index n-1, in int64. Either t is one table, w is the exponent r
-# and the caller guarantees no overflow; or t is a (k, n) stack of residues,
-# row i modulo p[i] (p a (k, 1) column), and w is the (k, n) stack of
-# weights q^r mod p[i] for q = 1..n, since q**r itself overflows. On a stack
-# each product of a residue and a weight is below p^2; slot m receives one
+# stored at index n-1, in int64. t is a (k, n) stack of tables and w the
+# (k, n) stack of their weights q^r for q = 1..n. Without p, the caller
+# guarantees that no weight, product or sum overflows; an int64 table is a
+# one-row stack. With p, a (k, 1) column of primes, row i holds residues mod
+# p[i] and w the weights q^r mod p[i], since q**r itself overflows. Each
+# product of a residue and a weight is then below p^2; slot m receives one
 # product per divisor of m, at most 2 sqrt(n) of them, and is reduced mod p
 # once, at the end of the pass. So the caller must choose primes with
 # p^2 (2 isqrt(n) + 2) < 2^63. Each slice update covers at most RUN elements.
 
-def conv_pass(t: np.ndarray, w, p: np.ndarray | None = None) -> np.ndarray:
+def conv_pass(t: np.ndarray, w: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
     out = np.zeros_like(t)
-    if p is None:
-        _divisor_sums(out, t, w)
-        return out
     # Blocks of rows spanning at most RUN slots in all, or one row: each
     # strided update then touches the pages of few rows (on a 2-core VM, one
     # row at a time ran 1.5-1.9x faster than the whole stack at n = 10^6,
@@ -51,15 +50,14 @@ def conv_pass(t: np.ndarray, w, p: np.ndarray | None = None) -> np.ndarray:
     for i in range(0, t.shape[0], rows):
         block = slice(i, i + rows)
         _divisor_sums(out[block], t[block], w[block])
-    out %= p
+    if p is not None:
+        out %= p
     return out
 
 
-def _divisor_sums(out: np.ndarray, t: np.ndarray, w) -> None:
-    # Indexed along slots through transposed views: on one table these are
-    # the arrays themselves, on a stack a slot holds a column of residues.
-    stack = t.ndim == 2
-    out, t = out.T, t.T
+def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
+    # Indexed along slots through transposed views: a slot is a column.
+    out, t, w = out.T, t.T, w.T
     n = t.shape[0]
     lim = math.isqrt(n)
     # d-major for small d, q-major for small q; the two ranges partition
@@ -68,17 +66,12 @@ def _divisor_sums(out: np.ndarray, t: np.ndarray, w) -> None:
         q_end = n // d + 1
         for q_lo in range(1, q_end, RUN):
             q_hi = min(q_lo + RUN, q_end)
-            if stack:
-                wq = w.T[q_lo - 1 : q_hi - 1]
-            else:
-                wq = np.arange(q_lo, q_hi, dtype=np.int64) ** w
-            out[d * q_lo - 1 : d * q_hi - 1 : d] += wq * t[d - 1]
+            out[d * q_lo - 1 : d * q_hi - 1 : d] += w[q_lo - 1 : q_hi - 1] * t[d - 1]
     for q in range(1, lim + 1):
-        wq = w.T[q - 1] if stack else q**w
         d_end = n // q + 1
         for d_lo in range(lim + 1, d_end, RUN):
             d_hi = min(d_lo + RUN, d_end)
-            out[q * d_lo - 1 : q * d_hi - 1 : q] += wq * t[d_lo - 1 : d_hi - 1]
+            out[q * d_lo - 1 : q * d_hi - 1 : q] += w[q - 1] * t[d_lo - 1 : d_hi - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ in the B values (see bell_transform).
 
 For each cycle type, the centralizer of its block rotation s is taken
 from the list of all permutations by the definition, z(s(i)) = s(z(i)).
-Every p of that type is w s w^-1 for the cycle word w of p, so its
-centralizer is {w z w^-1}, carried over in one gather. Tuples are then
-grown one member at a time inside the common centralizer of the prefix,
-and every tuple returned is checked against the definition. The cost
-follows the number of tuples, not n!^ell. enumerate_A refuses
+The class of s is found by conjugating it by every permutation w at once;
+a p = w s w^-1 has the centralizer {w z w^-1}, carried over in one gather.
+Tuples are then grown one member at a time inside the common centralizer
+of the prefix, and every tuple returned is checked against the definition.
+The cost follows the number of tuples, not n!^ell. enumerate_A refuses
 ell > max_work and n!^ell > max_work up front, and an output of more than
-max_work entries (tuples x ell x n) before building the level that
-shows it.
+max_work entries (tuples x ell x n) before building the level that shows it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -120,71 +119,52 @@ class ATable:
         return sum(self.counts)
 
 
-def _cycle_words(P: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Each row's points listed cycle by cycle, and its cycle lengths.
-
-    Cycles come shortest first, ties in order of their smallest point, and
-    each is listed from that point on: i, p(i), p(p(i)), ... The lengths
-    are given in the same order.
-    """
-    n = P.shape[1]
-    words = np.empty_like(P)
-    types = []
-    for a, p in enumerate(P.tolist()):
-        seen = [False] * n
-        cycles = []
-        for start in range(n):
-            cycle = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cycle.append(i)
-                i = p[i]
-            if cycle:
-                cycles.append(cycle)
-        cycles.sort(key=len)
-        words[a] = [i for cycle in cycles for i in cycle]
-        types.append(tuple(map(len, cycles)))
-    return words, types
+def _cycle_types(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at least `least`, parts ascending."""
+    if n == 0:
+        yield ()
+    for L in range(least, n + 1):
+        yield from ((L,) + rest for rest in _cycle_types(n - L, L))
 
 
 def _centralizers(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centralizer of every row of P, as sorted ranks (row indices of P).
 
     P holds all permutations of n points in lexicographic order. Returns
-    (off, flat) with C(P[j]) = flat[off[j]:off[j+1]]. For each cycle type,
-    C(s) of its block rotation s is read off P by the definition,
-    z(s(j)) = s(z(j)) on every row. A row p with cycle word w (see
-    _cycle_words) is w s w^-1, so C(p) = {w z w^-1 : z in C(s)}, carried
-    to every p of that type in one gather and ranked by lookup in P.
+    (off, flat) with C(P[j]) = flat[off[j]:off[j+1]]. Each cycle type has a
+    block rotation s, with its cycles shortest first. Its class is
+    {w s w^-1 : w in P}, found by conjugating s by every row at once and
+    ranking the results by lookup in P. C(s) is read off P by the
+    definition, z(s(j)) = s(z(j)) on every row. A row p = w s w^-1 has
+    C(p) = {w z w^-1 : z in C(s)}, the same set for every such w, carried
+    to every p of the class in one gather and ranked the same way.
     """
-    n = P.shape[1]
-    words, types = _cycle_words(P)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for j, t in enumerate(types):
-        classes.setdefault(t, []).append(j)
-    zs = {}
-    for t in classes:
-        # the block at b of length L steps b + k to b + (k + 1) % L
-        starts = np.cumsum((0,) + t[:-1])
-        s = np.concatenate([b + (np.arange(L) + 1) % L for b, L in zip(starts, t)])
-        zs[t] = P[(P[:, s] == s[P]).all(axis=1)]
+    N, n = P.shape
     # A row's base-n code orders rows as P does, so P's codes ascend. The
     # codes are below n^n, which fits int64 for n <= 15; no P with 15! rows
     # fits in memory.
     digits = n ** np.arange(n - 1, -1, -1)
     codes = P @ digits
-    off = np.concatenate([[0], np.cumsum([len(zs[t]) for t in types])])
+    inv = np.argsort(P, axis=1)  # row w^-1 of each row w
+    kind = np.empty(N, dtype=np.int64)  # the class of each row
+    w_of = np.empty(N, dtype=np.int64)  # a conjugator of s to each row
+    zs = []
+    for c, t in enumerate(_cycle_types(n)):
+        # the block at b of length L steps b + k to b + (k + 1) % L
+        starts = np.cumsum((0,) + t[:-1])
+        s = np.concatenate([b + (np.arange(L) + 1) % L for b, L in zip(starts, t)])
+        # w s w^-1 for every row w: it maps w[j] to w[s[j]]
+        ranks = np.searchsorted(codes, np.take_along_axis(P, s[inv], axis=1) @ digits)
+        kind[ranks] = c
+        w_of[ranks] = np.arange(N)
+        zs.append(P[(P[:, s] == s[P]).all(axis=1)])
+    off = np.concatenate([[0], np.cumsum(np.array([len(Z) for Z in zs])[kind])])
     flat = np.empty(off[-1], dtype=np.int64)
-    for t, members in classes.items():
-        Z = zs[t]
-        W = words[members]
-        # q = w z w^-1, that is q[w[j]] = w[z[j]]
-        Q = np.take_along_axis(
-            W[:, None, :],
-            np.take_along_axis(Z[None], np.argsort(W, axis=1)[:, None, :], axis=2),
-            axis=2,
-        )
+    for c, Z in enumerate(zs):
+        members = np.flatnonzero(kind == c)
+        w = w_of[members]
+        # Q[a, b] = w z w^-1 for the a-th member's w and the b-th z in C(s)
+        Q = np.take_along_axis(P[w][:, None], Z[:, inv[w]].transpose(1, 0, 2), axis=2)
         ranks = np.searchsorted(codes, Q @ digits)
         ranks.sort(axis=1)
         flat[off[members][:, None] + np.arange(len(Z))] = ranks

@@ -3,12 +3,13 @@
 Pass r turns t_r into t_{r+1}(m) = sum_{d|m} (m/d)^r t_r(d); starting from
 the all-ones table, l-1 passes give B(l, .). Work is O(l N log N).
 
-Values are exact. The passes run over int64 when the a-priori bound
-3 (bit_length(N) + 1) N^{l-1} < 2^63 guarantees every intermediate fits,
-since B(l, n) <= (1 + ln n) zeta(2) ... zeta(l-1) n^{l-1} (_bound proves
-it). Otherwise the same passes run in int64 over a (k, N) stack of
-residues, one row per prime p_i, and each value is rebuilt from its k
-residues by Garner's mixed-radix CRT into a Python int. Each prime
+Values are exact. Each pass is one _kernels.conv_pass over an int64 stack
+with weights q^r. When the a-priori bound 3 (bit_length(N) + 1) N^{l-1}
+< 2^63 guarantees every intermediate fits, since B(l, n) <= (1 + ln n)
+zeta(2) ... zeta(l-1) n^{l-1} (_bound proves it), the stack is one row of
+values and has no modulus. Otherwise it has one row of residues per prime
+p_i, weights mod p_i too, and each value is rebuilt from its k residues
+by Garner's mixed-radix CRT into a Python int. Each prime
 satisfies p^2 (2 isqrt(N) + 2) < 2^63, since a pass adds at most 2 sqrt(N)
 products below p^2 into a slot before it reduces mod p (24 bits at
 N = 5e7, 26 at 2e5). The primes' product exceeds the bound 2^8-fold, and
@@ -218,23 +219,21 @@ def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTa
             "raise max_nmax explicitly to proceed"
         )
     creation = {"algorithm": "divisor-sum passes"}
-    if _int64_safe(ell, nmax):
-        t = np.ones(nmax, dtype=np.int64)
-        for r in range(1, ell):
-            t = _kernels.conv_pass(t, r)
-        values = t
+    # one row of values, or one row of residues per prime
+    primes = None if _int64_safe(ell, nmax) else _moduli(ell, nmax)
+    p = None if primes is None else np.array(primes, dtype=np.int64)[:, None]
+    t = np.ones((1 if p is None else len(p), nmax), dtype=np.int64)
+    w = np.ones_like(t)
+    for r in range(1, ell):
+        w *= np.arange(1, nmax + 1, dtype=np.int64)  # q^r from q^(r-1)
+        if p is not None:
+            w %= p
+        t = _kernels.conv_pass(t, w, p)
+    del w  # not needed while the values are built
+    if primes is None:
+        values = t[0]
         creation["dtype"] = "int64"
     else:
-        primes = _moduli(ell, nmax)
-        p = np.array(primes, dtype=np.int64)[:, None]
-        q = np.arange(1, nmax + 1, dtype=np.int64)
-        t = np.ones((len(primes), nmax), dtype=np.int64)
-        w = np.ones_like(t)
-        for r in range(1, ell):
-            np.multiply(w, q, out=w)  # q^r mod p from q^(r-1)
-            w %= p
-            t = _kernels.conv_pass(t, w, p)
-        del w  # not needed while the values are built
         values = _crt(t, primes, _bound(ell, nmax))
         creation.update(dtype="object", primes=len(primes))
     meta = {

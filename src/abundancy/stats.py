@@ -142,7 +142,8 @@ def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
             f"value at n={first} cannot be B({ell}, {first}): {table[first]}"
         )
     if m != 1:
-        terms = terms**m
+        with np.errstate(over="ignore"):  # callers refuse an infinite power
+            terms = terms**m
     return terms
 
 
@@ -153,11 +154,22 @@ def cesaro_mean(table, N: int) -> float:
 
 
 def empirical_moment(table, m: int, N: int) -> float:
-    """(1/N) sum_{n<=N} (B(ell,n)/n^{ell-1})^m, the sum correctly rounded."""
+    """(1/N) sum_{n<=N} (B(ell,n)/n^{ell-1})^m, the sum correctly rounded;
+    a sum past the float range raises ValueError naming ell and m."""
     if m < 1:
         raise ValueError("m must be >= 1")
     terms = _index_terms(table, N, m)
-    return math.fsum(terms.tolist()) / N
+    try:
+        total = math.fsum(terms.tolist())  # inf if a term is
+    except OverflowError:  # finite terms, an infinite sum
+        total = math.inf
+    _refuse_past_float_range(total, table.ell, m)
+    return total / N
+
+
+def _refuse_past_float_range(x: float, ell: int, m: int) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"the moment exceeds the float range for ell={ell}, m={m}")
 
 
 # The published digits come from NumPy's buffered reduction: np.mean fed the
@@ -338,7 +350,8 @@ def theoretical_moment(
     truncation error is kept below eps / #primes each, eps in total.
 
     m = 1 self-test: the product telescopes to zeta(2)...zeta(ell); a
-    disagreement beyond tail_bound + eps triggers a warning.
+    disagreement beyond tail_bound + eps triggers a warning. ValueError
+    names ell and m when value + tail_bound exceeds the float range.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -350,16 +363,21 @@ def theoretical_moment(
         raise ValueError(f"eps must be positive, got {eps}")
     ps = primes_up_to(prime_cutoff)
     eps_local = eps / len(ps)
-    factors = _kernels.local_moments(
-        np.array(ps, dtype=np.float64), ell, m, eps_local
-    )
-    value = float(np.prod(factors))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        factors = _kernels.local_moments(
+            np.array(ps, dtype=np.float64), ell, m, eps_local
+        )
+        value = float(np.prod(factors))
     P = float(prime_cutoff)
     cap = 1.0
     for i in range(1, ell):
         cap /= 1.0 - P ** (-i)
-    S = m * cap**m / (P - 1.0)
-    tail_bound = value * (math.exp(S) - 1.0)
+    try:
+        S = m * cap**m / (P - 1.0)
+        tail_bound = value * (math.exp(S) - 1.0)
+    except OverflowError:
+        tail_bound = math.inf
+    _refuse_past_float_range(value + tail_bound, ell, m)
     if m == 1:
         ref = math.prod(zeta(i) for i in range(2, ell + 1))
         if abs(value - ref) > tail_bound + eps:

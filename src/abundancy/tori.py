@@ -39,6 +39,7 @@ from .errors import BudgetError
 from .permtuples import DEFAULT_MAX_WORK, PermTuple, transitive_tuples
 
 VALIDATE_MAX_N = 2048
+BUILD_MAX_N = 2**18
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,12 @@ def build_torus(spec: TorusSpec) -> TorusRealization:
     carried through phi_t - 1 steps of each pi_t with t < r, in order.
     Those pi_t move only the lower block u % m, so every wrapped vertex
     gets the same carry: it is found once, on the m vertices of one lower
-    block, and written into the wrap slab of each upper block.
+    block, and written into the wrap slab of each upper block. More than
+    BUILD_MAX_N vertices raise BudgetError before anything is built.
     """
     n = spec.n
+    if n > BUILD_MAX_N:
+        raise BudgetError(f"build_torus refuses n={n} > {BUILD_MAX_N} vertices")
     u = np.arange(n, dtype=np.int64)
     out = np.empty((spec.ell, n), dtype=np.int64)
     m = 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,23 @@ def test_tori_cli(tmp_path):
     assert run(["tori", "--dims", "4,x"]) == 2
     assert run(["tori", "--dims", "4,6", "--twists", "9"]) == 2
     assert run(["tori", "--dims", "5", "--check"]) == 0
+
+
+def test_moments_past_the_float_range_is_a_usage_error(capsys):
+    assert run(["moments", "--ell", "2", "--m", "400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "ell=2, m=400" in err
+
+
+def test_tori_past_the_vertex_bound_refuses_fast(tmp_path):
+    # one vertex past 2^18 is refused before anything is built; building
+    # 513 x 512 would take seconds
+    dot = tmp_path / "t.dot"
+    start = time.perf_counter()
+    assert run(["tori", "--dims", "513,512", "--twists", "1", "--dot", str(dot)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_errors():

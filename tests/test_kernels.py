@@ -9,19 +9,24 @@ from hypothesis import strategies as st
 from abundancy import _kernels, sieve
 
 
+def _weights(n, r):
+    # the one-row weight stack q^r, q = 1..n, of an int64 table
+    return np.arange(1, n + 1, dtype=np.int64)[None] ** r
+
+
 def test_conv_pass_is_sigma():
     # one pass with r=1 over all-ones gives sigma(n)
-    t = np.ones(30, dtype=np.int64)
-    out = _kernels.conv_pass(t, 1)
+    t = np.ones((1, 30), dtype=np.int64)
+    out = _kernels.conv_pass(t, _weights(30, 1))
     sigma = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 31)]
-    assert out.tolist() == sigma
+    assert out.tolist() == [sigma]
 
 
 def test_conv_pass_r0_is_divisor_count():
-    t = np.ones(24, dtype=np.int64)
-    out = _kernels.conv_pass(t, 0)
+    t = np.ones((1, 24), dtype=np.int64)
+    out = _kernels.conv_pass(t, _weights(24, 0))
     tau = [sum(1 for d in range(1, n + 1) if n % d == 0) for n in range(1, 25)]
-    assert out.tolist() == tau
+    assert out.tolist() == [tau]
 
 
 def test_kahan_cumsum_matches_fsum():
@@ -141,11 +146,14 @@ def _divisor_sum(t: list[int], r: int) -> list[int]:
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_conv_pass_matches_divisor_sum(r):
+    # a one-row stack with no modulus; the longer table crosses run
+    # boundaries in both loops
     rng = np.random.default_rng(100 + r)
-    t = rng.integers(-1000, 1000, size=300, dtype=np.int64)
-    out = _kernels.conv_pass(t, r)
-    assert out.dtype == np.int64
-    assert out.tolist() == _divisor_sum(t.tolist(), r)
+    for n in (300, 2 * _kernels.RUN + 5):
+        t = rng.integers(-1000, 1000, size=(1, n), dtype=np.int64)
+        out = _kernels.conv_pass(t, _weights(n, r))
+        assert out.dtype == np.int64 and out.shape == t.shape
+        assert out[0].tolist() == _divisor_sum(t[0].tolist(), r)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])

@@ -418,6 +418,33 @@ def test_theoretical_moment_guards():
             theoretical_moment(2, 1, eps=eps)
 
 
+def test_moments_past_the_float_range_refuse():
+    # the product of the local factors, and the tail bound's cap**m
+    for kwargs in ({"ell": 2, "m": 400}, {"ell": 2, "m": 2000, "prime_cutoff": 2}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy overflow warning either
+            with pytest.raises(ValueError, match=f"ell=2, m={kwargs['m']}"):
+                theoretical_moment(**kwargs)
+    # an infinite power of an index
+    with pytest.raises(ValueError, match="ell=2, m=700"):
+        empirical_moment(sieve_b(2, 1000), 700, 1000)
+    # finite powers, 501 of them near 4e307, whose sum overflows
+    values = np.arange(1, 1001, dtype=np.int64)
+    values[499:] *= 7
+    table = ArithTable(ell=2, nmax=1000, values=values, metadata={})
+    with pytest.raises(ValueError, match="ell=2, m=364"):
+        empirical_moment(table, 364, 1000)
+
+
+def test_moments_near_the_float_range_keep_their_bits():
+    r = theoretical_moment(2, 200)
+    assert r.theoretical.hex() == "0x1.a16b09423a625p+491"
+    assert r.tail_bound.hex() == "0x1.135f3730e073bp+486"
+    t = sieve_b(2, 1000)
+    assert empirical_moment(t, 576, 1000).hex() == "0x1.e9d91c669aa39p+1013"
+    assert empirical_moment(t, 300, 1000).hex() == "0x1.3f6fcba1cb067p+523"
+
+
 def test_empirical_second_moment_near_theoretical(table2):
     emp = empirical_moment(table2, 2, 1_000_000)
     theo = theoretical_moment(2, 2).theoretical

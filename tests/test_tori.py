@@ -10,6 +10,7 @@ from abundancy.bvalues import b_via_recursion
 from abundancy.errors import BudgetError
 from abundancy.permtuples import PermTuple
 from abundancy.tori import (
+    BUILD_MAX_N,
     TorusSpec,
     all_specs,
     build_torus,
@@ -361,3 +362,13 @@ def test_relabel_closure_is_conjugation_invariant():
         conj = real.perms.conjugate(sigma)
         assert conj.commutes()
         assert conj.is_transitive()
+
+
+def test_build_torus_refuses_past_the_vertex_bound():
+    assert BUILD_MAX_N == 2**18
+    real = build_torus(TorusSpec(dims=(BUILD_MAX_N,), twists=()))
+    assert real.perms.perms[0][-1] == 1
+    for dims in ((BUILD_MAX_N + 1,), (513, 512), (2, 2**9, 2**8 + 1)):
+        twists = tuple((1,) * r for r in range(1, len(dims)))
+        with pytest.raises(BudgetError, match=f"n={math.prod(dims)} > {BUILD_MAX_N}"):
+            build_torus(TorusSpec(dims=dims, twists=twists))
