@@ -11,7 +11,8 @@ decimal strings; measured floats are written as JSON numbers. Every output
 file is written to a temp file and renamed over its target. Heavy
 imports happen inside the subcommand handlers so that --help stays fast
 and never loads NumPy; that is why the --max-nmax and --max-work defaults
-are literals equal to sieve.DEFAULT_MAX_NMAX and permtuples.DEFAULT_MAX_WORK.
+are literals equal to sieve.DEFAULT_MAX_NMAX and permtuples.DEFAULT_MAX_WORK
+(which genfunc.exp_series shares).
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genfunc", help="exact coefficient triangle A(ell,n,k)")
     p.add_argument("--ell", type=int, default=DEFAULT_ELL)
     p.add_argument("--nmax", type=int, default=20)
+    p.add_argument("--max-work", type=int, default=26_000_000)
     p.add_argument("--out", default=None, help="triangle JSON path")
 
     p = sub.add_parser("cauchy", help="contour-quadrature coefficient check")
@@ -161,7 +163,7 @@ def _cmd_bruteforce(args) -> int:
 def _cmd_genfunc(args) -> int:
     from .genfunc import exp_series
 
-    poly = exp_series(args.ell, args.nmax)
+    poly = exp_series(args.ell, args.nmax, max_work=args.max_work)
     if args.out:
         refuse_long_ints(((n, max(row)) for n, row in enumerate(poly.rows)),
                          f"A({args.ell}, n, k)")

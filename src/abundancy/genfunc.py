@@ -23,7 +23,8 @@ from math import exp, factorial, gcd, pi, sqrt
 from operator import mul
 from sys import float_info
 
-from .permtuples import ATable
+from .errors import BudgetError
+from .permtuples import DEFAULT_MAX_WORK, ATable
 from .sieve import sieve_b
 
 
@@ -74,10 +75,20 @@ def series_L(ell: int, N: int) -> list[Fraction]:
     return [Fraction(0)] + [Fraction(b[n], n) for n in range(1, N + 1)]
 
 
-def exp_series(ell: int, N: int) -> SeriesPoly:
-    """The full coefficient triangle A(ell, n, k) for n <= N."""
+def exp_series(ell: int, N: int, *, max_work: int = DEFAULT_MAX_WORK) -> SeriesPoly:
+    """The full coefficient triangle A(ell, n, k) for n <= N.
+
+    Row n takes n(n+1)/2 inner-loop terms, the triangle N(N+1)(N+2)/6; past
+    max_work terms it raises BudgetError before any row is built.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    work = N * (N + 1) * (N + 2) // 6
+    if work > max_work:
+        raise BudgetError(
+            f"exp_series at ell={ell}, N={N} takes {work} inner-loop terms, "
+            f"more than max_work = {max_work}"
+        )
     b = sieve_b(ell, N)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, N + 1):

@@ -24,9 +24,10 @@ max_work entries (tuples x ell x n) before building the level that shows it.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -282,28 +283,39 @@ def bell_transform(ell: int, n: int, b_row: Sequence[int]) -> ATable:
                        (v_1, ..., v_k) of n  of  prod_r A(ell, v_r, 1) / v_r!
 
     and A(ell, v, 1)/v! = B(ell, v)/v, so the composition weight is
-    B(v)/v. Evaluated by a parts-count DP in exact rationals; every count
-    is asserted to come out integral.
+    B(v)/v. Evaluated in integers: s! times the sum over compositions of s
+    into k parts is D_k(s), with D_0 = (1, 0, ..., 0) and
+
+        D_k(s) = sum_{v=1}^{s-k+1} C(s, v) (v-1)! B(v) D_{k-1}(s-v),
+
+    so A(ell, n, k) = D_k(n) / k!, asserted to divide exactly. The first n
+    values of b_row must be integers (NumPy integers included, bool not).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(b_row) < n:
         raise ValueError(f"need B(ell, v) for v = 1..{n}, got {len(b_row)} values")
-    w = [Fraction(int(b_row[v - 1]), v) for v in range(1, n + 1)]
-    c = [Fraction(0)] * (n + 1)
-    c[0] = Fraction(1)
-    nfact = factorial(n)
+    fb = []  # (v-1)! B(v)
+    for v in range(1, n + 1):
+        value = b_row[v - 1]
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            fb.append(factorial(v - 1) * operator.index(value))
+        except TypeError:
+            raise ValueError(f"B(ell, {v}) must be an integer, got {value!r}") from None
+    weights = [[comb(s, v) * fb[v - 1] for v in range(1, s + 1)] for s in range(n + 1)]
+    D = [1] + [0] * n
+    kfact = 1
     counts = []
     for k in range(1, n + 1):
-        new = [Fraction(0)] * (n + 1)
-        for s in range(k, n + 1):
-            acc = Fraction(0)
-            for v in range(1, s - k + 2):
-                acc += w[v - 1] * c[s - v]
-            new[s] = acc
-        c = new
-        val = Fraction(nfact, factorial(k)) * c[n]
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integral count at k={k}: {val}")
-        counts.append(int(val))
+        kfact *= k
+        D = [0] * k + [
+            sum(map(operator.mul, weights[s][: s - k + 1], reversed(D[k - 1 : s])))
+            for s in range(k, n + 1)
+        ]
+        count, rest = divmod(D[n], kfact)
+        if rest:
+            raise ArithmeticError(f"non-integral count at k={k}: {Fraction(D[n], kfact)}")
+        counts.append(count)
     return ATable(ell=ell, n=n, counts=tuple(counts))

@@ -1,31 +1,48 @@
 """q-Pochhammer products and the q-power-rule identity check.
 
-All arithmetic is exact rational. The identity under test:
+Every value is exact. The identity under test:
 
     z(1-q) * sum_{k>=0} q^k (q^{k+1} z; q)_{l-1}  ==  (1-q)(1-(z;q)_l)/(1-q^l)
 
 The left side is an infinite series; verify_power_rule truncates it with an
-explicit geometric tail bound and reports both sides.
+explicit geometric tail bound and reports both sides. With z = a/b and
+q = c/d in lowest terms, both routes carry integer numerators over known
+powers of b and d through their loops, and build one Fraction for each
+value returned.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BudgetError
+
+# verify_power_rule refuses a series that needs more terms than this
+MAX_POWER_TERMS = 5_000
+
 
 def qpoch(z: Fraction | int, q: Fraction | int, r: int) -> Fraction:
-    """(z; q)_r = prod_{i=0}^{r-1} (1 - q^i z). r = 0 gives 1."""
+    """(z; q)_r = prod_{i=0}^{r-1} (1 - q^i z). r = 0 gives 1.
+
+    With z = a/b and q = c/d this is prod_{i<r} (b d^i - c^i a) over
+    b^r d^(r(r-1)/2).
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
     z = Fraction(z)
     q = Fraction(q)
-    out = Fraction(1)
-    qi = Fraction(1)
+    a, b = z.numerator, z.denominator
+    c, d = q.numerator, q.denominator
+    num = 1
+    ci = di = 1  # c^i, d^i
     for _ in range(r):
-        out *= 1 - qi * z
-        qi *= q
-    return out
+        num *= b * di - ci * a
+        ci *= c
+        di *= d
+    return Fraction(num, b**r * d ** (r * (r - 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -35,6 +52,22 @@ class PowerRuleReport:
     tail_bound: Fraction
     terms: int
     bound_ok: bool
+
+
+def _runs_past(x_num: int, x_den: int, c: int, d: int, n: int) -> bool:
+    """Whether x_num c^n > x_den d^n, for x_num, c >= 0, x_den, d >= 1, n >= 1.
+
+    The powers hold about n times the bits of d, so the logarithms decide
+    first; the powers are formed only when the two sides are within the
+    logarithms' rounding error of each other.
+    """
+    if not x_num or not c:
+        return False
+    logs = (math.log(x_num), math.log(x_den), n * math.log(c), n * math.log(d))
+    gap = logs[0] - logs[1] + logs[2] - logs[3]
+    if abs(gap) > 2**-40 * (1 + sum(logs)):
+        return gap > 0
+    return x_num * c**n > x_den * d**n
 
 
 def verify_power_rule(
@@ -50,6 +83,13 @@ def verify_power_rule(
     every discarded term is bounded by that geometric envelope, so
     [lhs - tail_bound, lhs + tail_bound] encloses the true series value.
     bound_ok reports |lhs_truncated - rhs_exact| <= tail_eps.
+
+    K is settled before any term is summed: a series with K past
+    MAX_POWER_TERMS raises BudgetError, and every other one is summed.
+    With z = a/b and q = c/d, term k is
+    N_k / (b^(ell-1) d^(ell k + ell(ell-1)/2)), where
+    N_k = c^k prod_{i<ell-1} (b d^(k+1+i) - c^(k+1+i) a), so the terms are
+    summed by Horner's rule in d^ell.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -63,21 +103,43 @@ def verify_power_rule(
 
     rhs = (1 - q) * (1 - qpoch(z, q, ell)) / (1 - q**ell)
 
-    scale = abs(z * (1 - q)) * (1 + abs(z)) ** (ell - 1) / (1 - abs(q))
-    lhs = Fraction(0)
-    qk = Fraction(1)  # q^k
+    a, b = z.numerator, z.denominator
+    c, d = q.numerator, q.denominator
+    # the tail bound's scale is s_num / s_den; the loop runs on while
+    # scale |q|^k > eps, that is while x_num |c|^k > x_den d^k
+    s_num = abs(a) * (d - c) * (b + abs(a)) ** (ell - 1)
+    s_den = b**ell * (d - abs(c))
+    x_num = s_num * eps.denominator
+    x_den = s_den * eps.numerator
+    if _runs_past(x_num, x_den, abs(c), d, MAX_POWER_TERMS):
+        rate = math.log(d) - math.log(abs(c))  # ln(1/|q|) > 0, up to rounding
+        est = (math.log(x_num) - math.log(x_den)) / rate if rate > 0 else math.inf
+        raise BudgetError(
+            f"the power-rule series at ell={ell}, q={q} needs about {est:,.0f} "
+            f"terms, more than MAX_POWER_TERMS = {MAX_POWER_TERMS}"
+        )
+
+    # the ell - 1 factors b d^j - c^j a of term k, j = k+1 .. k+ell-1
+    window = deque(b * d**j - c**j * a for j in range(1, ell))
+    top_b, top_a = b * d ** (ell - 1), a * c ** (ell - 1)
+    d_ell = d**ell
+    acc = 0
+    ck = dk = 1  # c^k, d^k
     k = 0
-    # tail after summing terms 0..k-1 is bounded by scale * |q|^k
-    while scale * abs(qk) > eps:
-        lhs += qk * qpoch(qk * q * z, q, ell - 1)
-        qk *= q
+    while x_num * abs(ck) > x_den * dk:
+        acc = acc * d_ell + ck * math.prod(window)
+        ck *= c
+        dk *= d
         k += 1
-    lhs *= z * (1 - q)
-    tail_bound = scale * abs(qk)
+        window.popleft()
+        window.append(top_b * dk - top_a * ck)
+    # z(1-q) = a(d-c)/(b d); over the Horner denominator this leaves
+    # b^ell d^(ell(k-1) + ell(ell-1)/2 + 1), whose exponent of d is >= 0 at k = 0
+    lhs = Fraction(a * (d - c) * acc, b**ell * d ** (ell * k + (ell - 1) * (ell - 2) // 2))
     return PowerRuleReport(
         lhs_truncated=lhs,
         rhs_exact=rhs,
-        tail_bound=tail_bound,
+        tail_bound=Fraction(s_num * abs(ck), s_den * dk),
         terms=k,
         bound_ok=abs(lhs - rhs) <= eps,
     )

@@ -30,6 +30,7 @@ def test_budget_defaults_match_the_library():
     parse = build_parser().parse_args
     assert parse(["sieve", "--out", "x.csv"]).max_nmax == sieve.DEFAULT_MAX_NMAX
     assert parse(["bruteforce", "--n", "1"]).max_work == permtuples.DEFAULT_MAX_WORK
+    assert parse(["genfunc"]).max_work == permtuples.DEFAULT_MAX_WORK
 
 
 def test_help_does_not_import_numpy():
@@ -201,6 +202,22 @@ def test_qcheck_exit_codes():
                 "--eps", "1e-12"]) == 0
     assert run(["qcheck", "--q", "3/2", "--z", "1"]) == 2  # |q| >= 1
     assert run(["qcheck", "--q", "abc", "--z", "1"]) == 2  # parse failure
+
+
+def test_series_budgets_exit_3_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["qcheck", "--ell", "6", "--z", "3/2", "--q", "999/1000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("budget refused: ") and "ell=6, q=999/1000" in err
+    out = tmp_path / "tri.json"
+    start = time.perf_counter()
+    assert run(["genfunc", "--nmax", "3000", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "N=3000" in capsys.readouterr().err
+    assert run(["genfunc", "--nmax", "10", "--max-work", "219", "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert run(["genfunc", "--nmax", "10", "--max-work", "220", "--out", str(out)]) == 0
 
 
 def test_verify_theorem_exit_codes():

@@ -3,6 +3,8 @@ from math import factorial
 
 import pytest
 
+from abundancy import genfunc
+from abundancy.errors import BudgetError
 from abundancy.genfunc import (
     SeriesPoly,
     cauchy_check,
@@ -35,6 +37,26 @@ def test_exp_series_rows_match_enumeration():
         assert poly2.a_row(n).counts == enumerate_A(2, n).counts
     for n in range(1, 5):
         assert poly3.a_row(n).counts == enumerate_A(3, n).counts
+
+
+def test_exp_series_budget_refuses_before_any_row(monkeypatch):
+    # N(N+1)(N+2)/6 inner-loop terms: 220 at N = 10
+    assert exp_series(2, 10, max_work=220).rows == exp_series(2, 10).rows
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(genfunc, "sieve_b", built)
+    with pytest.raises(BudgetError, match="ell=2, N=10 takes 220 inner-loop terms"):
+        exp_series(2, 10, max_work=219)
+    # the default admits N = 537 (25,953,389 terms) and refuses N = 538
+    with pytest.raises(BudgetError, match="N=538 takes 26098380 "):
+        exp_series(2, 538)
+    with pytest.raises(BudgetError):
+        exp_series(3, 10**9)
+    # cauchy_check's own series takes the default budget
+    with pytest.raises(BudgetError, match="N=600"):
+        cauchy_check(2, 600, 1, 0.99, 8)
 
 
 def test_coeff_normalization():

@@ -1,5 +1,6 @@
 import itertools
 import time
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -223,5 +224,61 @@ def test_bell_transform_guards():
     with pytest.raises(ValueError):
         bell_transform(2, 5, [1, 3])
     # integer rows always yield integer counts (integer-coefficient
-    # polynomials in the B values), so any row is structurally accepted
+    # polynomials in the B values), so any integer row is accepted,
+    # NumPy integers included; a value that is not an integer is refused,
+    # not truncated
     assert bell_transform(2, 3, [1, 3, 5]).counts == (10, 9, 1)
+    assert bell_transform(2, 3, np.array([1, 3, 5])).counts == (10, 9, 1)
+    assert bell_transform(2, 3, [np.int32(1), np.uint8(3), 5]).counts == (10, 9, 1)
+    # values past n are not read
+    assert bell_transform(2, 1, [1, 3.5]).counts == (1,)
+
+
+@pytest.mark.parametrize("row, v", [
+    ([1, 3.5, 5], 2),
+    ([True, 3, 5], 1),
+    ([1, 3, 5.0], 3),
+    ([1, "3", 5], 2),
+    (np.array([1.0, 3.0, 5.0]), 1),
+])
+def test_bell_transform_refuses_non_integers(row, v):
+    with pytest.raises(ValueError, match=rf"B\(ell, {v}\) must be an integer"):
+        bell_transform(2, 3, row)
+
+
+def _reference_bell_transform(ell, n, b_row):
+    # the parts-count DP over exact rationals: w = B(v)/v, c_k(s) summed
+    # over compositions of s into k parts, A = n!/k! c_k(n)
+    w = [Fraction(int(b_row[v - 1]), v) for v in range(1, n + 1)]
+    c = [Fraction(0)] * (n + 1)
+    c[0] = Fraction(1)
+    nfact = factorial(n)
+    counts = []
+    for k in range(1, n + 1):
+        new = [Fraction(0)] * (n + 1)
+        for s in range(k, n + 1):
+            acc = Fraction(0)
+            for v in range(1, s - k + 2):
+                acc += w[v - 1] * c[s - v]
+            new[s] = acc
+        c = new
+        val = Fraction(nfact, factorial(k)) * c[n]
+        if val.denominator != 1:
+            raise ArithmeticError(f"non-integral count at k={k}: {val}")
+        counts.append(int(val))
+    return ATable(ell=ell, n=n, counts=tuple(counts))
+
+
+_B_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**64, 2**80),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ell=st.integers(1, 6), n=st.integers(1, 30), data=st.data())
+def test_bell_transform_matches_the_rational_reference(ell, n, data):
+    # any integer row, negative, zero and past 2^64 included
+    b_row = data.draw(st.lists(_B_VALUES, min_size=n, max_size=n + 2))
+    assert bell_transform(ell, n, b_row) == _reference_bell_transform(ell, n, b_row)

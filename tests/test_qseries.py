@@ -1,8 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abundancy.qseries import qpoch, verify_power_rule
+from abundancy import qseries
+from abundancy.errors import BudgetError
+from abundancy.qseries import PowerRuleReport, qpoch, verify_power_rule
 
 F = Fraction
 
@@ -69,3 +74,138 @@ def test_power_rule_float_eps_accepted():
     rep = verify_power_rule(3, 1, F(1, 3), tail_eps=1e-9)
     assert rep.bound_ok
     assert rep.terms < verify_power_rule(3, 1, F(1, 3), tail_eps=1e-15).terms
+
+
+def _reference_qpoch(z, q, r):
+    # one Fraction multiply-add per factor
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    z = Fraction(z)
+    q = Fraction(q)
+    out = Fraction(1)
+    qi = Fraction(1)
+    for _ in range(r):
+        out *= 1 - qi * z
+        qi *= q
+    return out
+
+
+def _reference_power_rule(ell, z, q, tail_eps=Fraction(1, 10**12)):
+    # the series summed term by term in Fractions, with no term budget
+    if ell < 2:
+        raise ValueError(f"ell must be >= 2, got {ell}")
+    z = Fraction(z)
+    q = Fraction(q)
+    eps = Fraction(tail_eps) if not isinstance(tail_eps, float) else Fraction(str(tail_eps))
+    if eps <= 0:
+        raise ValueError("tail_eps must be positive")
+    if abs(q) >= 1:
+        raise ValueError("tail bound unachievable: need |q| < 1")
+    rhs = (1 - q) * (1 - _reference_qpoch(z, q, ell)) / (1 - q**ell)
+    scale = abs(z * (1 - q)) * (1 + abs(z)) ** (ell - 1) / (1 - abs(q))
+    lhs = Fraction(0)
+    qk = Fraction(1)
+    k = 0
+    while scale * abs(qk) > eps:
+        lhs += qk * _reference_qpoch(qk * q * z, q, ell - 1)
+        qk *= q
+        k += 1
+    lhs *= z * (1 - q)
+    tail_bound = scale * abs(qk)
+    return PowerRuleReport(
+        lhs_truncated=lhs,
+        rhs_exact=rhs,
+        tail_bound=tail_bound,
+        terms=k,
+        bound_ok=abs(lhs - rhs) <= eps,
+    )
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(z=st.one_of(_RATIONALS, st.integers(-5, 5)), q=st.one_of(_RATIONALS, st.just(0)),
+       r=st.integers(0, 12))
+def test_qpoch_matches_the_rational_reference(z, q, r):
+    assert qpoch(z, q, r) == _reference_qpoch(z, q, r)
+
+
+@st.composite
+def _power_points(draw):
+    d = draw(st.integers(1, 9))
+    q = Fraction(draw(st.integers(-(d - 1), d - 1)), d)
+    if abs(q) > Fraction(4, 5):
+        q = Fraction(0)
+    z = draw(st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9),
+                                                       st.integers(1, 9))))
+    eps = draw(st.sampled_from([Fraction(1, 10**12), Fraction(3, 7), 1e-9, 0.1,
+                                "1/1000000", "1e-15"]))
+    return draw(st.integers(2, 7)), z, q, eps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_power_points())
+def test_power_rule_matches_the_rational_reference(point):
+    # q = 0, negative q, z = 0 and every tail_eps type; the whole report
+    ell, z, q, eps = point
+    assert verify_power_rule(ell, z, q, eps) == _reference_power_rule(ell, z, q, eps)
+
+
+def test_power_rule_edge_points_match_the_reference():
+    for ell in range(2, 8):
+        for z, q in ((0, F(1, 2)), (F(1, 2), 0), (F(-7, 3), F(-2, 3)), (1, F(-1, 2)),
+                     (F(5, 2), F(7, 9))):
+            assert verify_power_rule(ell, z, q) == _reference_power_rule(ell, z, q)
+
+
+def test_power_rule_term_budget_refuses_fast():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"ell=6, q=999/1000 needs about 32,6\d\d terms"):
+        verify_power_rule(6, F(3, 2), F(999, 1000))
+    assert time.perf_counter() - start < 1.0
+    # q near 1 with a large denominator, and with a large z
+    with pytest.raises(BudgetError):
+        verify_power_rule(2, 1, 1 - F(1, 10**30))
+    with pytest.raises(BudgetError):
+        verify_power_rule(2, 10**3000, F(1, 2))
+    # a tiny |q| with a huge denominator is decided without the powers
+    start = time.perf_counter()
+    assert verify_power_rule(3, 1, F(1, 10**400)).terms == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_power_rule_term_budget_admits_its_largest_case():
+    rep = verify_power_rule(6, F(3, 2), F(99, 100))
+    assert rep.terms == 3246 <= qseries.MAX_POWER_TERMS
+    assert rep.bound_ok
+
+
+def test_power_rule_budget_boundary_is_exact(monkeypatch):
+    # scale = 2 at (2, 1, 1/2), so eps = 2^-39 stops the loop exactly at
+    # scale |q|^40 = eps: the logarithms tie and the powers decide
+    eps = F(1, 2**39)
+    assert verify_power_rule(2, 1, F(1, 2), eps).terms == 40
+    monkeypatch.setattr(qseries, "MAX_POWER_TERMS", 40)
+    assert verify_power_rule(2, 1, F(1, 2), eps) == _reference_power_rule(2, 1, F(1, 2), eps)
+    monkeypatch.setattr(qseries, "MAX_POWER_TERMS", 39)
+    with pytest.raises(BudgetError, match="about 40 terms"):
+        verify_power_rule(2, 1, F(1, 2), eps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_power_points(), st.integers(1, 60))
+def test_power_rule_budget_refuses_exactly_past_the_bound(point, limit):
+    # a series of at most `limit` terms is summed; any longer one refused
+    ell, z, q, eps = point
+    want = _reference_power_rule(ell, z, q, eps)
+    saved = qseries.MAX_POWER_TERMS
+    qseries.MAX_POWER_TERMS = limit
+    try:
+        if want.terms <= limit:
+            assert verify_power_rule(ell, z, q, eps) == want
+        else:
+            with pytest.raises(BudgetError, match=f"ell={ell}, q={q} "):
+                verify_power_rule(ell, z, q, eps)
+    finally:
+        qseries.MAX_POWER_TERMS = saved
