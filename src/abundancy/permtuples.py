@@ -15,10 +15,13 @@ from the list of all permutations by the definition, z(s(i)) = s(z(i)).
 The class of s is found by conjugating it by every permutation w at once;
 a p = w s w^-1 has the centralizer {w z w^-1}, carried over in one gather.
 Tuples are then grown one member at a time inside the common centralizer
-of the prefix, and every tuple returned is checked against the definition.
-The cost follows the number of tuples, not n!^ell. enumerate_A refuses
-ell > max_work and n!^ell > max_work up front, and an output of more than
-max_work entries (tuples x ell x n) before building the level that shows it.
+of the prefix, and every tuple is checked against the definition. The
+last member is added to one run of prefixes at a time, and enumerate_A
+and transitive_tuples count each run's orbits before the next, so memory
+follows the prefixes, not the tuples. The budget counts the work itself:
+max_work refuses ell, the n!·n entries of the permutation list, the
+candidate tests of all levels together, and an output of more than
+max_work entries (tuples x ell x n), each before it is allocated.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from ._kernels import orbit_counts
 from .errors import BudgetError, VerificationFailure
 
 DEFAULT_MAX_WORK = 26_000_000
+# output entries (tuples x ell x n) per chunk of the search's last level
+SEARCH_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -185,17 +190,56 @@ def _check_commute(tuples: np.ndarray) -> None:
             )
 
 
-def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
-    """All ordered ell-tuples of pairwise commuting permutations.
+def _refuse_output(k: int, width: int, ell: int, n: int, max_work: int) -> None:
+    # no level has fewer rows than the one before, so the tuples returned
+    # hold at least k * ell * n entries
+    if k * ell * n > max_work:
+        raise BudgetError(
+            f"{k} commuting {width}-tuples already, so the output "
+            f"exceeds max_work = {max_work} entries for ell={ell}, n={n}"
+        )
 
-    Returns an array of shape (T, ell, n), entries 0-based, in lexicographic
-    order of the members' ranks among all permutations of n points.
-    Centralizers are tested against one permutation per cycle type and
-    carried to the rest (see _centralizers), not found by testing every
-    pair, so the cost follows the output rather than n!^2. The search runs
-    level by level: every prefix keeps the sorted ranks of the
-    permutations commuting with all its members, and extending it by one
-    of them intersects that set with the new member's centralizer. Every returned tuple is checked against the definition.
+
+def _keep_commuting(
+    pairs: np.ndarray, N: int, q: np.ndarray, lo: np.ndarray, m: np.ndarray, flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row i's candidates flat[lo[i] : lo[i] + m[i]] that commute with q[i].
+
+    pairs holds every commuting pair (q, x) as q*N + x, ascending. Returns
+    the kept candidates as (off, kept), row i's at kept[off[i]:off[i+1]].
+    """
+    ends = np.cumsum(m)
+    pos = np.arange(ends[-1]) + np.repeat(lo - (ends - m), m)
+    x = flat[pos]
+    test = np.repeat(q, m) * N + x
+    hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
+    kept = np.concatenate([[0], np.cumsum(hit)])
+    return kept[np.concatenate([[0], ends])], x[hit]
+
+
+def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
+    """All ordered ell-tuples of pairwise commuting permutations, in chunks.
+
+    Each chunk is an array of shape (T, ell, n), entries 0-based; joined,
+    the chunks list the tuples in lexicographic order of the members'
+    ranks among all permutations of n points. Centralizers are tested
+    against one permutation per cycle type and carried to the rest (see
+    _centralizers), not found by testing every pair. The search runs level
+    by level: every prefix keeps the sorted ranks of the permutations
+    commuting with all its members, and extending it by one of them tests
+    that set against the new member's centralizer. The levels below the
+    last are built whole. The last level, the candidate tests of each
+    (ell-1)-tuple and the ell-tuples they give, runs over one run of
+    prefixes at a time, at most SEARCH_CHUNK entries of output each (one
+    prefix at least), so memory follows the prefixes, not the output.
+    Every chunk is checked against the definition before it is yielded.
+
+    Three counts must each stay within max_work, and each is checked
+    before what it counts is allocated: the n!·n entries of the list of
+    all permutations; the candidate tests of all levels together, known
+    from the candidate counts; and the output entries, tuples x ell x n,
+    checked at each width that the level below fixes, and at the last
+    level as a running total before each chunk.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -203,51 +247,86 @@ def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if ell > max_work:
         raise BudgetError(f"ell = {ell} exceeds max_work = {max_work}")
-    # n! >= 2 for n >= 2, so n!^ell > max_work exactly when this capped
-    # power is; the cap keeps the integer small for any ell.
-    if factorial(n) ** min(ell, max_work.bit_length()) > max_work:
-        raise BudgetError(f"n!^ell exceeds max_work = {max_work} for ell={ell}, n={n}")
+    # n!·n, formed only up to the first partial product past max_work
+    entries = n
+    for i in range(2, n + 1):
+        if entries > max_work:
+            break
+        entries *= i
+    if entries > max_work:
+        raise BudgetError(
+            f"the n! permutations of n = {n} points hold more than "
+            f"max_work = {max_work} entries"
+        )
+    if ell > 1:
+        # _centralizers lists every commuting pair, n! for each cycle type
+        # (|class| |C(s)| = n!), so their count is known before it runs
+        _refuse_output(entries // n * sum(1 for _ in _cycle_types(n)), 2, ell, n, max_work)
     P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     N = len(P)
+    if ell == 1:
+        yield P[:, None]
+        return
+    off, flat = _centralizers(P)
+    # every commuting pair (q, x) as q*N + x, ascending
+    pairs = np.repeat(np.arange(N), np.diff(off)) * N + flat
     rows = np.arange(N)[:, None]
-    if ell > 1:
-        cand_off, cand = _centralizers(P)
-        # every commuting pair (q, x) as q*N + x, ascending
-        pairs = np.repeat(np.arange(N), np.diff(cand_off)) * N + cand
-    for width in range(2, ell + 1):
-        # no level has fewer rows than the one before, so the tuples
-        # returned hold at least len(cand) * ell * n entries
-        if len(cand) * ell * n > max_work:
+    tests = 0
+    for width in range(2, ell):
+        sizes = np.diff(off)
+        # each new row tests its prefix's candidates; exact in int64, as
+        # the sum is at most N * len(flat) and both are array lengths
+        tests += int(np.dot(sizes, sizes))
+        if tests > max_work:
             raise BudgetError(
-                f"{len(cand)} commuting {width}-tuples already, so the output "
-                f"exceeds max_work = {max_work} entries for ell={ell}, n={n}"
+                f"the search needs {tests} candidate tests to reach the "
+                f"{width + 1}-tuples, more than max_work = {max_work} for ell={ell}, n={n}"
             )
-        sizes = np.diff(cand_off)
         parent = np.repeat(np.arange(len(rows)), sizes)
-        rows = np.column_stack([rows[parent], cand])
-        if width == ell:
+        rows = np.column_stack([rows[parent], flat])
+        lo, m = off[:-1][parent], sizes[parent]
+        if width == ell - 1:
             break
-        # a new row's candidates: its prefix's that commute with its new member
-        lens = sizes[parent]
-        ends = np.cumsum(lens)
-        first = cand_off[:-1][parent]
-        pos = np.arange(ends[-1]) + np.repeat(first - (ends - lens), lens)
-        x = cand[pos]
-        test = np.repeat(cand, lens) * N + x
-        hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
-        cand = x[hit]
-        kept = np.concatenate([[0], np.cumsum(hit)])
-        cand_off = kept[np.concatenate([[0], ends])]
-    tuples = P[rows]
-    _check_commute(tuples)
-    return tuples
+        off, flat = _keep_commuting(pairs, N, rows[:, -1], lo, m, flat)
+        _refuse_output(len(flat), width + 1, ell, n, max_work)
+    else:
+        # ell == 2: a 1-tuple's partners are its centralizer, all of them
+        lo, m = off[:-1], np.diff(off)
+    # the last level, one run of (ell-1)-tuples at a time; row i draws its
+    # last member from flat[lo[i] : lo[i] + m[i]]
+    step = SEARCH_CHUNK // (ell * n)
+    ends = np.cumsum(m)
+    total = 0
+    a = 0
+    while a < len(rows):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - m[a] + step, side="right")))
+        if ell == 2:
+            c_off, c_flat = off[a : b + 1] - off[a], flat[off[a] : off[b]]
+        else:
+            c_off, c_flat = _keep_commuting(pairs, N, rows[a:b, -1], lo[a:b], m[a:b], flat)
+        total += len(c_flat)
+        _refuse_output(total, ell, ell, n, max_work)
+        parent = np.repeat(np.arange(a, b), np.diff(c_off))
+        tuples = P[np.column_stack([rows[parent], c_flat])]
+        _check_commute(tuples)
+        yield tuples
+        a = b
+
+
+def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
+    """All the tuples of _commuting_chunks as one (T, ell, n) array."""
+    return np.concatenate(list(_commuting_chunks(ell, n, max_work)))
 
 
 def enumerate_A(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> ATable:
-    """A(ell, n, k) for all k by direct enumeration and orbit counting."""
-    tuples = _commuting_tuples(ell, n, max_work)
-    ks = orbit_counts(tuples)
-    hist = np.bincount(ks, minlength=n + 1)
+    """A(ell, n, k) for all k by direct enumeration and orbit counting.
+
+    The orbits are counted chunk by chunk into one histogram, so the tuples
+    are never all held at once.
+    """
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for chunk in _commuting_chunks(ell, n, max_work):
+        hist += np.bincount(orbit_counts(chunk), minlength=n + 1)
     return ATable(ell=ell, n=n, counts=tuple(int(c) for c in hist[1 : n + 1]))
 
 
@@ -266,15 +345,16 @@ def transitive_tuples(
     ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK
 ) -> set[tuple[tuple[int, ...], ...]]:
     """The transitive commuting tuples themselves, 1-based, as a set."""
-    tuples = _commuting_tuples(ell, n, max_work)
-    ks = orbit_counts(tuples)
-    trans = tuples[ks == 1] + 1
-    return {
-        tuple(tuple(int(x) for x in perm) for perm in tup) for tup in trans
-    }
+    found = set()
+    for chunk in _commuting_chunks(ell, n, max_work):
+        trans = chunk[orbit_counts(chunk) == 1] + 1
+        found.update(tuple(map(tuple, tup)) for tup in trans.tolist())
+    return found
 
 
-def bell_transform(ell: int, n: int, b_row: Sequence[int]) -> ATable:
+def bell_transform(
+    ell: int, n: int, b_row: Sequence[int], *, max_work: int = DEFAULT_MAX_WORK
+) -> ATable:
     """A(ell, n, k) for all k from the values B(ell, 1..n) alone.
 
     Splitting [n] into the k orbits of a tuple gives
@@ -290,9 +370,17 @@ def bell_transform(ell: int, n: int, b_row: Sequence[int]) -> ATable:
 
     so A(ell, n, k) = D_k(n) / k!, asserted to divide exactly. The first n
     values of b_row must be integers (NumPy integers included, bool not).
+    The recurrence takes n(n+1)(n+2)/6 multiply-adds; past max_work it
+    raises BudgetError before any of them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    work = n * (n + 1) * (n + 2) // 6
+    if work > max_work:
+        raise BudgetError(
+            f"bell_transform at ell={ell}, n={n} takes {work} multiply-adds, "
+            f"more than max_work = {max_work}"
+        )
     if len(b_row) < n:
         raise ValueError(f"need B(ell, v) for v = 1..{n}, got {len(b_row)} values")
     fb = []  # (v-1)! B(v)

@@ -20,8 +20,12 @@ from fractions import Fraction
 
 from .errors import BudgetError
 
-# verify_power_rule refuses a series that needs more terms than this
+# verify_power_rule refuses a series of K terms when K passes the first
+# cap or (ell - 1) max(K, 1) passes the second: each term multiplies the
+# ell - 1 factors of the window, and the window and the right side take
+# ell - 1 factors even at K = 0
 MAX_POWER_TERMS = 5_000
+MAX_POWER_PRODUCTS = 20_000
 
 
 def qpoch(z: Fraction | int, q: Fraction | int, r: int) -> Fraction:
@@ -70,6 +74,12 @@ def _runs_past(x_num: int, x_den: int, c: int, d: int, n: int) -> bool:
     return x_num * c**n > x_den * d**n
 
 
+def _terms_estimate(x_num: int, x_den: int, c: int, d: int) -> float:
+    """About how many terms run while x_num c^k > x_den d^k, for c >= 1."""
+    rate = math.log(d) - math.log(c)  # ln(1/|q|) > 0, up to rounding
+    return (math.log(x_num) - math.log(x_den)) / rate if rate > 0 else math.inf
+
+
 def verify_power_rule(
     ell: int,
     z: Fraction | int,
@@ -84,8 +94,9 @@ def verify_power_rule(
     [lhs - tail_bound, lhs + tail_bound] encloses the true series value.
     bound_ok reports |lhs_truncated - rhs_exact| <= tail_eps.
 
-    K is settled before any term is summed: a series with K past
-    MAX_POWER_TERMS raises BudgetError, and every other one is summed.
+    K is settled before anything is summed: a series with K past
+    MAX_POWER_TERMS, or with (ell - 1) max(K, 1) window products past
+    MAX_POWER_PRODUCTS, raises BudgetError, and every other one is summed.
     With z = a/b and q = c/d, term k is
     N_k / (b^(ell-1) d^(ell k + ell(ell-1)/2)), where
     N_k = c^k prod_{i<ell-1} (b d^(k+1+i) - c^(k+1+i) a), so the terms are
@@ -101,7 +112,11 @@ def verify_power_rule(
     if abs(q) >= 1:
         raise ValueError("tail bound unachievable: need |q| < 1")
 
-    rhs = (1 - q) * (1 - qpoch(z, q, ell)) / (1 - q**ell)
+    if ell - 1 > MAX_POWER_PRODUCTS:
+        raise BudgetError(
+            f"the power-rule series at ell={ell}, q={q} needs {ell - 1} window "
+            f"products at any K, more than MAX_POWER_PRODUCTS = {MAX_POWER_PRODUCTS}"
+        )
 
     a, b = z.numerator, z.denominator
     c, d = q.numerator, q.denominator
@@ -112,12 +127,19 @@ def verify_power_rule(
     x_num = s_num * eps.denominator
     x_den = s_den * eps.numerator
     if _runs_past(x_num, x_den, abs(c), d, MAX_POWER_TERMS):
-        rate = math.log(d) - math.log(abs(c))  # ln(1/|q|) > 0, up to rounding
-        est = (math.log(x_num) - math.log(x_den)) / rate if rate > 0 else math.inf
         raise BudgetError(
-            f"the power-rule series at ell={ell}, q={q} needs about {est:,.0f} "
-            f"terms, more than MAX_POWER_TERMS = {MAX_POWER_TERMS}"
+            f"the power-rule series at ell={ell}, q={q} needs about "
+            f"{_terms_estimate(x_num, x_den, abs(c), d):,.0f} terms, "
+            f"more than MAX_POWER_TERMS = {MAX_POWER_TERMS}"
         )
+    if _runs_past(x_num, x_den, abs(c), d, MAX_POWER_PRODUCTS // (ell - 1)):
+        raise BudgetError(
+            f"the power-rule series at ell={ell}, q={q} needs about K = "
+            f"{_terms_estimate(x_num, x_den, abs(c), d):,.0f} terms of {ell - 1} "
+            f"window products each, more than MAX_POWER_PRODUCTS = {MAX_POWER_PRODUCTS}"
+        )
+
+    rhs = (1 - q) * (1 - qpoch(z, q, ell)) / (1 - q**ell)
 
     # the ell - 1 factors b d^j - c^j a of term k, j = k+1 .. k+ell-1
     window = deque(b * d**j - c**j * a for j in range(1, ell))

@@ -115,6 +115,21 @@ def test_bruteforce_long_tuples_at_n_1(capsys):
     assert run(["bruteforce", "--ell", "5000", "--n", "7"]) == 3
 
 
+def test_bruteforce_budget_counts_the_search(capsys):
+    # the 887,040 pairs of S_8 hold 14.2 million entries, within the default
+    assert run(["bruteforce", "--ell", "2", "--n", "8"]) == 0
+    assert "total=887040 counts={1:75600," in capsys.readouterr().out
+    start = time.perf_counter()
+    assert run(["bruteforce", "--ell", "3", "--n", "7"]) == 3
+    assert "needs 28118160 candidate tests" in capsys.readouterr().err
+    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "28118159"]) == 3
+    assert run(["bruteforce", "--ell", "1", "--n", "10"]) == 3
+    assert run(["bruteforce", "--ell", "2", "--n", "9"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "28118160"]) == 0
+    assert "total=856800 counts={1:41040," in capsys.readouterr().out
+
+
 def test_genfunc_json(tmp_path):
     out = tmp_path / "tri.json"
     assert run(["genfunc", "--ell", "2", "--nmax", "4", "--out", str(out)]) == 0
@@ -210,6 +225,17 @@ def test_series_budgets_exit_3_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("budget refused: ") and "ell=6, q=999/1000" in err
+    # 339 and 1,039 terms of ell - 1 window factors each
+    start = time.perf_counter()
+    assert run(["qcheck", "--ell", "300", "--z", "1", "--q", "1/2"]) == 3
+    assert run(["qcheck", "--ell", "1000", "--z", "1", "--q", "1/2"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "MAX_POWER_PRODUCTS" in capsys.readouterr().err
+    # 10^7 angles x 48 coefficients
+    start = time.perf_counter()
+    assert run(["cauchy", "--n", "5", "--k", "2", "--r", "0.3", "--grid", "10000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "M=10000000, n_trunc=48" in capsys.readouterr().err
     out = tmp_path / "tri.json"
     start = time.perf_counter()
     assert run(["genfunc", "--nmax", "3000", "--out", str(out)]) == 3

@@ -2,12 +2,15 @@ import itertools
 import time
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abundancy import permtuples
+from abundancy._kernels import orbit_counts
 from abundancy.bvalues import b_via_flags
 from abundancy.errors import BudgetError
 from abundancy.genfunc import exp_series, partition_numbers
@@ -15,6 +18,7 @@ from abundancy.permtuples import (
     DEFAULT_MAX_WORK,
     ATable,
     PermTuple,
+    _commuting_chunks,
     _commuting_tuples,
     b_from_bruteforce,
     bell_transform,
@@ -150,12 +154,41 @@ def test_search_matches_pair_filter(ell, n):
 
 
 def test_commuting_pairs_count_partitions():
-    # |{(p, q) : pq = qp}| = n! * (number of conjugacy classes) = n! p(n)
-    # n = 8 needs max_work past 8!^2, and is past the pair filter's reach
+    # |{(p, q) : pq = qp}| = n! * (number of conjugacy classes) = n! p(n);
+    # n = 8 is past the pair filter's reach, and its 887,040 pairs hold
+    # 14.2 million entries, within the default budget
     p = partition_numbers(8)
     for n in range(1, 9):
-        max_work = max(DEFAULT_MAX_WORK, factorial(n) ** 2)
-        assert len(_commuting_tuples(2, n, max_work)) == factorial(n) * p[n]
+        assert len(_commuting_tuples(2, n, DEFAULT_MAX_WORK)) == factorial(n) * p[n]
+
+
+# ell <= 4 of the pair filter's cases, so that one chunk per prefix stays fast
+_STREAM_CASES = [(ell, n) for ell, n in _SEARCH_CASES if ell <= 4 and n <= 6]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_STREAM_CASES), data=st.data())
+def test_streamed_search_matches_for_any_chunk(case, data):
+    # a chunk of 1 entry holds one prefix each, a few entries one or a few,
+    # and n! ell n entries at least one prefix's worth, since no prefix
+    # draws its last member from more than n! candidates
+    ell, n = case
+    chunk = data.draw(st.one_of(
+        st.just(1), st.integers(2, 4 * ell * n), st.just(factorial(n) * ell * n)
+    ))
+    want = (enumerate_A(ell, n), b_from_bruteforce(ell, n), transitive_tuples(ell, n))
+    listed = _pair_filter(ell, n)
+    with mock.patch.object(permtuples, "SEARCH_CHUNK", chunk):
+        got = (enumerate_A(ell, n), b_from_bruteforce(ell, n), transitive_tuples(ell, n))
+        chunks = list(_commuting_chunks(ell, n, DEFAULT_MAX_WORK))
+    assert got == want
+    hist = np.bincount(orbit_counts(listed), minlength=n + 1)
+    assert got[0].counts == tuple(hist[1:].tolist())
+    assert np.array_equal(np.concatenate(chunks), listed)
+    for c in chunks:
+        # past the bound only when the chunk is one prefix's tuples
+        prefixes = np.unique(c[:, :-1].reshape(len(c), -1), axis=0)
+        assert c.size <= chunk or len(prefixes) == 1
 
 
 def test_one_point_tuples_of_any_length():
@@ -192,6 +225,48 @@ def test_output_bound_refuses_before_allocating():
     with pytest.raises(BudgetError):
         enumerate_A(5, 2, max_work=2**5 * 5 * 2 - 1)
 
+def test_permutation_list_refused_before_it_is_built():
+    # n!·n entries: 96 at n = 4; 36,288,000 at n = 10, past the default
+    assert enumerate_A(1, 4, max_work=96).counts == (6, 11, 6, 1)  # cycle counts
+    with mock.patch.object(permtuples.itertools, "permutations", side_effect=AssertionError):
+        with pytest.raises(BudgetError, match="n = 4 points hold more than max_work = 95"):
+            enumerate_A(1, 4, max_work=95)
+        with pytest.raises(BudgetError, match="n = 10 points"):
+            enumerate_A(1, 10)
+        # the 10,886,400 commuting pairs of S_9 are counted from its cycle types
+        with pytest.raises(BudgetError, match="10886400 commuting 2-tuples"):
+            enumerate_A(2, 9)
+
+
+def test_candidate_tests_refused_before_they_run():
+    # the last level of (3, 7) tests 28,118,160 candidates, past the default
+    start = time.perf_counter()
+    with mock.patch.object(permtuples, "_keep_commuting", side_effect=AssertionError):
+        with pytest.raises(BudgetError, match="needs 28118160 candidate tests"):
+            enumerate_A(3, 7)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_last_level_refuses_before_the_chunk_past_the_budget():
+    # (3, 4) has 504 triples, 6,048 entries; 3,000 entries admit 250 of them
+    with pytest.raises(BudgetError, match="504 commuting 3-tuples"):
+        enumerate_A(3, 4, max_work=6047)
+    listed = 0
+    with mock.patch.object(permtuples, "SEARCH_CHUNK", 1):
+        with pytest.raises(BudgetError, match="commuting 3-tuples already"):
+            for chunk in _commuting_chunks(3, 4, 3000):
+                listed += len(chunk)
+    assert 0 < listed <= 250
+
+
+def test_pairs_of_eight_points_under_the_default_budget():
+    # refused while the budget was n!^ell; 887,040 pairs, counted chunk by chunk
+    at = enumerate_A(2, 8)
+    assert at[1] == factorial(7) * 15 == 75_600  # 7! sigma(8)
+    b_row = [b_via_flags(2, v) for v in range(1, 9)]
+    assert at.counts == bell_transform(2, 8, b_row).counts
+
+
 def test_bell_transform_matches_enumeration():
     for ell, nmax in ((2, 6), (3, 4)):
         b_row = [b_via_flags(ell, v) for v in range(1, nmax + 1)]
@@ -203,10 +278,10 @@ def test_bell_transform_matches_enumeration():
 @given(ell=st.integers(1, 4), n=st.integers(1, 5), extra=st.integers(0, 3))
 def test_bell_transform_counts_the_enumerated_tuples(ell, n, extra):
     # B(ell, v) from the flag count, orbits from the centralizer search;
-    # values past n in the row are ignored. n!^ell is 2.1e8 at (4, 5), past
-    # the default budget, but the search itself takes under 0.1 s there.
+    # values past n in the row are ignored. The default budget admits every
+    # draw: (4, 5) outputs 494,400 entries, the most of them.
     b_row = [b_via_flags(ell, v) for v in range(1, n + extra + 1)]
-    brute = enumerate_A(ell, n, max_work=max(DEFAULT_MAX_WORK, factorial(n) ** ell))
+    brute = enumerate_A(ell, n)
     assert bell_transform(ell, n, b_row).counts == brute.counts
 
 
@@ -216,6 +291,17 @@ def test_bell_transform_matches_the_exponential_series(ell, N, data):
     n = data.draw(st.integers(1, N))
     b_row = [b_via_flags(ell, v) for v in range(1, N + 1)]
     assert bell_transform(ell, n, b_row).counts == exp_series(ell, N).a_row(n).counts
+
+
+def test_bell_transform_budget_refuses_before_the_recurrence():
+    # n(n+1)(n+2)/6 multiply-adds: 20 at n = 4
+    row = [1, 3, 4, 7]
+    assert bell_transform(2, 4, row, max_work=20) == bell_transform(2, 4, row)
+    with pytest.raises(BudgetError, match="ell=2, n=4 takes 20 multiply-adds"):
+        bell_transform(2, 4, row, max_work=19)
+    # the default admits n = 537 and refuses n = 538, before reading the row
+    with pytest.raises(BudgetError, match="n=538 takes 26098380 "):
+        bell_transform(2, 538, [])
 
 
 def test_bell_transform_guards():

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -178,7 +179,35 @@ def test_power_rule_term_budget_refuses_fast():
 def test_power_rule_term_budget_admits_its_largest_case():
     rep = verify_power_rule(6, F(3, 2), F(99, 100))
     assert rep.terms == 3246 <= qseries.MAX_POWER_TERMS
+    assert 5 * rep.terms == 16_230 <= qseries.MAX_POWER_PRODUCTS
     assert rep.bound_ok
+
+
+def test_power_rule_product_budget_refuses_fast():
+    # 339 terms of 299 window factors each, 3.5 s if summed
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="ell=300, q=1/2 needs about K = 339 terms"):
+        verify_power_rule(300, 1, F(1, 2))
+    # the window and the right side alone take ell - 1 factors
+    with pytest.raises(BudgetError, match=r"ell=20002, q=1/2 needs 20001 window"):
+        verify_power_rule(20_002, 0, F(1, 2))
+    with pytest.raises(BudgetError):
+        verify_power_rule(10**9, 1, F(1, 2))
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_power_points(), st.integers(1, 300))
+def test_power_rule_product_budget_refuses_exactly_past_the_bound(point, limit):
+    # (ell - 1) max(K, 1) products at most `limit` are summed; more refused
+    ell, z, q, eps = point
+    want = _reference_power_rule(ell, z, q, eps)
+    with mock.patch.object(qseries, "MAX_POWER_PRODUCTS", limit):
+        if (ell - 1) * max(want.terms, 1) <= limit:
+            assert verify_power_rule(ell, z, q, eps) == want
+        else:
+            with pytest.raises(BudgetError, match=f"ell={ell}, q={q} "):
+                verify_power_rule(ell, z, q, eps)
 
 
 def test_power_rule_budget_boundary_is_exact(monkeypatch):
