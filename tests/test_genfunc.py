@@ -91,6 +91,9 @@ def test_cauchy_budget_refuses_before_the_sieve(monkeypatch):
         cauchy_check(2, 5, 2, 0.3, 10**7)
     with pytest.raises(BudgetError, match="M=8, n_trunc=10000 "):
         cauchy_check(2, 5, 2, 0.3, 8, n_trunc=10**4, max_work=10**4)
+    # the same max_work bounds the exact series: 220 terms at n = 10
+    with pytest.raises(BudgetError, match="N=10 takes 220 inner-loop terms"):
+        cauchy_check(2, 10, 1, 0.5, 1, max_work=219)
 
 
 def test_coeff_normalization():

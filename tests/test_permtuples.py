@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from abundancy import permtuples
 from abundancy._kernels import orbit_counts
 from abundancy.bvalues import b_via_flags
-from abundancy.errors import BudgetError
+from abundancy.errors import BudgetError, VerificationFailure
 from abundancy.genfunc import exp_series, partition_numbers
 from abundancy.permtuples import (
     DEFAULT_MAX_WORK,
@@ -257,6 +257,21 @@ def test_last_level_refuses_before_the_chunk_past_the_budget():
             for chunk in _commuting_chunks(3, 4, 3000):
                 listed += len(chunk)
     assert 0 < listed <= 250
+
+
+def test_every_chunk_is_checked_against_the_definition():
+    # a centralizer list that admits every permutation yields pairs that do
+    # not commute; each chunk must be checked before it is counted
+    def everything(P):
+        N = len(P)
+        return np.arange(N + 1) * N, np.tile(np.arange(N), N)
+
+    with mock.patch.object(permtuples, "_centralizers", everything):
+        with pytest.raises(VerificationFailure, match="non-commuting pair"):
+            enumerate_A(2, 3)
+        with mock.patch.object(permtuples, "SEARCH_CHUNK", 1):
+            with pytest.raises(VerificationFailure):
+                transitive_tuples(2, 3)
 
 
 def test_pairs_of_eight_points_under_the_default_budget():
