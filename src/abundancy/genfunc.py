@@ -128,9 +128,7 @@ def partition_numbers(N: int) -> list[int]:
     return p
 
 
-def h_vector(
-    ell: int, N: int, x, *, max_work: int = DEFAULT_MAX_WORK
-) -> list[Fraction]:
+def h_vector(ell: int, N: int, x) -> list[Fraction]:
     """H_{ell,n}(x) for n = 0..N, by the scalar form of the same recurrence.
 
     h_n = (x/n) sum_{m=1}^{n} B(ell,m) h_{n-m}. Cheaper than exp_series
@@ -139,16 +137,16 @@ def h_vector(
     integer numerators over one common denominator D, so each step's sum
     is one integer dot product and one Fraction; the numerators are
     rescaled only when a new value's denominator does not divide D.
-    The dot products take N(N+1)/2 terms; past max_work it raises
+    The dot products take N(N+1)/2 terms; past DEFAULT_MAX_WORK it raises
     BudgetError before the sieve.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     work = N * (N + 1) // 2
-    if work > max_work:
+    if work > DEFAULT_MAX_WORK:
         raise BudgetError(
             f"h_vector at ell={ell}, N={N} takes {work} dot-product terms, "
-            f"more than max_work = {max_work}"
+            f"more than DEFAULT_MAX_WORK = {DEFAULT_MAX_WORK}"
         )
     x = Fraction(x)
     h = [Fraction(1)]
@@ -195,8 +193,6 @@ def cauchy_check(
     r: float,
     M: int,
     n_trunc: int | None = None,
-    *,
-    max_work: int = DEFAULT_MAX_WORK,
 ) -> CauchyReport:
     """Recover A(ell,n,k)/n! by contour quadrature and compare exactly.
 
@@ -209,7 +205,7 @@ def cauchy_check(
     when r^n, k! or L(z)^k leaves the normal float range, and ell and the
     first m when a coefficient B(ell, m)/m of L does. The quadrature takes
     M x n_trunc Horner steps, and the exact value comes from exp_series up
-    to n; past max_work either raises BudgetError before the sieve.
+    to n; past DEFAULT_MAX_WORK either raises BudgetError before the sieve.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0,1): {r}")
@@ -233,17 +229,17 @@ def cauchy_check(
         raise ValueError(
             f"B(ell, m)/m exceeds the float range for ell={ell}, m=2"
         )
-    if M * n_trunc > max_work:
+    if M * n_trunc > DEFAULT_MAX_WORK:
         raise BudgetError(
             f"cauchy_check at M={M}, n_trunc={n_trunc} takes {M * n_trunc} "
-            f"Horner steps, more than max_work = {max_work}"
+            f"Horner steps, more than DEFAULT_MAX_WORK = {DEFAULT_MAX_WORK}"
         )
     if n == 0:
         exact = Fraction(1) if k == 0 else Fraction(0)
     elif k == 0 or k > n:
         exact = Fraction(0)
     else:
-        exact = exp_series(ell, n, max_work=max_work).coeff(n, k)
+        exact = exp_series(ell, n).coeff(n, k)
     b = sieve_b(ell, n_trunc)
     l_coef = [0.0]
     for m in range(1, n_trunc + 1):

@@ -238,8 +238,9 @@ def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
     before what it counts is allocated: the n!·n entries of the list of
     all permutations; the candidate tests of all levels together, known
     from the candidate counts; and the output entries, tuples x ell x n,
-    checked at each width that the level below fixes, and at the last
-    level as a running total before each chunk.
+    checked at each width that the level below fixes. At the last level
+    the candidates bound the output; when that bound passes max_work, the
+    tuples are counted run by run, with no tuple built, before any chunk.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -294,28 +295,36 @@ def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
         lo, m = off[:-1], np.diff(off)
     # the last level, one run of (ell-1)-tuples at a time; row i draws its
     # last member from flat[lo[i] : lo[i] + m[i]]
-    step = SEARCH_CHUNK // (ell * n)
-    ends = np.cumsum(m)
-    total = 0
-    a = 0
-    while a < len(rows):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - m[a] + step, side="right")))
+    def last_level(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         if ell == 2:
-            c_off, c_flat = off[a : b + 1] - off[a], flat[off[a] : off[b]]
-        else:
-            c_off, c_flat = _keep_commuting(pairs, N, rows[a:b, -1], lo[a:b], m[a:b], flat)
-        total += len(c_flat)
-        _refuse_output(total, ell, ell, n, max_work)
+            return off[a : b + 1] - off[a], flat[off[a] : off[b]]
+        return _keep_commuting(pairs, N, rows[a:b, -1], lo[a:b], m[a:b], flat)
+
+    runs = list(_runs(m, SEARCH_CHUNK // (ell * n)))
+    if int(m.sum()) * ell * n > max_work:
+        # the candidates bound the output; when that bound is past max_work,
+        # count the tuples before any chunk is built
+        kept = sum(len(last_level(a, b)[1]) for a, b in runs)
+        _refuse_output(kept, ell, ell, n, max_work)
+    for a, b in runs:
+        c_off, c_flat = last_level(a, b)
         parent = np.repeat(np.arange(a, b), np.diff(c_off))
         tuples = P[np.column_stack([rows[parent], c_flat])]
         _check_commute(tuples)
         yield tuples
+
+
+def _runs(m: np.ndarray, step: int) -> Iterator[tuple[int, int]]:
+    """Consecutive runs [a, b) of rows with at most step candidates in all.
+
+    Row i has m[i] candidates; a row with more than step is a run of its own.
+    """
+    ends = np.cumsum(m)
+    a = 0
+    while a < len(m):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - m[a] + step, side="right")))
+        yield a, b
         a = b
-
-
-def _commuting_tuples(ell: int, n: int, max_work: int) -> np.ndarray:
-    """All the tuples of _commuting_chunks as one (T, ell, n) array."""
-    return np.concatenate(list(_commuting_chunks(ell, n, max_work)))
 
 
 def enumerate_A(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> ATable:
@@ -352,9 +361,7 @@ def transitive_tuples(
     return found
 
 
-def bell_transform(
-    ell: int, n: int, b_row: Sequence[int], *, max_work: int = DEFAULT_MAX_WORK
-) -> ATable:
+def bell_transform(ell: int, n: int, b_row: Sequence[int]) -> ATable:
     """A(ell, n, k) for all k from the values B(ell, 1..n) alone.
 
     Splitting [n] into the k orbits of a tuple gives
@@ -370,16 +377,16 @@ def bell_transform(
 
     so A(ell, n, k) = D_k(n) / k!, asserted to divide exactly. The first n
     values of b_row must be integers (NumPy integers included, bool not).
-    The recurrence takes n(n+1)(n+2)/6 multiply-adds; past max_work it
-    raises BudgetError before any of them.
+    The recurrence takes n(n+1)(n+2)/6 multiply-adds; past DEFAULT_MAX_WORK
+    it raises BudgetError before any of them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     work = n * (n + 1) * (n + 2) // 6
-    if work > max_work:
+    if work > DEFAULT_MAX_WORK:
         raise BudgetError(
             f"bell_transform at ell={ell}, n={n} takes {work} multiply-adds, "
-            f"more than max_work = {max_work}"
+            f"more than DEFAULT_MAX_WORK = {DEFAULT_MAX_WORK}"
         )
     if len(b_row) < n:
         raise ValueError(f"need B(ell, v) for v = 1..{n}, got {len(b_row)} values")

@@ -23,7 +23,8 @@ from .errors import BudgetError
 # verify_power_rule refuses a series of K terms when K passes the first
 # cap or (ell - 1) max(K, 1) passes the second: each term multiplies the
 # ell - 1 factors of the window, and the window and the right side take
-# ell - 1 factors even at K = 0
+# ell - 1 factors even at K = 0. For K >= 1 the two are one cap on K,
+# min(MAX_POWER_TERMS, MAX_POWER_PRODUCTS // (ell - 1)).
 MAX_POWER_TERMS = 5_000
 MAX_POWER_PRODUCTS = 20_000
 
@@ -126,17 +127,14 @@ def verify_power_rule(
     s_den = b**ell * (d - abs(c))
     x_num = s_num * eps.denominator
     x_den = s_den * eps.numerator
-    if _runs_past(x_num, x_den, abs(c), d, MAX_POWER_TERMS):
+    cap = min(MAX_POWER_TERMS, MAX_POWER_PRODUCTS // (ell - 1))
+    if _runs_past(x_num, x_den, abs(c), d, cap):
         raise BudgetError(
             f"the power-rule series at ell={ell}, q={q} needs about "
-            f"{_terms_estimate(x_num, x_den, abs(c), d):,.0f} terms, "
-            f"more than MAX_POWER_TERMS = {MAX_POWER_TERMS}"
-        )
-    if _runs_past(x_num, x_den, abs(c), d, MAX_POWER_PRODUCTS // (ell - 1)):
-        raise BudgetError(
-            f"the power-rule series at ell={ell}, q={q} needs about K = "
-            f"{_terms_estimate(x_num, x_den, abs(c), d):,.0f} terms of {ell - 1} "
-            f"window products each, more than MAX_POWER_PRODUCTS = {MAX_POWER_PRODUCTS}"
+            f"{_terms_estimate(x_num, x_den, abs(c), d):,.0f} terms K of {ell - 1} "
+            f"window products each, more than K = {cap}, the lesser of "
+            f"MAX_POWER_TERMS = {MAX_POWER_TERMS} and MAX_POWER_PRODUCTS = "
+            f"{MAX_POWER_PRODUCTS} // (ell - 1)"
         )
 
     rhs = (1 - q) * (1 - qpoch(z, q, ell)) / (1 - q**ell)

@@ -61,15 +61,20 @@ def test_exp_series_budget_refuses_before_any_row(monkeypatch):
 
 def test_h_vector_budget_refuses_before_the_sieve(monkeypatch):
     # N(N+1)/2 dot-product terms: 55 at N = 10
-    assert h_vector(2, 10, 1, max_work=55) == h_vector(2, 10, 1)
+    want = h_vector(2, 10, 1)
+    monkeypatch.setattr(genfunc, "DEFAULT_MAX_WORK", 55)
+    assert h_vector(2, 10, 1) == want
 
     def built(*args, **kwargs):
         raise AssertionError("sieved before the refusal")
 
     monkeypatch.setattr(genfunc, "sieve_b", built)
+    monkeypatch.setattr(genfunc, "DEFAULT_MAX_WORK", 54)
     with pytest.raises(BudgetError, match="ell=2, N=10 takes 55 dot-product terms"):
-        h_vector(2, 10, 1, max_work=54)
+        h_vector(2, 10, 1)
     # the default admits N = 7210 (25,995,655 terms) and refuses N = 7211
+    monkeypatch.undo()
+    monkeypatch.setattr(genfunc, "sieve_b", built)
     with pytest.raises(BudgetError, match="N=7211 takes 26002866 "):
         h_vector(2, 7211, 1)
     with pytest.raises(BudgetError):
@@ -79,21 +84,24 @@ def test_h_vector_budget_refuses_before_the_sieve(monkeypatch):
 def test_cauchy_budget_refuses_before_the_sieve(monkeypatch):
     # M x n_trunc Horner steps: 64 x 48 at the default n_trunc
     want = cauchy_check(2, 5, 2, 0.3, 64)
-    assert cauchy_check(2, 5, 2, 0.3, 64, max_work=64 * 48) == want
+    monkeypatch.setattr(genfunc, "DEFAULT_MAX_WORK", 64 * 48)
+    assert cauchy_check(2, 5, 2, 0.3, 64) == want
 
     def built(*args, **kwargs):
         raise AssertionError("built before the refusal")
 
     monkeypatch.setattr(genfunc, "sieve_b", built)
+    monkeypatch.setattr(genfunc, "DEFAULT_MAX_WORK", 64 * 48 - 1)
     with pytest.raises(BudgetError, match="M=64, n_trunc=48 takes 3072 Horner steps"):
-        cauchy_check(2, 5, 2, 0.3, 64, max_work=64 * 48 - 1)
+        cauchy_check(2, 5, 2, 0.3, 64)
+    monkeypatch.setattr(genfunc, "DEFAULT_MAX_WORK", 10**4)
+    with pytest.raises(BudgetError, match="M=8, n_trunc=10000 "):
+        cauchy_check(2, 5, 2, 0.3, 8, n_trunc=10**4)
+    # 480 million steps, past the default
+    monkeypatch.undo()
+    monkeypatch.setattr(genfunc, "sieve_b", built)
     with pytest.raises(BudgetError, match="M=10000000, n_trunc=48 "):
         cauchy_check(2, 5, 2, 0.3, 10**7)
-    with pytest.raises(BudgetError, match="M=8, n_trunc=10000 "):
-        cauchy_check(2, 5, 2, 0.3, 8, n_trunc=10**4, max_work=10**4)
-    # the same max_work bounds the exact series: 220 terms at n = 10
-    with pytest.raises(BudgetError, match="N=10 takes 220 inner-loop terms"):
-        cauchy_check(2, 10, 1, 0.5, 1, max_work=219)
 
 
 def test_coeff_normalization():

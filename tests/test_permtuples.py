@@ -19,7 +19,6 @@ from abundancy.permtuples import (
     ATable,
     PermTuple,
     _commuting_chunks,
-    _commuting_tuples,
     b_from_bruteforce,
     bell_transform,
     enumerate_A,
@@ -114,6 +113,10 @@ def test_transitive_tuples_shape():
         assert pt.commutes() and pt.is_transitive()
 
 
+def _all_tuples(ell, n):
+    return np.concatenate(list(_commuting_chunks(ell, n, DEFAULT_MAX_WORK)))
+
+
 def _pair_filter(ell, n):
     # Reference search: every candidate is tested against every prefix
     # member, n!^2 tests at ell = 2.
@@ -147,7 +150,7 @@ _SEARCH_CASES = [
 
 @pytest.mark.parametrize("ell,n", _SEARCH_CASES)
 def test_search_matches_pair_filter(ell, n):
-    got = _commuting_tuples(ell, n, DEFAULT_MAX_WORK)
+    got = _all_tuples(ell, n)
     want = _pair_filter(ell, n)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -159,7 +162,7 @@ def test_commuting_pairs_count_partitions():
     # 14.2 million entries, within the default budget
     p = partition_numbers(8)
     for n in range(1, 9):
-        assert len(_commuting_tuples(2, n, DEFAULT_MAX_WORK)) == factorial(n) * p[n]
+        assert len(_all_tuples(2, n)) == factorial(n) * p[n]
 
 
 # ell <= 4 of the pair filter's cases, so that one chunk per prefix stays fast
@@ -247,16 +250,22 @@ def test_candidate_tests_refused_before_they_run():
     assert time.perf_counter() - start < 1.0
 
 
-def test_last_level_refuses_before_the_chunk_past_the_budget():
-    # (3, 4) has 504 triples, 6,048 entries; 3,000 entries admit 250 of them
+def test_last_level_refuses_before_any_chunk():
+    # (3, 4) has 504 triples, 6,048 entries
+    assert enumerate_A(3, 4, max_work=6048).total() == 504
     with pytest.raises(BudgetError, match="504 commuting 3-tuples"):
         enumerate_A(3, 4, max_work=6047)
-    listed = 0
     with mock.patch.object(permtuples, "SEARCH_CHUNK", 1):
-        with pytest.raises(BudgetError, match="commuting 3-tuples already"):
-            for chunk in _commuting_chunks(3, 4, 3000):
-                listed += len(chunk)
-    assert 0 < listed <= 250
+        with pytest.raises(BudgetError, match="504 commuting 3-tuples"):
+            next(_commuting_chunks(3, 4, 3000))
+    # past the default the tuples are counted, not built: 1,048,576
+    # 20-tuples of S_2, 1,618,896 13-tuples of S_3, 3,833,880 7-tuples of S_5
+    start = time.perf_counter()
+    with mock.patch.object(permtuples, "_check_commute", side_effect=AssertionError):
+        for ell, n in ((20, 2), (13, 3), (7, 5)):
+            with pytest.raises(BudgetError, match=f"commuting {ell}-tuples already"):
+                enumerate_A(ell, n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_every_chunk_is_checked_against_the_definition():
@@ -308,12 +317,16 @@ def test_bell_transform_matches_the_exponential_series(ell, N, data):
     assert bell_transform(ell, n, b_row).counts == exp_series(ell, N).a_row(n).counts
 
 
-def test_bell_transform_budget_refuses_before_the_recurrence():
+def test_bell_transform_budget_refuses_before_the_recurrence(monkeypatch):
     # n(n+1)(n+2)/6 multiply-adds: 20 at n = 4
     row = [1, 3, 4, 7]
-    assert bell_transform(2, 4, row, max_work=20) == bell_transform(2, 4, row)
+    want = bell_transform(2, 4, row)
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 20)
+    assert bell_transform(2, 4, row) == want
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 19)
     with pytest.raises(BudgetError, match="ell=2, n=4 takes 20 multiply-adds"):
-        bell_transform(2, 4, row, max_work=19)
+        bell_transform(2, 4, row)
+    monkeypatch.undo()
     # the default admits n = 537 and refuses n = 538, before reading the row
     with pytest.raises(BudgetError, match="n=538 takes 26098380 "):
         bell_transform(2, 538, [])

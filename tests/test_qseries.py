@@ -186,7 +186,7 @@ def test_power_rule_term_budget_admits_its_largest_case():
 def test_power_rule_product_budget_refuses_fast():
     # 339 terms of 299 window factors each, 3.5 s if summed
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="ell=300, q=1/2 needs about K = 339 terms"):
+    with pytest.raises(BudgetError, match="ell=300, q=1/2 needs about 339 terms K of 299 window products"):
         verify_power_rule(300, 1, F(1, 2))
     # the window and the right side alone take ell - 1 factors
     with pytest.raises(BudgetError, match=r"ell=20002, q=1/2 needs 20001 window"):
