@@ -10,9 +10,7 @@ Exact quantities (integer counts, rationals) are written to JSON as
 decimal strings; measured floats are written as JSON numbers. Every output
 file is written to a temp file and renamed over its target. Heavy
 imports happen inside the subcommand handlers so that --help stays fast
-and never loads NumPy; that is why the --max-nmax and --max-work defaults
-are literals equal to sieve.DEFAULT_MAX_NMAX and permtuples.DEFAULT_MAX_WORK
-(which genfunc.exp_series shares).
+and never loads NumPy; the budget defaults come from the NumPy-free errors.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import sys
 from fractions import Fraction
 
 from ._files import refuse_long_ints, write_atomic
+from .errors import DEFAULT_MAX_NMAX, DEFAULT_MAX_WORK
 from .errors import BudgetError, TableLoadError, VerificationFailure
 
 DEFAULT_ELL = 2
@@ -64,18 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=DEFAULT_ELL)
     p.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-nmax", type=int, default=50_000_000)
+    p.add_argument("--max-nmax", type=int, default=DEFAULT_MAX_NMAX)
 
     p = sub.add_parser("bruteforce", help="enumerate commuting tuples, count orbits")
     p.add_argument("--ell", type=int, default=DEFAULT_ELL)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-work", type=int, default=26_000_000)
+    p.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK)
     p.add_argument("--out", default=None, help="A-row JSON path")
 
     p = sub.add_parser("genfunc", help="exact coefficient triangle A(ell,n,k)")
     p.add_argument("--ell", type=int, default=DEFAULT_ELL)
     p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--max-work", type=int, default=26_000_000)
+    p.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK)
     p.add_argument("--out", default=None, help="triangle JSON path")
 
     p = sub.add_parser("cauchy", help="contour-quadrature coefficient check")

@@ -1,4 +1,7 @@
-"""Exception types shared across modules."""
+"""Exception types and default budgets, shared across modules; no imports, so no NumPy."""
+
+DEFAULT_MAX_NMAX = 50_000_000  # sieve_b's max_nmax
+DEFAULT_MAX_WORK = 26_000_000  # max_work of enumerate_A and exp_series, and the fixed caps
 
 
 class BudgetError(Exception):

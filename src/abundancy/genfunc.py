@@ -23,8 +23,8 @@ from math import exp, factorial, gcd, pi, sqrt
 from operator import mul
 from sys import float_info
 
-from .errors import BudgetError
-from .permtuples import DEFAULT_MAX_WORK, ATable
+from .errors import DEFAULT_MAX_WORK, BudgetError
+from .permtuples import ATable
 from .sieve import sieve_b
 
 

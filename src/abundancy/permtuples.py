@@ -16,12 +16,13 @@ The class of s is found by conjugating it by every permutation w at once;
 a p = w s w^-1 has the centralizer {w z w^-1}, carried over in one gather.
 Tuples are then grown one member at a time inside the common centralizer
 of the prefix, and every tuple is checked against the definition. The
-last member is added to one run of prefixes at a time, and enumerate_A
-and transitive_tuples count each run's orbits before the next, so memory
-follows the prefixes, not the tuples. The budget counts the work itself:
-max_work refuses ell, the n!·n entries of the permutation list, the
-candidate tests of all levels together, and an output of more than
-max_work entries (tuples x ell x n), each before it is allocated.
+tuples are gathered one run of prefixes at a time, and enumerate_A and
+transitive_tuples count each run's orbits before the next, so memory
+holds one int64 per tuple, not the tuples. max_work refuses ell, the n!·n
+entries of the permutation list, the candidate tests of all levels
+together, and an output of more than max_work entries (tuples x ell x n),
+each before it is allocated; callers other than enumerate_A use
+DEFAULT_MAX_WORK.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._kernels import orbit_counts
-from .errors import BudgetError, VerificationFailure
+from .errors import DEFAULT_MAX_WORK, BudgetError, VerificationFailure
 
-DEFAULT_MAX_WORK = 26_000_000
-# output entries (tuples x ell x n) per chunk of the search's last level
+# candidate tests per run of _keep_commuting, and output entries
+# (tuples x ell x n) per chunk that _commuting_chunks yields
 SEARCH_CHUNK = 1 << 18
 
 
@@ -207,14 +208,19 @@ def _keep_commuting(
 
     pairs holds every commuting pair (q, x) as q*N + x, ascending. Returns
     the kept candidates as (off, kept), row i's at kept[off[i]:off[i+1]].
+    Runs of at most SEARCH_CHUNK tests (one row at least) bound the temporaries.
     """
-    ends = np.cumsum(m)
-    pos = np.arange(ends[-1]) + np.repeat(lo - (ends - m), m)
-    x = flat[pos]
-    test = np.repeat(q, m) * N + x
-    hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
-    kept = np.concatenate([[0], np.cumsum(hit)])
-    return kept[np.concatenate([[0], ends])], x[hit]
+    off = np.zeros(len(m) + 1, dtype=np.int64)
+    kept = []
+    for a, b in _runs(m, SEARCH_CHUNK):
+        ends = np.cumsum(m[a:b])
+        pos = np.arange(ends[-1]) + np.repeat(lo[a:b] - (ends - m[a:b]), m[a:b])
+        x = flat[pos]
+        test = np.repeat(q[a:b], m[a:b]) * N + x
+        hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
+        off[a + 1 : b + 1] = off[a] + np.concatenate([[0], np.cumsum(hit)])[ends]
+        kept.append(x[hit])
+    return off, np.concatenate(kept)
 
 
 def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
@@ -227,20 +233,21 @@ def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
     _centralizers), not found by testing every pair. The search runs level
     by level: every prefix keeps the sorted ranks of the permutations
     commuting with all its members, and extending it by one of them tests
-    that set against the new member's centralizer. The levels below the
-    last are built whole. The last level, the candidate tests of each
-    (ell-1)-tuple and the ell-tuples they give, runs over one run of
-    prefixes at a time, at most SEARCH_CHUNK entries of output each (one
-    prefix at least), so memory follows the prefixes, not the output.
-    Every chunk is checked against the definition before it is yielded.
+    that set against the new member's centralizer (_keep_commuting). Every
+    width from 2 to ell-1 is handled the same way: append each candidate
+    to its prefix, keep the new rows' candidates, and check the count of
+    tuples one member longer. The (ell-1)-tuples and their kept candidates then hold
+    every ell-tuple, one int64 per tuple; the tuples are gathered from them
+    one run of prefixes at a time, at most SEARCH_CHUNK entries each (one
+    prefix at least), and every chunk is checked against the definition
+    before it is yielded.
 
     Three counts must each stay within max_work, and each is checked
     before what it counts is allocated: the n!·n entries of the list of
     all permutations; the candidate tests of all levels together, known
     from the candidate counts; and the output entries, tuples x ell x n,
-    checked at each width that the level below fixes. At the last level
-    the candidates bound the output; when that bound passes max_work, the
-    tuples are counted run by run, with no tuple built, before any chunk.
+    checked at each width as soon as the level below has kept its
+    candidates.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -271,6 +278,7 @@ def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
     off, flat = _centralizers(P)
     # every commuting pair (q, x) as q*N + x, ascending
     pairs = np.repeat(np.arange(N), np.diff(off)) * N + flat
+    # row i of rows draws its next member from flat[off[i]:off[i+1]]
     rows = np.arange(N)[:, None]
     tests = 0
     for width in range(2, ell):
@@ -285,31 +293,11 @@ def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
             )
         parent = np.repeat(np.arange(len(rows)), sizes)
         rows = np.column_stack([rows[parent], flat])
-        lo, m = off[:-1][parent], sizes[parent]
-        if width == ell - 1:
-            break
-        off, flat = _keep_commuting(pairs, N, rows[:, -1], lo, m, flat)
+        off, flat = _keep_commuting(pairs, N, rows[:, -1], off[:-1][parent], sizes[parent], flat)
         _refuse_output(len(flat), width + 1, ell, n, max_work)
-    else:
-        # ell == 2: a 1-tuple's partners are its centralizer, all of them
-        lo, m = off[:-1], np.diff(off)
-    # the last level, one run of (ell-1)-tuples at a time; row i draws its
-    # last member from flat[lo[i] : lo[i] + m[i]]
-    def last_level(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        if ell == 2:
-            return off[a : b + 1] - off[a], flat[off[a] : off[b]]
-        return _keep_commuting(pairs, N, rows[a:b, -1], lo[a:b], m[a:b], flat)
-
-    runs = list(_runs(m, SEARCH_CHUNK // (ell * n)))
-    if int(m.sum()) * ell * n > max_work:
-        # the candidates bound the output; when that bound is past max_work,
-        # count the tuples before any chunk is built
-        kept = sum(len(last_level(a, b)[1]) for a, b in runs)
-        _refuse_output(kept, ell, ell, n, max_work)
-    for a, b in runs:
-        c_off, c_flat = last_level(a, b)
-        parent = np.repeat(np.arange(a, b), np.diff(c_off))
-        tuples = P[np.column_stack([rows[parent], c_flat])]
+    for a, b in _runs(np.diff(off), SEARCH_CHUNK // (ell * n)):
+        parent = np.repeat(np.arange(a, b), np.diff(off[a : b + 1]))
+        tuples = P[np.column_stack([rows[parent], flat[off[a] : off[b]]])]
         _check_commute(tuples)
         yield tuples
 
@@ -339,9 +327,9 @@ def enumerate_A(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> ATable
     return ATable(ell=ell, n=n, counts=tuple(int(c) for c in hist[1 : n + 1]))
 
 
-def b_from_bruteforce(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> int:
-    """B(ell, n) recovered as A(ell, n, 1) / (n-1)!."""
-    a1 = enumerate_A(ell, n, max_work=max_work)[1]
+def b_from_bruteforce(ell: int, n: int) -> int:
+    """B(ell, n) recovered as A(ell, n, 1) / (n-1)!, within DEFAULT_MAX_WORK."""
+    a1 = enumerate_A(ell, n, max_work=DEFAULT_MAX_WORK)[1]
     q, r = divmod(a1, factorial(n - 1))
     if r != 0:
         raise ArithmeticError(
@@ -350,12 +338,10 @@ def b_from_bruteforce(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> 
     return q
 
 
-def transitive_tuples(
-    ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK
-) -> set[tuple[tuple[int, ...], ...]]:
-    """The transitive commuting tuples themselves, 1-based, as a set."""
+def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
+    """The transitive commuting tuples, 1-based, as a set, within DEFAULT_MAX_WORK."""
     found = set()
-    for chunk in _commuting_chunks(ell, n, max_work):
+    for chunk in _commuting_chunks(ell, n, DEFAULT_MAX_WORK):
         trans = chunk[orbit_counts(chunk) == 1] + 1
         found.update(tuple(map(tuple, tup)) for tup in trans.tolist())
     return found

@@ -24,9 +24,13 @@ from .errors import BudgetError
 # cap or (ell - 1) max(K, 1) passes the second: each term multiplies the
 # ell - 1 factors of the window, and the window and the right side take
 # ell - 1 factors even at K = 0. For K >= 1 the two are one cap on K,
-# min(MAX_POWER_TERMS, MAX_POWER_PRODUCTS // (ell - 1)).
+# min(MAX_POWER_TERMS, MAX_POWER_PRODUCTS // (ell - 1)). It also refuses
+# when the numbers it forms pass MAX_POWER_BITS bits: with z = a/b and
+# q = c/d, about ell bits(b + |a|) + (ell K + ell(ell-1)/2) bits(d), the
+# size of the right side at K = 0 and of the Horner sum's denominator.
 MAX_POWER_TERMS = 5_000
 MAX_POWER_PRODUCTS = 20_000
+MAX_POWER_BITS = 1 << 18
 
 
 def qpoch(z: Fraction | int, q: Fraction | int, r: int) -> Fraction:
@@ -75,6 +79,16 @@ def _runs_past(x_num: int, x_den: int, c: int, d: int, n: int) -> bool:
     return x_num * c**n > x_den * d**n
 
 
+def _refuse_size(ell: int, q: Fraction, a: int, b: int, d: int, terms: float) -> None:
+    """Raise BudgetError when a series of `terms` terms forms numbers past MAX_POWER_BITS."""
+    bits = ell * (b + abs(a)).bit_length() + (ell * terms + ell * (ell - 1) // 2) * d.bit_length()
+    if bits > MAX_POWER_BITS:
+        raise BudgetError(
+            f"the power-rule series at ell={ell}, q={q} forms numbers of about "
+            f"{bits:,.0f} bits, more than MAX_POWER_BITS = {MAX_POWER_BITS:,}"
+        )
+
+
 def _terms_estimate(x_num: int, x_den: int, c: int, d: int) -> float:
     """About how many terms run while x_num c^k > x_den d^k, for c >= 1."""
     rate = math.log(d) - math.log(c)  # ln(1/|q|) > 0, up to rounding
@@ -96,8 +110,11 @@ def verify_power_rule(
     bound_ok reports |lhs_truncated - rhs_exact| <= tail_eps.
 
     K is settled before anything is summed: a series with K past
-    MAX_POWER_TERMS, or with (ell - 1) max(K, 1) window products past
-    MAX_POWER_PRODUCTS, raises BudgetError, and every other one is summed.
+    MAX_POWER_TERMS, with (ell - 1) max(K, 1) window products past
+    MAX_POWER_PRODUCTS, or with numbers of more than MAX_POWER_BITS bits,
+    raises BudgetError, and every other one is summed. The size is checked
+    at K = 0 before the tail bound's scale is formed, and at the estimated
+    K before the window is built.
     With z = a/b and q = c/d, term k is
     N_k / (b^(ell-1) d^(ell k + ell(ell-1)/2)), where
     N_k = c^k prod_{i<ell-1} (b d^(k+1+i) - c^(k+1+i) a), so the terms are
@@ -121,6 +138,7 @@ def verify_power_rule(
 
     a, b = z.numerator, z.denominator
     c, d = q.numerator, q.denominator
+    _refuse_size(ell, q, a, b, d, 0)
     # the tail bound's scale is s_num / s_den; the loop runs on while
     # scale |q|^k > eps, that is while x_num |c|^k > x_den d^k
     s_num = abs(a) * (d - c) * (b + abs(a)) ** (ell - 1)
@@ -136,6 +154,8 @@ def verify_power_rule(
             f"MAX_POWER_TERMS = {MAX_POWER_TERMS} and MAX_POWER_PRODUCTS = "
             f"{MAX_POWER_PRODUCTS} // (ell - 1)"
         )
+    terms = min(_terms_estimate(x_num, x_den, abs(c), d), cap) if c and x_num > x_den else 0
+    _refuse_size(ell, q, a, b, d, terms)
 
     rhs = (1 - q) * (1 - qpoch(z, q, ell)) / (1 - q**ell)
 

@@ -45,6 +45,7 @@ from . import _kernels
 from ._files import refuse_long_ints, write_atomic
 from .core import primes_up_to
 from .errors import (
+    DEFAULT_MAX_NMAX,
     BudgetError,
     ChecksumMismatch,
     MalformedTable,
@@ -53,7 +54,6 @@ from .errors import (
 )
 
 FORMAT_VERSION = 1
-DEFAULT_MAX_NMAX = 50_000_000
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,7 +36,7 @@ from ._files import write_atomic
 from .bvalues import b_via_flags
 from .core import divisors
 from .errors import BudgetError
-from .permtuples import DEFAULT_MAX_WORK, PermTuple, transitive_tuples
+from .permtuples import PermTuple, transitive_tuples
 
 VALIDATE_MAX_N = 2048
 BUILD_MAX_N = 2**18
@@ -179,7 +179,7 @@ class TorusChecks:
         )
 
 
-def validate(real: TorusRealization, *, max_n: int = VALIDATE_MAX_N) -> TorusChecks:
+def validate(real: TorusRealization) -> TorusChecks:
     """The four structural checks; failures are reported, not raised.
 
     group_order_n materializes all prod_r pi_r^{c_r} with c_r < f_r as an
@@ -196,12 +196,12 @@ def validate(real: TorusRealization, *, max_n: int = VALIDATE_MAX_N) -> TorusChe
     When the first column is not a bijection, closure falls back to
     comparing the row sets of pi G and G, so group_order_n keeps its
     meaning on any tuple. Checks read real.perms, so a tampered tuple is
-    seen.
+    seen. A torus of more than VALIDATE_MAX_N vertices raises BudgetError.
     """
     P = np.array(real.perms.perms, dtype=np.int64) - 1
     n = P.shape[1]
-    if n > max_n:
-        raise BudgetError(f"validate materializes an n x n table; n={n} > {max_n}")
+    if n > VALIDATE_MAX_N:
+        raise BudgetError(f"validate materializes an n x n table; n={n} > {VALIDATE_MAX_N}")
     PP = P[:, P]  # PP[a, b] = pi_a after pi_b
     commutes = np.array_equal(PP, PP.transpose(1, 0, 2))
     transitive = _kernels.orbit_counts(P[None])[0] == 1
@@ -289,16 +289,15 @@ class DoubleCountResult:
     match: bool
 
 
-def double_count_check(
-    ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK
-) -> DoubleCountResult:
+def double_count_check(ell: int, n: int) -> DoubleCountResult:
     """Tori-with-relabelings against brute force, as sets.
 
     Builds every spec with product n, relabels each realization's tuple by
     all n! vertex bijections, dedupes, and compares with the enumerated
-    transitive tuples. match also requires count = (n-1)! B(ell, n).
+    transitive tuples, found within permtuples.DEFAULT_MAX_WORK. match also
+    requires count = (n-1)! B(ell, n).
     """
-    brute = transitive_tuples(ell, n, max_work=max_work)
+    brute = transitive_tuples(ell, n)
     seen: set[tuple[tuple[int, ...], ...]] = set()
     sigmas = list(itertools.permutations(range(1, n + 1)))
     for spec in all_specs(ell, n):

@@ -225,7 +225,8 @@ def test_series_budgets_exit_3_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("budget refused: ") and "ell=6, q=999/1000" in err
-    # 339 and 1,039 terms of ell - 1 window factors each
+    # 339 terms of 299 window factors each; ell = 1000 forms numbers of
+    # about 1,001,000 bits
     start = time.perf_counter()
     assert run(["qcheck", "--ell", "300", "--z", "1", "--q", "1/2"]) == 3
     assert run(["qcheck", "--ell", "1000", "--z", "1", "--q", "1/2"]) == 3
@@ -244,6 +245,16 @@ def test_series_budgets_exit_3_fast(tmp_path, capsys):
     assert run(["genfunc", "--nmax", "10", "--max-work", "219", "--out", str(out)]) == 3
     assert list(tmp_path.iterdir()) == []
     assert run(["genfunc", "--nmax", "10", "--max-work", "220", "--out", str(out)]) == 0
+
+
+def test_qcheck_size_budget_exits_3_fast(capsys):
+    # the window and the right side alone form numbers of about ell^2/2 bits
+    start = time.perf_counter()
+    assert run(["qcheck", "--ell", "8000", "--z", "0", "--q", "1/2"]) == 3
+    assert run(["qcheck", "--ell", "20001", "--z", "0", "--q", "1/2"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("MAX_POWER_BITS") == 2 and "ell=8000, q=1/2" in err
 
 
 def test_verify_theorem_exit_codes():

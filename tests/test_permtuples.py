@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abundancy import permtuples
+from abundancy import permtuples, tori
 from abundancy._kernels import orbit_counts
 from abundancy.bvalues import b_via_flags
 from abundancy.errors import BudgetError, VerificationFailure
@@ -137,9 +137,9 @@ def _pair_filter(ell, n):
     return P[np.array(found, dtype=np.int64)]
 
 
-# Every (ell, n) with n <= 6 that the default budget admits, and (2, 7). At
-# n = 1 and 2 the budget admits ell up to 26 million and 24, with 2^ell
-# tuples at n = 2, so those two rows stop at ell = 10.
+# Every (ell, n) with n <= 6 and ell <= 10 that the pair filter reaches,
+# n!^ell <= DEFAULT_MAX_WORK, and (2, 7). The default budget admits more,
+# such as (3, 6) and (4, 6), which the reference is too slow to list.
 _SEARCH_CASES = [
     (ell, n)
     for n in range(1, 7)
@@ -204,21 +204,22 @@ def test_budget_refusal():
         enumerate_A(2, 12)
     with pytest.raises(BudgetError):
         enumerate_A(3, 5, max_work=10)
-    # refused on ell itself, before n!^ell is formed
+    # ell itself counts against max_work: ten 1-point members fit in 10
     assert enumerate_A(10, 1, max_work=10).counts == (1,)
     for ell in (11, 10**8):
         with pytest.raises(BudgetError):
             enumerate_A(ell, 1, max_work=10)
     with pytest.raises(BudgetError):
         enumerate_A(10**8, 2)
-    # n!^ell has 18,500 digits here: the refusal must not try to print it
+    # refused on the 75,600 pairs of S_7, times ell x n, before any is listed
     with pytest.raises(BudgetError):
         enumerate_A(5000, 7)
 
 
 
 def test_output_bound_refuses_before_allocating():
-    # admitted by n!^ell = 2^24, but the output would be 2^24 tuples (6.4 GB)
+    # the output would be 2^24 tuples (6.4 GB); the 2^20 20-tuples already
+    # hold more than the default max_work entries
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="1048576 commuting 20-tuples"):
         enumerate_A(24, 2)
@@ -266,6 +267,34 @@ def test_last_level_refuses_before_any_chunk():
             with pytest.raises(BudgetError, match=f"commuting {ell}-tuples already"):
                 enumerate_A(ell, n)
     assert time.perf_counter() - start < 1.0
+
+
+def test_candidate_tests_run_once():
+    # _keep_commuting is given each level's tests once; (3, 7) has one level
+    # of 28,118,160 tests, and the output check after it needs no second pass
+    keep = permtuples._keep_commuting
+    counted = []
+
+    def counting(pairs, N, q, lo, m, flat):
+        counted.append(int(m.sum()))
+        return keep(pairs, N, q, lo, m, flat)
+
+    with mock.patch.object(permtuples, "_keep_commuting", counting):
+        at = enumerate_A(3, 7, max_work=28_118_160)
+    assert sum(counted) == 28_118_160
+    assert at[1] == factorial(6) * b_via_flags(3, 7) == 41_040
+
+
+def test_callers_without_max_work_read_the_default(monkeypatch):
+    # the 120 commuting pairs of S_4 hold 960 entries
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 960)
+    assert len(transitive_tuples(2, 4)) == factorial(3) * b_via_flags(2, 4)
+    assert tori.double_count_check(2, 4).match
+    assert b_from_bruteforce(2, 4) == b_via_flags(2, 4)
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 959)
+    for call in (transitive_tuples, tori.double_count_check, b_from_bruteforce):
+        with pytest.raises(BudgetError, match="120 commuting 2-tuples already"):
+            call(2, 4)
 
 
 def test_every_chunk_is_checked_against_the_definition():

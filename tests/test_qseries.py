@@ -196,6 +196,23 @@ def test_power_rule_product_budget_refuses_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_power_rule_size_budget_refuses_fast():
+    # z = 0 sums no terms, but the window and the right side form numbers of
+    # about ell^2/2 bits of d
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="ell=8000, q=1/2 forms numbers of about 64,000,000 bits"):
+        verify_power_rule(8000, 0, F(1, 2))
+    with pytest.raises(BudgetError, match="ell=20001, q=1/2 forms numbers of about"):
+        verify_power_rule(20_001, 0, F(1, 2))
+    # a large z is refused before the tail bound's scale, a power of it, is formed
+    with pytest.raises(BudgetError, match="MAX_POWER_BITS"):
+        verify_power_rule(20_001, 10**3000, F(1, 2))
+    # about 2,819 terms over a 1,329-bit d: the Horner sum's denominator
+    with pytest.raises(BudgetError, match=r"ell=2, q=\d+/\d+ forms numbers of about 7,49\d,\d\d\d bits"):
+        verify_power_rule(2, 1, F(99 * 10**398 - 1, 10**400))
+    assert time.perf_counter() - start < 1.0
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_power_points(), st.integers(1, 300))
 def test_power_rule_product_budget_refuses_exactly_past_the_bound(point, limit):

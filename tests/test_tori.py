@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abundancy import tori
 from abundancy.bvalues import b_via_recursion
 from abundancy.errors import BudgetError
 from abundancy.permtuples import PermTuple
@@ -253,11 +254,12 @@ def test_validate_matches_reference_on_drawn_tuples(dims):
     assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_validate_budget():
+def test_validate_budget(monkeypatch):
     real = build_torus(TorusSpec(dims=(3000,), twists=()))
     with pytest.raises(BudgetError):
         validate(real)
-    assert validate(real, max_n=3000).all_true()
+    monkeypatch.setattr(tori, "VALIDATE_MAX_N", 3000)
+    assert validate(real).all_true()
 
 
 def test_edges_grid_counts():
