@@ -10,19 +10,17 @@ can cross-check each other:
 and, in the other direction, every A(ell, n, k) is a Bell-type polynomial
 in the B values (see bell_transform).
 
-For each cycle type, the centralizer of its block rotation s is taken
-from the list of all permutations by the definition, z(s(i)) = s(z(i)).
-The class of s is found by conjugating it by every permutation w at once;
-a p = w s w^-1 has the centralizer {w z w^-1}, carried over in one gather.
-Tuples are then grown one member at a time inside the common centralizer
-of the prefix, and every tuple is checked against the definition. The
-tuples are gathered one run of prefixes at a time, and enumerate_A and
-transitive_tuples count each run's orbits before the next, so memory
-holds one int64 per tuple, not the tuples. max_work refuses ell, the n!·n
-entries of the permutation list, the candidate tests of all levels
-together, and an output of more than max_work entries (tuples x ell x n),
-each before it is allocated; callers other than enumerate_A use
-DEFAULT_MAX_WORK.
+Every commuting tuple not headed by the identity is conjugate to one
+headed by the block rotation s of its first member's cycle type, so each
+type is searched once, inside C(s), and weighted by its class size
+n!/|C(s)| (the decomposition of Bryan & Fulman, Ann. Comb. 1998). C(s) is
+read off the list of all permutations by the definition, z∘s = s∘z.
+Tuples grow one member at a time inside the common centralizer of the
+prefix, and every tuple is checked against the definition before its
+orbits are counted, one run of tuples at a time. max_work refuses ell,
+the n!·n entries of the permutation list, the candidate tests and the
+tuple entries built (tuples x width x n), each before it is allocated;
+callers other than enumerate_A use DEFAULT_MAX_WORK.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ import numpy as np
 from ._kernels import orbit_counts
 from .errors import DEFAULT_MAX_WORK, BudgetError, VerificationFailure
 
-# candidate tests per run of _keep_commuting, and output entries
-# (tuples x ell x n) per chunk that _commuting_chunks yields
+# entries of C(s) per run of _keep_commuting's tests, and tuple entries
+# (tuples x width x n) per run that _search yields
 SEARCH_CHUNK = 1 << 18
 
 
@@ -134,120 +132,10 @@ def _cycle_types(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
         yield from ((L,) + rest for rest in _cycle_types(n - L, L))
 
 
-def _centralizers(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The centralizer of every row of P, as sorted ranks (row indices of P).
+def _permutations(ell: int, n: int, max_work: int) -> np.ndarray:
+    """The n! permutations of n points as rows, in lexicographic order.
 
-    P holds all permutations of n points in lexicographic order. Returns
-    (off, flat) with C(P[j]) = flat[off[j]:off[j+1]]. Each cycle type has a
-    block rotation s, with its cycles shortest first. Its class is
-    {w s w^-1 : w in P}, found by conjugating s by every row at once and
-    ranking the results by lookup in P. C(s) is read off P by the
-    definition, z(s(j)) = s(z(j)) on every row. A row p = w s w^-1 has
-    C(p) = {w z w^-1 : z in C(s)}, the same set for every such w, carried
-    to every p of the class in one gather and ranked the same way.
-    """
-    N, n = P.shape
-    # A row's base-n code orders rows as P does, so P's codes ascend. The
-    # codes are below n^n, which fits int64 for n <= 15; no P with 15! rows
-    # fits in memory.
-    digits = n ** np.arange(n - 1, -1, -1)
-    codes = P @ digits
-    inv = np.argsort(P, axis=1)  # row w^-1 of each row w
-    kind = np.empty(N, dtype=np.int64)  # the class of each row
-    w_of = np.empty(N, dtype=np.int64)  # a conjugator of s to each row
-    zs = []
-    for c, t in enumerate(_cycle_types(n)):
-        # the block at b of length L steps b + k to b + (k + 1) % L
-        starts = np.cumsum((0,) + t[:-1])
-        s = np.concatenate([b + (np.arange(L) + 1) % L for b, L in zip(starts, t)])
-        # w s w^-1 for every row w: it maps w[j] to w[s[j]]
-        ranks = np.searchsorted(codes, np.take_along_axis(P, s[inv], axis=1) @ digits)
-        kind[ranks] = c
-        w_of[ranks] = np.arange(N)
-        zs.append(P[(P[:, s] == s[P]).all(axis=1)])
-    off = np.concatenate([[0], np.cumsum(np.array([len(Z) for Z in zs])[kind])])
-    flat = np.empty(off[-1], dtype=np.int64)
-    for c, Z in enumerate(zs):
-        members = np.flatnonzero(kind == c)
-        w = w_of[members]
-        # Q[a, b] = w z w^-1 for the a-th member's w and the b-th z in C(s)
-        Q = np.take_along_axis(P[w][:, None], Z[:, inv[w]].transpose(1, 0, 2), axis=2)
-        ranks = np.searchsorted(codes, Q @ digits)
-        ranks.sort(axis=1)
-        flat[off[members][:, None] + np.arange(len(Z))] = ranks
-    return off, flat
-
-
-def _check_commute(tuples: np.ndarray) -> None:
-    """Raise VerificationFailure unless every tuple's members pairwise commute."""
-    for a in range(tuples.shape[1] - 1):
-        p = tuples[:, a : a + 1]
-        rest = tuples[:, a + 1 :]
-        if not np.array_equal(
-            np.take_along_axis(p, rest, axis=2), np.take_along_axis(rest, p, axis=2)
-        ):
-            raise VerificationFailure(
-                f"a built tuple has a non-commuting pair at member {a}"
-            )
-
-
-def _refuse_output(k: int, width: int, ell: int, n: int, max_work: int) -> None:
-    # no level has fewer rows than the one before, so the tuples returned
-    # hold at least k * ell * n entries
-    if k * ell * n > max_work:
-        raise BudgetError(
-            f"{k} commuting {width}-tuples already, so the output "
-            f"exceeds max_work = {max_work} entries for ell={ell}, n={n}"
-        )
-
-
-def _keep_commuting(
-    pairs: np.ndarray, N: int, q: np.ndarray, lo: np.ndarray, m: np.ndarray, flat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row i's candidates flat[lo[i] : lo[i] + m[i]] that commute with q[i].
-
-    pairs holds every commuting pair (q, x) as q*N + x, ascending. Returns
-    the kept candidates as (off, kept), row i's at kept[off[i]:off[i+1]].
-    Runs of at most SEARCH_CHUNK tests (one row at least) bound the temporaries.
-    """
-    off = np.zeros(len(m) + 1, dtype=np.int64)
-    kept = []
-    for a, b in _runs(m, SEARCH_CHUNK):
-        ends = np.cumsum(m[a:b])
-        pos = np.arange(ends[-1]) + np.repeat(lo[a:b] - (ends - m[a:b]), m[a:b])
-        x = flat[pos]
-        test = np.repeat(q[a:b], m[a:b]) * N + x
-        hit = pairs.take(np.searchsorted(pairs, test), mode="clip") == test
-        off[a + 1 : b + 1] = off[a] + np.concatenate([[0], np.cumsum(hit)])[ends]
-        kept.append(x[hit])
-    return off, np.concatenate(kept)
-
-
-def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
-    """All ordered ell-tuples of pairwise commuting permutations, in chunks.
-
-    Each chunk is an array of shape (T, ell, n), entries 0-based; joined,
-    the chunks list the tuples in lexicographic order of the members'
-    ranks among all permutations of n points. Centralizers are tested
-    against one permutation per cycle type and carried to the rest (see
-    _centralizers), not found by testing every pair. The search runs level
-    by level: every prefix keeps the sorted ranks of the permutations
-    commuting with all its members, and extending it by one of them tests
-    that set against the new member's centralizer (_keep_commuting). Every
-    width from 2 to ell-1 is handled the same way: append each candidate
-    to its prefix, keep the new rows' candidates, and check the count of
-    tuples one member longer. The (ell-1)-tuples and their kept candidates then hold
-    every ell-tuple, one int64 per tuple; the tuples are gathered from them
-    one run of prefixes at a time, at most SEARCH_CHUNK entries each (one
-    prefix at least), and every chunk is checked against the definition
-    before it is yielded.
-
-    Three counts must each stay within max_work, and each is checked
-    before what it counts is allocated: the n!·n entries of the list of
-    all permutations; the candidate tests of all levels together, known
-    from the candidate counts; and the output entries, tuples x ell x n,
-    checked at each width as soon as the level below has kept its
-    candidates.
+    ell and the list's n!·n entries are each refused past max_work first.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -266,40 +154,117 @@ def _commuting_chunks(ell: int, n: int, max_work: int) -> Iterator[np.ndarray]:
             f"the n! permutations of n = {n} points hold more than "
             f"max_work = {max_work} entries"
         )
-    if ell > 1:
-        # _centralizers lists every commuting pair, n! for each cycle type
-        # (|class| |C(s)| = n!), so their count is known before it runs
-        _refuse_output(entries // n * sum(1 for _ in _cycle_types(n)), 2, ell, n, max_work)
-    P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    N = len(P)
-    if ell == 1:
-        yield P[:, None]
-        return
-    off, flat = _centralizers(P)
-    # every commuting pair (q, x) as q*N + x, ascending
-    pairs = np.repeat(np.arange(N), np.diff(off)) * N + flat
-    # row i of rows draws its next member from flat[off[i]:off[i+1]]
-    rows = np.arange(N)[:, None]
-    tests = 0
-    for width in range(2, ell):
-        sizes = np.diff(off)
-        # each new row tests its prefix's candidates; exact in int64, as
-        # the sum is at most N * len(flat) and both are array lengths
-        tests += int(np.dot(sizes, sizes))
-        if tests > max_work:
-            raise BudgetError(
-                f"the search needs {tests} candidate tests to reach the "
-                f"{width + 1}-tuples, more than max_work = {max_work} for ell={ell}, n={n}"
+    # one byte an entry: no list of more than 127 points fits in memory
+    images = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(images, dtype=np.int8, count=entries).reshape(-1, n)
+
+
+def _centralizer(P: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The rows z of P with z(s(j)) = s(z(j)) for every j, one j at a time."""
+    rows = np.arange(len(P))
+    for j, sj in enumerate(s):
+        rows = rows[P[rows, sj] == s[P[rows, j]]]
+    return P[rows]
+
+
+def _check_commute(tuples: np.ndarray) -> None:
+    """Raise VerificationFailure unless every tuple's members pairwise commute."""
+    for a in range(tuples.shape[1] - 1):
+        p = tuples[:, a : a + 1]
+        rest = tuples[:, a + 1 :]
+        if not np.array_equal(
+            np.take_along_axis(p, rest, axis=2), np.take_along_axis(rest, p, axis=2)
+        ):
+            raise VerificationFailure(
+                f"a built tuple has a non-commuting pair at member {a}"
             )
-        parent = np.repeat(np.arange(len(rows)), sizes)
-        rows = np.column_stack([rows[parent], flat])
-        off, flat = _keep_commuting(pairs, N, rows[:, -1], off[:-1][parent], sizes[parent], flat)
-        _refuse_output(len(flat), width + 1, ell, n, max_work)
-    for a, b in _runs(np.diff(off), SEARCH_CHUNK // (ell * n)):
-        parent = np.repeat(np.arange(a, b), np.diff(off[a : b + 1]))
-        tuples = P[np.column_stack([rows[parent], flat[off[a] : off[b]]])]
-        _check_commute(tuples)
-        yield tuples
+
+
+def _refuse(count: int, what: str, ell: int, n: int, max_work: int) -> None:
+    if count > max_work:
+        raise BudgetError(
+            f"the search needs {count} {what}, more than max_work = {max_work} "
+            f"for ell={ell}, n={n}"
+        )
+
+
+def _keep_commuting(
+    C: np.ndarray, off: np.ndarray, flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next level: prefix i's candidate flat[j] extends it to new row j.
+
+    New row j keeps the candidates of prefix i that commute with flat[j],
+    each found by composing the two rows of C both ways. Returns (off,
+    kept), new row j's at kept[off[j]:off[j+1]]. Runs of at most
+    SEARCH_CHUNK entries of C (one row at least) bound the temporaries.
+    """
+    sizes = np.diff(off)
+    lo, m = np.repeat(off[:-1], sizes), np.repeat(sizes, sizes)
+    new_off = np.zeros(len(flat) + 1, dtype=np.int64)
+    kept = []
+    for a, b in _runs(m, SEARCH_CHUNK // C.shape[1]):
+        ends = np.cumsum(m[a:b])
+        pos = np.arange(ends[-1]) + np.repeat(lo[a:b] - (ends - m[a:b]), m[a:b])
+        x = flat[pos]
+        p, z = C[np.repeat(flat[a:b], m[a:b])], C[x]
+        hit = (np.take_along_axis(p, z, axis=1) == np.take_along_axis(z, p, axis=1)).all(axis=1)
+        new_off[a + 1 : b + 1] = new_off[a] + np.concatenate([[0], np.cumsum(hit)])[ends]
+        kept.append(x[hit])
+    return new_off, np.concatenate(kept)
+
+
+def _search(ell: int, P: np.ndarray, max_work: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Runs of tuples (s, x_2, ..., x_w), w <= ell, with the size of the class of s.
+
+    s runs over one block rotation per cycle type, cycles shortest first;
+    the identity heads only the 1-tuple (id) (see enumerate_A). A run has
+    shape (T, w, n), entries 0-based. Inside C(s) every prefix keeps the
+    members of C(s) that commute with all of its own (_keep_commuting), one
+    int64 per tuple. The candidate tests and the tuple entries (tuples x
+    width x n), each summed over every s and width, are checked against
+    max_work before any tuple is built. The tuples are then gathered at
+    most SEARCH_CHUNK entries a run (one prefix at least), and every run is
+    checked against the definition before it is yielded.
+    """
+    N, n = P.shape
+    built = tests = 0
+    plans = []
+    for t in _cycle_types(n):
+        # the block at b of length L steps b + k to b + (k + 1) % L
+        starts = np.cumsum((0,) + t[:-1])
+        s = np.concatenate([b + (np.arange(L) + 1) % L for b, L in zip(starts, t)])
+        C = _centralizer(P, s)
+        size, rest = divmod(N, len(C))
+        if rest:
+            raise ArithmeticError(f"|C(s)| = {len(C)} does not divide n! = {N} at {t}")
+        # prefix i of a level draws its last member from flat[off[i]:off[i+1]];
+        # the empty prefix draws from all of C(s)
+        off, flat = np.array([0, len(C)]), np.arange(len(C))
+        levels = []
+        for width in range(2, ell + 1 if t[-1] > 1 else 2):
+            built += len(flat) * width * n
+            _refuse(built, f"tuple entries by the {width}-tuples", ell, n, max_work)
+            levels.append((off, flat))
+            if width == ell:
+                break
+            # each new row tests its prefix's candidates
+            sizes = np.diff(off)
+            tests += int(np.dot(sizes, sizes))
+            _refuse(tests, f"candidate tests to reach the {width + 1}-tuples", ell, n, max_work)
+            off, flat = _keep_commuting(C, off, flat)
+        plans.append((s, C, size, levels))
+    for s, C, size, levels in plans:
+        yield size, s[None, None]  # a view of s: nothing is built
+        rows = np.empty((1, 0), dtype=np.int64)  # the prefixes, as rows of C
+        for width, (off, flat) in enumerate(levels, 2):
+            for a, b in _runs(np.diff(off), SEARCH_CHUNK // (width * n)):
+                parent = np.repeat(np.arange(a, b), np.diff(off[a : b + 1]))
+                x = C[np.column_stack([rows[parent], flat[off[a] : off[b]]])]
+                tuples = np.concatenate([np.broadcast_to(s, (len(x), 1, n)), x], axis=1)
+                _check_commute(tuples)
+                yield size, tuples
+            if width <= len(levels):
+                rows = np.column_stack([np.repeat(rows, np.diff(off), axis=0), flat])
 
 
 def _runs(m: np.ndarray, step: int) -> Iterator[tuple[int, int]]:
@@ -318,12 +283,19 @@ def _runs(m: np.ndarray, step: int) -> Iterator[tuple[int, int]]:
 def enumerate_A(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> ATable:
     """A(ell, n, k) for all k by direct enumeration and orbit counting.
 
-    The orbits are counted chunk by chunk into one histogram, so the tuples
-    are never all held at once.
+    Conjugation keeps orbit counts, and a tuple headed by the identity has
+    the orbits of its tail, so with A(0, n, k) = [k = n]
+
+        A(ell, n, k) = A(ell-1, n, k) + sum over block rotations s != id of
+            (n!/|C(s)|) #{commuting (x_2..x_ell) in C(s)^(ell-1) : the
+                          tuple (s, x_2..x_ell) has k orbits}.
+
+    _search runs the recursion as its loop over widths 1..ell, and the
+    orbits are counted run by run into one histogram.
     """
     hist = np.zeros(n + 1, dtype=np.int64)
-    for chunk in _commuting_chunks(ell, n, max_work):
-        hist += np.bincount(orbit_counts(chunk), minlength=n + 1)
+    for size, run in _search(ell, _permutations(ell, n, max_work), max_work):
+        hist += size * np.bincount(orbit_counts(run), minlength=n + 1)
     return ATable(ell=ell, n=n, counts=tuple(int(c) for c in hist[1 : n + 1]))
 
 
@@ -339,11 +311,36 @@ def b_from_bruteforce(ell: int, n: int) -> int:
 
 
 def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
-    """The transitive commuting tuples, 1-based, as a set, within DEFAULT_MAX_WORK."""
+    """The transitive commuting tuples, 1-based, as a set, within DEFAULT_MAX_WORK.
+
+    Each transitive tuple (s, x_2..x_w) of _search, after ell - w
+    identities, is relabelled by all n! bijections w, every member x
+    becoming w x w^-1, in runs of at most SEARCH_CHUNK pairs; the set drops
+    the repeats. The output, A(ell, n, 1)·ell·n entries, is refused past
+    DEFAULT_MAX_WORK before any tuple is relabelled.
+    """
+    P = _permutations(ell, n, DEFAULT_MAX_WORK)
+    heads, count = [], 0
+    for size, run in _search(ell, P, DEFAULT_MAX_WORK):
+        trans = run[orbit_counts(run) == 1]
+        count += size * len(trans)
+        ident = np.broadcast_to(np.arange(n), (len(trans), ell - run.shape[1], n))
+        heads.append(np.concatenate([ident, trans], axis=1))
+    if count * ell * n > DEFAULT_MAX_WORK:
+        raise BudgetError(
+            f"the {count} transitive {ell}-tuples of n = {n} points hold more than "
+            f"DEFAULT_MAX_WORK = {DEFAULT_MAX_WORK} entries"
+        )
+    heads = np.concatenate(heads)
+    inv = np.argsort(P, axis=1)
     found = set()
-    for chunk in _commuting_chunks(ell, n, DEFAULT_MAX_WORK):
-        trans = chunk[orbit_counts(chunk) == 1] + 1
-        found.update(tuple(map(tuple, tup)) for tup in trans.tolist())
+    total, step = len(heads) * len(P), max(1, SEARCH_CHUNK // (ell * n))
+    for a in range(0, total, step):
+        r, w = np.divmod(np.arange(a, min(a + step, total)), len(P))
+        # w x w^-1 maps w[i] to w[x[i]], so its image of j is w[x[w^-1[j]]]
+        x = heads[r[:, None, None], np.arange(ell)[:, None], inv[w][:, None, :]]
+        relabelled = P[w[:, None, None], x] + 1
+        found.update(tuple(map(tuple, tup)) for tup in relabelled.tolist())
     return found
 
 

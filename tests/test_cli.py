@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -116,18 +117,25 @@ def test_bruteforce_long_tuples_at_n_1(capsys):
 
 
 def test_bruteforce_budget_counts_the_search(capsys):
-    # the 887,040 pairs of S_8 hold 14.2 million entries, within the default
+    # (2, 8), (3, 7) and (2, 9) run inside the centralizers of one
+    # permutation per cycle type, within the default
     assert run(["bruteforce", "--ell", "2", "--n", "8"]) == 0
     assert "total=887040 counts={1:75600," in capsys.readouterr().out
-    start = time.perf_counter()
-    assert run(["bruteforce", "--ell", "3", "--n", "7"]) == 3
-    assert "needs 28118160 candidate tests" in capsys.readouterr().err
-    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "28118159"]) == 3
-    assert run(["bruteforce", "--ell", "1", "--n", "10"]) == 3
-    assert run(["bruteforce", "--ell", "2", "--n", "9"]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "28118160"]) == 0
+    assert run(["bruteforce", "--ell", "3", "--n", "7"]) == 0
     assert "total=856800 counts={1:41040," in capsys.readouterr().out
+    assert run(["bruteforce", "--ell", "2", "--n", "9"]) == 0
+    assert "total=10886400 counts={1:524160," in capsys.readouterr().out
+    # (3, 9) is refused on its tests, before any runs
+    start = time.perf_counter()
+    with mock.patch.object(permtuples, "_keep_commuting", side_effect=AssertionError):
+        assert run(["bruteforce", "--ell", "3", "--n", "9"]) == 3
+    assert "needs 101606400 candidate tests" in capsys.readouterr().err
+    assert run(["bruteforce", "--ell", "1", "--n", "10"]) == 3
+    assert time.perf_counter() - start < 1.0
+    # (3, 7) needs 69,505 tests and builds 156,373 tuple entries
+    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "156372"]) == 3
+    assert "needs 156373 tuple entries" in capsys.readouterr().err
+    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "156373"]) == 0
 
 
 def test_genfunc_json(tmp_path):

@@ -1,7 +1,7 @@
 import itertools
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from unittest import mock
 
 import numpy as np
@@ -14,11 +14,11 @@ from abundancy._kernels import orbit_counts
 from abundancy.bvalues import b_via_flags
 from abundancy.errors import BudgetError, VerificationFailure
 from abundancy.genfunc import exp_series, partition_numbers
+from abundancy.sieve import sieve_b
 from abundancy.permtuples import (
     DEFAULT_MAX_WORK,
     ATable,
     PermTuple,
-    _commuting_chunks,
     b_from_bruteforce,
     bell_transform,
     enumerate_A,
@@ -113,10 +113,6 @@ def test_transitive_tuples_shape():
         assert pt.commutes() and pt.is_transitive()
 
 
-def _all_tuples(ell, n):
-    return np.concatenate(list(_commuting_chunks(ell, n, DEFAULT_MAX_WORK)))
-
-
 def _pair_filter(ell, n):
     # Reference search: every candidate is tested against every prefix
     # member, n!^2 tests at ell = 2.
@@ -137,6 +133,14 @@ def _pair_filter(ell, n):
     return P[np.array(found, dtype=np.int64)]
 
 
+def _reference(ell, n):
+    # the pair filter's orbit histogram and transitive tuples, 1-based
+    listed = _pair_filter(ell, n)
+    orbits = orbit_counts(listed)
+    hist = tuple(np.bincount(orbits, minlength=n + 1)[1:].tolist())
+    return hist, {tuple(map(tuple, tup)) for tup in (listed[orbits == 1] + 1).tolist()}
+
+
 # Every (ell, n) with n <= 6 and ell <= 10 that the pair filter reaches,
 # n!^ell <= DEFAULT_MAX_WORK, and (2, 7). The default budget admits more,
 # such as (3, 6) and (4, 6), which the reference is too slow to list.
@@ -150,48 +154,50 @@ _SEARCH_CASES = [
 
 @pytest.mark.parametrize("ell,n", _SEARCH_CASES)
 def test_search_matches_pair_filter(ell, n):
-    got = _all_tuples(ell, n)
-    want = _pair_filter(ell, n)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    hist, transitive = _reference(ell, n)
+    assert enumerate_A(ell, n).counts == hist
+    assert transitive_tuples(ell, n) == transitive
 
 
 def test_commuting_pairs_count_partitions():
-    # |{(p, q) : pq = qp}| = n! * (number of conjugacy classes) = n! p(n);
-    # n = 8 is past the pair filter's reach, and its 887,040 pairs hold
-    # 14.2 million entries, within the default budget
-    p = partition_numbers(8)
-    for n in range(1, 9):
-        assert len(_all_tuples(2, n)) == factorial(n) * p[n]
+    # |{(p, q) : pq = qp}| = n! * (number of conjugacy classes) = n! p(n),
+    # past the pair filter's reach at n = 8 and 9
+    p = partition_numbers(9)
+    for n in range(1, 10):
+        assert enumerate_A(2, n).total() == factorial(n) * p[n]
 
 
-# ell <= 4 of the pair filter's cases, so that one chunk per prefix stays fast
+# ell <= 4 of the pair filter's cases, so that one run per prefix stays fast
 _STREAM_CASES = [(ell, n) for ell, n in _SEARCH_CASES if ell <= 4 and n <= 6]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=st.sampled_from(_STREAM_CASES), data=st.data())
 def test_streamed_search_matches_for_any_chunk(case, data):
-    # a chunk of 1 entry holds one prefix each, a few entries one or a few,
-    # and n! ell n entries at least one prefix's worth, since no prefix
-    # draws its last member from more than n! candidates
+    # a chunk of 1 entry holds one prefix's tuples a run, a few entries one
+    # or a few, and n! ell n entries at least one prefix's worth, since no
+    # prefix draws its last member from more than n! candidates
     ell, n = case
     chunk = data.draw(st.one_of(
         st.just(1), st.integers(2, 4 * ell * n), st.just(factorial(n) * ell * n)
     ))
     want = (enumerate_A(ell, n), b_from_bruteforce(ell, n), transitive_tuples(ell, n))
-    listed = _pair_filter(ell, n)
-    with mock.patch.object(permtuples, "SEARCH_CHUNK", chunk):
+    runs = []
+
+    def recording(tuples):
+        runs.append(tuples)
+        check(tuples)
+
+    check = permtuples._check_commute
+    with mock.patch.object(permtuples, "SEARCH_CHUNK", chunk), \
+            mock.patch.object(permtuples, "_check_commute", recording):
         got = (enumerate_A(ell, n), b_from_bruteforce(ell, n), transitive_tuples(ell, n))
-        chunks = list(_commuting_chunks(ell, n, DEFAULT_MAX_WORK))
     assert got == want
-    hist = np.bincount(orbit_counts(listed), minlength=n + 1)
-    assert got[0].counts == tuple(hist[1:].tolist())
-    assert np.array_equal(np.concatenate(chunks), listed)
-    for c in chunks:
-        # past the bound only when the chunk is one prefix's tuples
-        prefixes = np.unique(c[:, :-1].reshape(len(c), -1), axis=0)
-        assert c.size <= chunk or len(prefixes) == 1
+    assert (got[0].counts, got[2]) == _reference(ell, n)
+    for run in runs:
+        # past the bound only when the run is one prefix's tuples
+        prefixes = np.unique(run[:, :-1].reshape(len(run), -1), axis=0)
+        assert run.size <= chunk or len(prefixes) == 1
 
 
 def test_one_point_tuples_of_any_length():
@@ -211,23 +217,23 @@ def test_budget_refusal():
             enumerate_A(ell, 1, max_work=10)
     with pytest.raises(BudgetError):
         enumerate_A(10**8, 2)
-    # refused on the 75,600 pairs of S_7, times ell x n, before any is listed
+    # refused on the 6-tuples inside the centralizers of S_7, before any is built
     with pytest.raises(BudgetError):
         enumerate_A(5000, 7)
 
 
-
 def test_output_bound_refuses_before_allocating():
-    # the output would be 2^24 tuples (6.4 GB); the 2^20 20-tuples already
-    # hold more than the default max_work entries
+    # S_2 has 2^(w-1) w-tuples headed by the transposition, w 2^w entries;
+    # those of widths 2..20 sum to 19 * 2^21 entries, past the default
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="1048576 commuting 20-tuples"):
+    with pytest.raises(BudgetError, match="39845888 tuple entries by the 20-tuples"):
         enumerate_A(24, 2)
     assert time.perf_counter() - start < 1.0
-    # an output of exactly max_work entries (tuples x ell x n) is admitted
-    assert enumerate_A(5, 2, max_work=2**5 * 5 * 2).total() == 2**5
-    with pytest.raises(BudgetError):
-        enumerate_A(5, 2, max_work=2**5 * 5 * 2 - 1)
+    # widths 2..5 build exactly 256 entries, admitted at a max_work of 256
+    assert enumerate_A(5, 2, max_work=256).total() == 2**5
+    with pytest.raises(BudgetError, match="256 tuple entries by the 5-tuples"):
+        enumerate_A(5, 2, max_work=255)
+
 
 def test_permutation_list_refused_before_it_is_built():
     # n!·n entries: 96 at n = 4; 36,288,000 at n = 10, past the default
@@ -235,76 +241,81 @@ def test_permutation_list_refused_before_it_is_built():
     with mock.patch.object(permtuples.itertools, "permutations", side_effect=AssertionError):
         with pytest.raises(BudgetError, match="n = 4 points hold more than max_work = 95"):
             enumerate_A(1, 4, max_work=95)
-        with pytest.raises(BudgetError, match="n = 10 points"):
-            enumerate_A(1, 10)
-        # the 10,886,400 commuting pairs of S_9 are counted from its cycle types
-        with pytest.raises(BudgetError, match="10886400 commuting 2-tuples"):
-            enumerate_A(2, 9)
+        for ell in (1, 2):
+            with pytest.raises(BudgetError, match="n = 10 points"):
+                enumerate_A(ell, 10)
 
 
 def test_candidate_tests_refused_before_they_run():
-    # the last level of (3, 7) tests 28,118,160 candidates, past the default
+    # the transposition of S_9 has a centralizer of 2 * 7! = 10,080, so its
+    # 3-tuples need 10,080^2 = 101,606,400 tests, past the default
     start = time.perf_counter()
     with mock.patch.object(permtuples, "_keep_commuting", side_effect=AssertionError):
-        with pytest.raises(BudgetError, match="needs 28118160 candidate tests"):
-            enumerate_A(3, 7)
+        with pytest.raises(BudgetError, match="needs 101606400 candidate tests"):
+            enumerate_A(3, 9)
     assert time.perf_counter() - start < 1.0
 
 
 def test_last_level_refuses_before_any_chunk():
-    # (3, 4) has 504 triples, 6,048 entries
-    assert enumerate_A(3, 4, max_work=6048).total() == 504
-    with pytest.raises(BudgetError, match="504 commuting 3-tuples"):
-        enumerate_A(3, 4, max_work=6047)
+    # (3, 4) builds 1,124 tuple entries inside its centralizers
+    assert enumerate_A(3, 4, max_work=1124).total() == 504
+    with pytest.raises(BudgetError, match="1124 tuple entries by the 3-tuples"):
+        enumerate_A(3, 4, max_work=1123)
+    P = permtuples._permutations(3, 4, 1123)
     with mock.patch.object(permtuples, "SEARCH_CHUNK", 1):
-        with pytest.raises(BudgetError, match="504 commuting 3-tuples"):
-            next(_commuting_chunks(3, 4, 3000))
-    # past the default the tuples are counted, not built: 1,048,576
-    # 20-tuples of S_2, 1,618,896 13-tuples of S_3, 3,833,880 7-tuples of S_5
+        with pytest.raises(BudgetError, match="1124 tuple entries by the 3-tuples"):
+            next(permtuples._search(3, P, 1123))
+    # past the default every level is counted before any tuple is built
     start = time.perf_counter()
     with mock.patch.object(permtuples, "_check_commute", side_effect=AssertionError):
-        for ell, n in ((20, 2), (13, 3), (7, 5)):
-            with pytest.raises(BudgetError, match=f"commuting {ell}-tuples already"):
+        for ell, n in ((20, 2), (13, 3), (8, 5), (6, 6)):
+            with pytest.raises(BudgetError, match=f"tuple entries by the {ell}-tuples"):
                 enumerate_A(ell, n)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_candidate_tests_run_once():
-    # _keep_commuting is given each level's tests once; (3, 7) has one level
-    # of 28,118,160 tests, and the output check after it needs no second pass
+    # at ell = 3 each x in C(s) tests all of C(s) once, so the tests number
+    # the sum of |C(s)|^2 over the cycle types but the identity's
     keep = permtuples._keep_commuting
     counted = []
 
-    def counting(pairs, N, q, lo, m, flat):
-        counted.append(int(m.sum()))
-        return keep(pairs, N, q, lo, m, flat)
+    def counting(C, off, flat):
+        # each candidate of a prefix tests all of that prefix's candidates
+        counted.append(int(np.dot(np.diff(off), np.diff(off))))
+        return keep(C, off, flat)
+
+    def z(t):  # |C(s)| for the cycle type t
+        return prod(L ** t.count(L) * factorial(t.count(L)) for L in set(t))
 
     with mock.patch.object(permtuples, "_keep_commuting", counting):
-        at = enumerate_A(3, 7, max_work=28_118_160)
-    assert sum(counted) == 28_118_160
+        at = enumerate_A(3, 7)
+    want = sum(z(t) ** 2 for t in permtuples._cycle_types(7) if t[-1] > 1)
+    assert sum(counted) == want == 69_505
     assert at[1] == factorial(6) * b_via_flags(3, 7) == 41_040
 
 
 def test_callers_without_max_work_read_the_default(monkeypatch):
-    # the 120 commuting pairs of S_4 hold 960 entries
-    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 960)
+    # (2, 4) builds 152 tuple entries; its 42 transitive pairs hold 336
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 336)
     assert len(transitive_tuples(2, 4)) == factorial(3) * b_via_flags(2, 4)
     assert tori.double_count_check(2, 4).match
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 335)
+    for call in (transitive_tuples, tori.double_count_check):
+        with pytest.raises(BudgetError, match="the 42 transitive 2-tuples of n = 4"):
+            call(2, 4)
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 152)
     assert b_from_bruteforce(2, 4) == b_via_flags(2, 4)
-    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 959)
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 151)
     for call in (transitive_tuples, tori.double_count_check, b_from_bruteforce):
-        with pytest.raises(BudgetError, match="120 commuting 2-tuples already"):
+        with pytest.raises(BudgetError, match="152 tuple entries by the 2-tuples"):
             call(2, 4)
 
 
 def test_every_chunk_is_checked_against_the_definition():
-    # a centralizer list that admits every permutation yields pairs that do
-    # not commute; each chunk must be checked before it is counted
-    def everything(P):
-        N = len(P)
-        return np.arange(N + 1) * N, np.tile(np.arange(N), N)
-
-    with mock.patch.object(permtuples, "_centralizers", everything):
+    # a centralizer that admits every permutation yields pairs that do not
+    # commute; each run must be checked before it is counted
+    with mock.patch.object(permtuples, "_centralizer", lambda P, s: P):
         with pytest.raises(VerificationFailure, match="non-commuting pair"):
             enumerate_A(2, 3)
         with mock.patch.object(permtuples, "SEARCH_CHUNK", 1):
@@ -318,6 +329,16 @@ def test_pairs_of_eight_points_under_the_default_budget():
     assert at[1] == factorial(7) * 15 == 75_600  # 7! sigma(8)
     b_row = [b_via_flags(2, v) for v in range(1, 9)]
     assert at.counts == bell_transform(2, 8, b_row).counts
+
+
+def test_nine_points_and_larger_tuples_under_the_default_budget():
+    # all refused while the oracle listed every commuting pair of S_n
+    rows = {ell: sieve_b(ell, 9) for ell in (2, 3, 4)}
+    at = enumerate_A(2, 9)
+    assert at[1] == factorial(8) * rows[2][9] == 524_160  # 8! sigma(9)
+    assert at.counts == bell_transform(2, 9, [rows[2][v] for v in range(1, 10)]).counts
+    assert enumerate_A(3, 8)[1] == factorial(7) * rows[3][8]
+    assert enumerate_A(4, 7)[1] == factorial(6) * rows[4][7]
 
 
 def test_bell_transform_matches_enumeration():
