@@ -315,9 +315,9 @@ def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
 
     Each transitive tuple (s, x_2..x_w) of _search, after ell - w
     identities, is relabelled by all n! bijections w, every member x
-    becoming w x w^-1, in runs of at most SEARCH_CHUNK pairs; the set drops
-    the repeats. The output, A(ell, n, 1)·ell·n entries, is refused past
-    DEFAULT_MAX_WORK before any tuple is relabelled.
+    becoming w x w^-1, in runs of at most SEARCH_CHUNK entries; a set of
+    byte keys drops the repeats. The output, A(ell, n, 1)·ell·n entries, is
+    refused past DEFAULT_MAX_WORK before any tuple is relabelled.
     """
     P = _permutations(ell, n, DEFAULT_MAX_WORK)
     heads, count = [], 0
@@ -333,15 +333,16 @@ def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
         )
     heads = np.concatenate(heads)
     inv = np.argsort(P, axis=1)
-    found = set()
+    keys = set()  # each distinct tuple as its ell·n bytes
     total, step = len(heads) * len(P), max(1, SEARCH_CHUNK // (ell * n))
     for a in range(0, total, step):
         r, w = np.divmod(np.arange(a, min(a + step, total)), len(P))
         # w x w^-1 maps w[i] to w[x[i]], so its image of j is w[x[w^-1[j]]]
-        x = heads[r[:, None, None], np.arange(ell)[:, None], inv[w][:, None, :]]
-        relabelled = P[w[:, None, None], x] + 1
-        found.update(tuple(map(tuple, tup)) for tup in relabelled.tolist())
-    return found
+        x = np.take_along_axis(heads[r], inv[w][:, None, :], axis=2).reshape(len(w), -1)
+        relabelled = np.take_along_axis(P[w], x, axis=1)
+        keys.update(relabelled.view(f"V{relabelled[0].nbytes}").ravel().tolist())
+    tuples = np.frombuffer(b"".join(keys), dtype=P.dtype).reshape(-1, ell, n) + 1
+    return {tuple(map(tuple, tup)) for tup in tuples.tolist()}
 
 
 def bell_transform(ell: int, n: int, b_row: Sequence[int]) -> ATable:

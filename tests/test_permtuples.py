@@ -268,10 +268,10 @@ def test_last_level_refuses_before_any_chunk():
     # past the default every level is counted before any tuple is built
     start = time.perf_counter()
     with mock.patch.object(permtuples, "_check_commute", side_effect=AssertionError):
-        for ell, n in ((20, 2), (13, 3), (8, 5), (6, 6)):
+        for ell, n in ((20, 2), (13, 3), (8, 5)):
             with pytest.raises(BudgetError, match=f"tuple entries by the {ell}-tuples"):
                 enumerate_A(ell, n)
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_candidate_tests_run_once():
