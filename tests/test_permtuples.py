@@ -14,7 +14,6 @@ from abundancy._kernels import orbit_counts
 from abundancy.bvalues import b_via_flags
 from abundancy.errors import BudgetError, VerificationFailure
 from abundancy.genfunc import exp_series, partition_numbers
-from abundancy.sieve import sieve_b
 from abundancy.permtuples import (
     DEFAULT_MAX_WORK,
     ATable,
@@ -24,6 +23,7 @@ from abundancy.permtuples import (
     enumerate_A,
     transitive_tuples,
 )
+from abundancy.sieve import sieve_b
 
 
 def test_permtuple_validation():
