@@ -314,35 +314,48 @@ def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
     """The transitive commuting tuples, 1-based, as a set, within DEFAULT_MAX_WORK.
 
     Each transitive tuple (s, x_2..x_w) of _search, after ell - w
-    identities, is relabelled by all n! bijections w, every member x
-    becoming w x w^-1, in runs of at most SEARCH_CHUNK entries; a set of
-    byte keys drops the repeats. The output, A(ell, n, 1)·ell·n entries, is
-    refused past DEFAULT_MAX_WORK before any tuple is relabelled.
+    identities, is relabelled once by each of the n!/|C(s)| bijections w
+    that first give a member w s w^-1 of the class of s, every member x
+    becoming w x w^-1, in runs of at most SEARCH_CHUNK entries; so each
+    tuple is made once. The output, A(ell, n, 1)·ell·n entries, is refused
+    past DEFAULT_MAX_WORK before any tuple is relabelled.
     """
     P = _permutations(ell, n, DEFAULT_MAX_WORK)
-    heads, count = [], 0
+    found, count = {}, 0  # the bytes of s -> (s, class size, transitive tuples)
     for size, run in _search(ell, P, DEFAULT_MAX_WORK):
         trans = run[orbit_counts(run) == 1]
-        count += size * len(trans)
-        ident = np.broadcast_to(np.arange(n), (len(trans), ell - run.shape[1], n))
-        heads.append(np.concatenate([ident, trans], axis=1))
+        if len(trans):
+            count += size * len(trans)
+            ident = np.broadcast_to(np.arange(n), (len(trans), ell - run.shape[1], n))
+            s = run[0, 0]
+            found.setdefault(s.tobytes(), (s, size, []))[2].append(
+                np.concatenate([ident, trans], axis=1))
     if count * ell * n > DEFAULT_MAX_WORK:
         raise BudgetError(
             f"the {count} transitive {ell}-tuples of n = {n} points hold more than "
             f"DEFAULT_MAX_WORK = {DEFAULT_MAX_WORK} entries"
         )
-    heads = np.concatenate(heads)
     inv = np.argsort(P, axis=1)
-    keys = set()  # each distinct tuple as its ell·n bytes
-    total, step = len(heads) * len(P), max(1, SEARCH_CHUNK // (ell * n))
-    for a in range(0, total, step):
-        r, w = np.divmod(np.arange(a, min(a + step, total)), len(P))
-        # w x w^-1 maps w[i] to w[x[i]], so its image of j is w[x[w^-1[j]]]
-        x = np.take_along_axis(heads[r], inv[w][:, None, :], axis=2).reshape(len(w), -1)
-        relabelled = np.take_along_axis(P[w], x, axis=1)
-        keys.update(relabelled.view(f"V{relabelled[0].nbytes}").ravel().tolist())
-    tuples = np.frombuffer(b"".join(keys), dtype=P.dtype).reshape(-1, ell, n) + 1
-    return {tuple(map(tuple, tup)) for tup in tuples.tolist()}
+    tuples = set()
+    step = max(1, SEARCH_CHUNK // (ell * n))
+    for s, size, heads in found.values():
+        # w s w^-1 maps w[i] to w[s[i]], so its image of j is w[s[w^-1[j]]]
+        _, first = np.unique(np.take_along_axis(P, s[inv], axis=1), axis=0, return_index=True)
+        assert len(first) == size
+        heads = np.concatenate(heads)
+        total = len(heads) * size
+        for a in range(0, total, step):
+            r, w = np.divmod(np.arange(a, min(a + step, total)), size)
+            w = first[w]
+            x = np.take_along_axis(heads[r], inv[w][:, None, :], axis=2).reshape(len(w), -1)
+            relabelled = np.take_along_axis(P[w], x, axis=1).reshape(-1, ell, n) + 1
+            tuples.update(tuple(map(tuple, tup)) for tup in relabelled.tolist())
+    if len(tuples) != count:
+        raise VerificationFailure(
+            f"relabelling made {len(tuples)} distinct transitive {ell}-tuples of "
+            f"n = {n} points, not the {count} counted"
+        )
+    return tuples
 
 
 def bell_transform(ell: int, n: int, b_row: Sequence[int]) -> ATable:

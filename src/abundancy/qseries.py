@@ -8,29 +8,25 @@ The left side is an infinite series; verify_power_rule truncates it with an
 explicit geometric tail bound and reports both sides. With z = a/b and
 q = c/d in lowest terms, both routes carry integer numerators over known
 powers of b and d through their loops, and build one Fraction for each
-value returned.
+value returned. The series' window slides as a queue of two stacks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError
 
-# verify_power_rule refuses a series of K terms when K passes the first
-# cap or (ell - 1) max(K, 1) passes the second: each term multiplies the
-# ell - 1 factors of the window, and the window and the right side take
-# ell - 1 factors even at K = 0. For K >= 1 the two are one cap on K,
-# min(MAX_POWER_TERMS, MAX_POWER_PRODUCTS // (ell - 1)). It also refuses
-# when the numbers it forms pass MAX_POWER_BITS bits: with z = a/b and
-# q = c/d, about ell bits(b + |a|) + (ell K + ell(ell-1)/2) bits(d), the
-# size of the right side at K = 0 and of the Horner sum's denominator.
-MAX_POWER_TERMS = 5_000
-MAX_POWER_PRODUCTS = 20_000
-MAX_POWER_BITS = 1 << 18
+# verify_power_rule refuses a series of K terms whose cost (K + ell) bits(K)
+# passes this cap: with z = a/b and q = c/d, its numbers hold about
+# bits(K) = ell bits(b + |a|) + (ell K + ell(ell-1)/2) bits(d), the size of
+# the right side at K = 0 and of the Horner sum's denominator, and it takes
+# about K + ell products of numbers of that size.
+MAX_POWER_COST = 500_000_000
 
 
 def qpoch(z: Fraction | int, q: Fraction | int, r: int) -> Fraction:
@@ -64,14 +60,14 @@ class PowerRuleReport:
 
 
 def _runs_past(x_num: int, x_den: int, c: int, d: int, n: int) -> bool:
-    """Whether x_num c^n > x_den d^n, for x_num, c >= 0, x_den, d >= 1, n >= 1.
+    """Whether x_num c^n > x_den d^n, for x_num, c, n >= 0 and x_den, d >= 1.
 
     The powers hold about n times the bits of d, so the logarithms decide
     first; the powers are formed only when the two sides are within the
     logarithms' rounding error of each other.
     """
-    if not x_num or not c:
-        return False
+    if not (x_num and c and n):
+        return x_num * c**n > x_den * d**n
     logs = (math.log(x_num), math.log(x_den), n * math.log(c), n * math.log(d))
     gap = logs[0] - logs[1] + logs[2] - logs[3]
     if abs(gap) > 2**-40 * (1 + sum(logs)):
@@ -79,14 +75,9 @@ def _runs_past(x_num: int, x_den: int, c: int, d: int, n: int) -> bool:
     return x_num * c**n > x_den * d**n
 
 
-def _refuse_size(ell: int, q: Fraction, a: int, b: int, d: int, terms: float) -> None:
-    """Raise BudgetError when a series of `terms` terms forms numbers past MAX_POWER_BITS."""
-    bits = ell * (b + abs(a)).bit_length() + (ell * terms + ell * (ell - 1) // 2) * d.bit_length()
-    if bits > MAX_POWER_BITS:
-        raise BudgetError(
-            f"the power-rule series at ell={ell}, q={q} forms numbers of about "
-            f"{bits:,.0f} bits, more than MAX_POWER_BITS = {MAX_POWER_BITS:,}"
-        )
+def _bits(ell: int, a: int, b: int, d: int, terms: float) -> float:
+    """bits(K) for K = terms: see MAX_POWER_COST."""
+    return ell * (b + abs(a)).bit_length() + (ell * terms + ell * (ell - 1) // 2) * d.bit_length()
 
 
 def _terms_estimate(x_num: int, x_den: int, c: int, d: int) -> float:
@@ -109,12 +100,10 @@ def verify_power_rule(
     [lhs - tail_bound, lhs + tail_bound] encloses the true series value.
     bound_ok reports |lhs_truncated - rhs_exact| <= tail_eps.
 
-    K is settled before anything is summed: a series with K past
-    MAX_POWER_TERMS, with (ell - 1) max(K, 1) window products past
-    MAX_POWER_PRODUCTS, or with numbers of more than MAX_POWER_BITS bits,
-    raises BudgetError, and every other one is summed. The size is checked
-    at K = 0 before the tail bound's scale is formed, and at the estimated
-    K before the window is built.
+    K is settled before anything is summed: a series whose cost
+    (K + ell) bits(K) passes MAX_POWER_COST raises BudgetError, and every
+    other one is summed. The cost is checked at K = 0 before the tail
+    bound's scale is formed, and then at the largest K the cap admits.
     With z = a/b and q = c/d, term k is
     N_k / (b^(ell-1) d^(ell k + ell(ell-1)/2)), where
     N_k = c^k prod_{i<ell-1} (b d^(k+1+i) - c^(k+1+i) a), so the terms are
@@ -130,49 +119,60 @@ def verify_power_rule(
     if abs(q) >= 1:
         raise ValueError("tail bound unachievable: need |q| < 1")
 
-    if ell - 1 > MAX_POWER_PRODUCTS:
-        raise BudgetError(
-            f"the power-rule series at ell={ell}, q={q} needs {ell - 1} window "
-            f"products at any K, more than MAX_POWER_PRODUCTS = {MAX_POWER_PRODUCTS}"
-        )
-
     a, b = z.numerator, z.denominator
     c, d = q.numerator, q.denominator
-    _refuse_size(ell, q, a, b, d, 0)
+    bits = _bits(ell, a, b, d, 0)
+    if ell * bits > MAX_POWER_COST:
+        raise BudgetError(
+            f"the power-rule series at ell={ell}, q={q} forms numbers of about "
+            f"{bits:,} bits at any K, a cost of {ell * bits:,} already at K = 0, "
+            f"more than MAX_POWER_COST = {MAX_POWER_COST:,}"
+        )
     # the tail bound's scale is s_num / s_den; the loop runs on while
     # scale |q|^k > eps, that is while x_num |c|^k > x_den d^k
     s_num = abs(a) * (d - c) * (b + abs(a)) ** (ell - 1)
     s_den = b**ell * (d - abs(c))
     x_num = s_num * eps.denominator
     x_den = s_den * eps.numerator
-    cap = min(MAX_POWER_TERMS, MAX_POWER_PRODUCTS // (ell - 1))
-    if _runs_past(x_num, x_den, abs(c), d, cap):
+    # lo: the largest K whose cost, at least ell bits(d) K^2, is within the cap
+    lo, hi = 0, math.isqrt(MAX_POWER_COST // (ell * d.bit_length()))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mid + ell) * _bits(ell, a, b, d, mid) <= MAX_POWER_COST:
+            lo = mid
+        else:
+            hi = mid - 1
+    if _runs_past(x_num, x_den, abs(c), d, lo):
+        terms = _terms_estimate(x_num, x_den, abs(c), d)
         raise BudgetError(
-            f"the power-rule series at ell={ell}, q={q} needs about "
-            f"{_terms_estimate(x_num, x_den, abs(c), d):,.0f} terms K of {ell - 1} "
-            f"window products each, more than K = {cap}, the lesser of "
-            f"MAX_POWER_TERMS = {MAX_POWER_TERMS} and MAX_POWER_PRODUCTS = "
-            f"{MAX_POWER_PRODUCTS} // (ell - 1)"
+            f"the power-rule series at ell={ell}, q={q} needs about {terms:,.0f} "
+            f"terms over numbers of about {_bits(ell, a, b, d, terms):,.0f} bits, "
+            f"more than K = {lo}, the most whose cost (K + ell) bits(K) is within "
+            f"MAX_POWER_COST = {MAX_POWER_COST:,}"
         )
-    terms = min(_terms_estimate(x_num, x_den, abs(c), d), cap) if c and x_num > x_den else 0
-    _refuse_size(ell, q, a, b, d, terms)
 
     rhs = (1 - q) * (1 - qpoch(z, q, ell)) / (1 - q**ell)
 
-    # the ell - 1 factors b d^j - c^j a of term k, j = k+1 .. k+ell-1
-    window = deque(b * d**j - c**j * a for j in range(1, ell))
+    # term k's window is f_j = b d^j - c^j a, j = k+1 .. k+ell-1: `out` pops
+    # suffix products of the older factors, and `run` is the product of the
+    # newer ones, kept in `new` until `out` runs empty and they refill it
+    new = [b * d**j - c**j * a for j in range(1, ell)]
+    out, run = [], 1
     top_b, top_a = b * d ** (ell - 1), a * c ** (ell - 1)
     d_ell = d**ell
     acc = 0
     ck = dk = 1  # c^k, d^k
     k = 0
     while x_num * abs(ck) > x_den * dk:
-        acc = acc * d_ell + ck * math.prod(window)
+        if not out:
+            out = list(itertools.accumulate(reversed(new), operator.mul))
+            new, run = [], 1
+        acc = acc * d_ell + ck * (out.pop() * run)
         ck *= c
         dk *= d
         k += 1
-        window.popleft()
-        window.append(top_b * dk - top_a * ck)
+        new.append(top_b * dk - top_a * ck)
+        run *= new[-1]
     # z(1-q) = a(d-c)/(b d); over the Horner denominator this leaves
     # b^ell d^(ell(k-1) + ell(ell-1)/2 + 1), whose exponent of d is >= 0 at k = 0
     lhs = Fraction(a * (d - c) * acc, b**ell * d ** (ell * k + (ell - 1) * (ell - 2) // 2))

@@ -233,13 +233,14 @@ def test_series_budgets_exit_3_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("budget refused: ") and "ell=6, q=999/1000" in err
-    # 339 terms of 299 window factors each; ell = 1000 forms numbers of
-    # about 1,001,000 bits
+    # ell = 1000 forms numbers of about 1,001,000 bits at K = 0, and ell =
+    # 300 sums 339 terms of 299 window factors each
     start = time.perf_counter()
-    assert run(["qcheck", "--ell", "300", "--z", "1", "--q", "1/2"]) == 3
     assert run(["qcheck", "--ell", "1000", "--z", "1", "--q", "1/2"]) == 3
     assert time.perf_counter() - start < 1.0
-    assert "MAX_POWER_PRODUCTS" in capsys.readouterr().err
+    assert "MAX_POWER_COST" in capsys.readouterr().err
+    assert run(["qcheck", "--ell", "300", "--z", "1", "--q", "1/2"]) == 0
+    assert "terms=339" in capsys.readouterr().out
     # 10^7 angles x 48 coefficients
     start = time.perf_counter()
     assert run(["cauchy", "--n", "5", "--k", "2", "--r", "0.3", "--grid", "10000000"]) == 3
@@ -262,7 +263,7 @@ def test_qcheck_size_budget_exits_3_fast(capsys):
     assert run(["qcheck", "--ell", "20001", "--z", "0", "--q", "1/2"]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.count("MAX_POWER_BITS") == 2 and "ell=8000, q=1/2" in err
+    assert err.count("MAX_POWER_COST") == 2 and "ell=8000, q=1/2" in err
 
 
 def test_verify_theorem_exit_codes():

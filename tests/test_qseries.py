@@ -160,6 +160,26 @@ def test_power_rule_edge_points_match_the_reference():
             assert verify_power_rule(ell, z, q) == _reference_power_rule(ell, z, q)
 
 
+def test_power_rule_window_edge_points_match_the_reference():
+    # a zero window factor, z q^j = 1, at j = 1 and 2 and past the first
+    # window; and ell = 21 with K = 47 > 2 (ell - 1), so that the out stack
+    # of the window is refilled twice
+    for ell in (2, 3, 4, 7):
+        for z, q in ((2, F(1, 2)), (9, F(1, 3)), (4, F(-1, 2)), (256, F(1, 2))):
+            assert verify_power_rule(ell, z, q) == _reference_power_rule(ell, z, q)
+    rep = verify_power_rule(21, F(1, 3), F(1, 2))
+    assert rep.terms == 47 > 2 * 20
+    assert rep == _reference_power_rule(21, F(1, 3), F(1, 2))
+
+
+def _cost(ell, z, q, terms):
+    # (K + ell) bits(K), with bits(K) = ell bits(b + |a|) + (ell K + ell(ell-1)/2) bits(d)
+    z, q = Fraction(z), Fraction(q)
+    bits = (ell * (z.denominator + abs(z.numerator)).bit_length()
+            + (ell * terms + ell * (ell - 1) // 2) * q.denominator.bit_length())
+    return (terms + ell) * bits
+
+
 def test_power_rule_term_budget_refuses_fast():
     start = time.perf_counter()
     with pytest.raises(BudgetError, match=r"ell=6, q=999/1000 needs about 32,6\d\d terms"):
@@ -174,22 +194,31 @@ def test_power_rule_term_budget_refuses_fast():
     start = time.perf_counter()
     assert verify_power_rule(3, 1, F(1, 10**400)).terms == 1
     assert time.perf_counter() - start < 1.0
+    # each admitted by a cap on operand size alone, and 8-10 s if summed
+    start = time.perf_counter()
+    for ell, q, terms in ((4, F(99 * 10**4 - 1, 10**6), "2,956"),
+                          (3, F(99 * 10**7 - 1, 10**9), "2,887")):
+        with pytest.raises(BudgetError, match=f"ell={ell}, q={q} needs about {terms} terms"):
+            verify_power_rule(ell, 1, q)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_power_rule_term_budget_admits_its_largest_case():
     rep = verify_power_rule(6, F(3, 2), F(99, 100))
-    assert rep.terms == 3246 <= qseries.MAX_POWER_TERMS
-    assert 5 * rep.terms == 16_230 <= qseries.MAX_POWER_PRODUCTS
+    assert rep.terms == 3246
+    assert _cost(6, F(3, 2), F(99, 100), 3246) == 443_751_660 <= qseries.MAX_POWER_COST
     assert rep.bound_ok
 
 
-def test_power_rule_product_budget_refuses_fast():
-    # 339 terms of 299 window factors each, 3.5 s if summed
+def test_power_rule_window_is_summed_or_refused_fast():
+    # 339 terms of 299 window factors each: a few products a term, not 299
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="ell=300, q=1/2 needs about 339 terms K of 299 window products"):
-        verify_power_rule(300, 1, F(1, 2))
-    # the window and the right side alone take ell - 1 factors
-    with pytest.raises(BudgetError, match=r"ell=20002, q=1/2 needs 20001 window"):
+    rep = verify_power_rule(300, 1, F(1, 2))
+    assert rep.terms == 339 and rep.bound_ok
+    # the window and the right side alone form numbers of about ell^2 bits
+    with pytest.raises(BudgetError, match=r"ell=1000, q=1/2 forms numbers of about 1,001,000 bits"):
+        verify_power_rule(1000, 1, F(1, 2))
+    with pytest.raises(BudgetError, match=r"ell=20002, q=1/2 forms numbers of about"):
         verify_power_rule(20_002, 0, F(1, 2))
     with pytest.raises(BudgetError):
         verify_power_rule(10**9, 1, F(1, 2))
@@ -205,26 +234,31 @@ def test_power_rule_size_budget_refuses_fast():
     with pytest.raises(BudgetError, match="ell=20001, q=1/2 forms numbers of about"):
         verify_power_rule(20_001, 0, F(1, 2))
     # a large z is refused before the tail bound's scale, a power of it, is formed
-    with pytest.raises(BudgetError, match="MAX_POWER_BITS"):
+    with pytest.raises(BudgetError, match="MAX_POWER_COST"):
         verify_power_rule(20_001, 10**3000, F(1, 2))
     # about 2,819 terms over a 1,329-bit d: the Horner sum's denominator
-    with pytest.raises(BudgetError, match=r"ell=2, q=\d+/\d+ forms numbers of about 7,49\d,\d\d\d bits"):
+    with pytest.raises(BudgetError, match=r"ell=2, q=\d+/\d+ needs about 2,8\d\d terms "
+                                          r"over numbers of about 7,49\d,\d\d\d bits"):
         verify_power_rule(2, 1, F(99 * 10**398 - 1, 10**400))
     assert time.perf_counter() - start < 1.0
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_power_points(), st.integers(1, 300))
-def test_power_rule_product_budget_refuses_exactly_past_the_bound(point, limit):
-    # (ell - 1) max(K, 1) products at most `limit` are summed; more refused
-    ell, z, q, eps = point
+def _admitted_iff_within(ell, z, q, eps, limit):
+    # the series is summed iff its cost is at most `limit`, else refused
     want = _reference_power_rule(ell, z, q, eps)
-    with mock.patch.object(qseries, "MAX_POWER_PRODUCTS", limit):
-        if (ell - 1) * max(want.terms, 1) <= limit:
+    with mock.patch.object(qseries, "MAX_POWER_COST", limit):
+        if _cost(ell, z, q, want.terms) <= limit:
             assert verify_power_rule(ell, z, q, eps) == want
         else:
             with pytest.raises(BudgetError, match=f"ell={ell}, q={q} "):
                 verify_power_rule(ell, z, q, eps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_power_points(), st.integers(1, 300_000))
+def test_power_rule_cost_budget_refuses_exactly_past_the_bound(point, limit):
+    # caps across the whole range of the points' costs, K = 0 included
+    _admitted_iff_within(*point, limit)
 
 
 def test_power_rule_budget_boundary_is_exact(monkeypatch):
@@ -232,26 +266,18 @@ def test_power_rule_budget_boundary_is_exact(monkeypatch):
     # scale |q|^40 = eps: the logarithms tie and the powers decide
     eps = F(1, 2**39)
     assert verify_power_rule(2, 1, F(1, 2), eps).terms == 40
-    monkeypatch.setattr(qseries, "MAX_POWER_TERMS", 40)
+    assert _cost(2, 1, F(1, 2), 40) == 6972
+    monkeypatch.setattr(qseries, "MAX_POWER_COST", 6972)
     assert verify_power_rule(2, 1, F(1, 2), eps) == _reference_power_rule(2, 1, F(1, 2), eps)
-    monkeypatch.setattr(qseries, "MAX_POWER_TERMS", 39)
+    monkeypatch.setattr(qseries, "MAX_POWER_COST", 6971)
     with pytest.raises(BudgetError, match="about 40 terms"):
         verify_power_rule(2, 1, F(1, 2), eps)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_power_points(), st.integers(1, 60))
-def test_power_rule_budget_refuses_exactly_past_the_bound(point, limit):
-    # a series of at most `limit` terms is summed; any longer one refused
+@given(_power_points(), st.integers(-3, 3))
+def test_power_rule_budget_refuses_exactly_past_the_bound(point, offset):
+    # caps next to the point's own cost: summed at cost + 0..3, refused below
     ell, z, q, eps = point
-    want = _reference_power_rule(ell, z, q, eps)
-    saved = qseries.MAX_POWER_TERMS
-    qseries.MAX_POWER_TERMS = limit
-    try:
-        if want.terms <= limit:
-            assert verify_power_rule(ell, z, q, eps) == want
-        else:
-            with pytest.raises(BudgetError, match=f"ell={ell}, q={q} "):
-                verify_power_rule(ell, z, q, eps)
-    finally:
-        qseries.MAX_POWER_TERMS = saved
+    terms = _reference_power_rule(ell, z, q, eps).terms
+    _admitted_iff_within(ell, z, q, eps, max(1, _cost(ell, z, q, terms) + offset))
