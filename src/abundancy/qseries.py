@@ -81,8 +81,8 @@ def _bits(ell: int, a: int, b: int, d: int, terms: float) -> float:
 
 
 def _terms_estimate(x_num: int, x_den: int, c: int, d: int) -> float:
-    """About how many terms run while x_num c^k > x_den d^k, for c >= 1."""
-    rate = math.log(d) - math.log(c)  # ln(1/|q|) > 0, up to rounding
+    """About how many terms run while x_num c^k > x_den d^k; 0 at c = 0."""
+    rate = math.log(d) - math.log(c) if c else math.inf  # ln(1/|q|) > 0, up to rounding
     return (math.log(x_num) - math.log(x_den)) / rate if rate > 0 else math.inf
 
 
@@ -143,7 +143,7 @@ def verify_power_rule(
         else:
             hi = mid - 1
     if _runs_past(x_num, x_den, abs(c), d, lo):
-        terms = _terms_estimate(x_num, x_den, abs(c), d)
+        terms = max(lo + 1, _terms_estimate(x_num, x_den, abs(c), d))
         raise BudgetError(
             f"the power-rule series at ell={ell}, q={q} needs about {terms:,.0f} "
             f"terms over numbers of about {_bits(ell, a, b, d, terms):,.0f} bits, "

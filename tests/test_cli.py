@@ -261,9 +261,12 @@ def test_qcheck_size_budget_exits_3_fast(capsys):
     start = time.perf_counter()
     assert run(["qcheck", "--ell", "8000", "--z", "0", "--q", "1/2"]) == 3
     assert run(["qcheck", "--ell", "20001", "--z", "0", "--q", "1/2"]) == 3
+    # q = 0 sums one term, and cost(0) <= MAX_POWER_COST < cost(1) here
+    assert run(["qcheck", "--ell", "998", "--z", "3", "--q", "0"]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.count("MAX_POWER_COST") == 2 and "ell=8000, q=1/2" in err
+    assert err.count("MAX_POWER_COST") == 3 and "ell=8000, q=1/2" in err
+    assert "ell=998, q=0 needs about 1 terms" in err
 
 
 def test_verify_theorem_exit_codes():

@@ -274,6 +274,22 @@ def test_power_rule_budget_boundary_is_exact(monkeypatch):
         verify_power_rule(2, 1, F(1, 2), eps)
 
 
+def test_power_rule_refuses_q_zero_past_the_bound(monkeypatch):
+    # q = 0 sums one term; a cap between cost(0) and cost(1) refuses it at K = 0
+    start = time.perf_counter()
+    assert _cost(998, 3, 0, 0) <= qseries.MAX_POWER_COST < _cost(998, 3, 0, 1)
+    with pytest.raises(BudgetError, match="ell=998, q=0 needs about 1 terms"):
+        verify_power_rule(998, 3, 0)
+    assert time.perf_counter() - start < 1.0
+    assert (_cost(2, 1, 0, 0), _cost(2, 1, 0, 1)) == (10, 21)
+    for limit in range(10, 21):
+        monkeypatch.setattr(qseries, "MAX_POWER_COST", limit)
+        with pytest.raises(BudgetError, match="ell=2, q=0 needs about 1 terms"):
+            verify_power_rule(2, 1, 0)
+    monkeypatch.setattr(qseries, "MAX_POWER_COST", 21)
+    assert verify_power_rule(2, 1, 0) == _reference_power_rule(2, 1, 0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_power_points(), st.integers(-3, 3))
 def test_power_rule_budget_refuses_exactly_past_the_bound(point, offset):
