@@ -129,11 +129,6 @@ def dd_cumsum(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batched orbit counts: perms has shape (T, ell, n), 0-based images.
 
-# Flat positions labelled together. Tuples are independent, so the batch
-# is cut into runs of whole tuples; this bounds the gather buffers, and
-# keeps them in cache, however many tuples come in.
-ORBIT_CHUNK = 1 << 14
-
 
 def orbit_counts(perms: np.ndarray) -> np.ndarray:
     perms = np.asarray(perms)
@@ -142,7 +137,10 @@ def orbit_counts(perms: np.ndarray) -> np.ndarray:
     if perms.size and (perms.min() < 0 or perms.max() >= n):
         raise ValueError(f"permutation images must lie in [0, {n})")
     counts = np.empty(T, dtype=np.int64)
-    step = max(1, ORBIT_CHUNK // max(n, 1))
+    # tuples are independent, so the batch is cut into runs of whole tuples
+    # of about RUN flat positions; this bounds the gather buffers, and keeps
+    # them in cache, however many tuples come in
+    step = max(1, RUN // max(n, 1))
     for lo in range(0, T, step):
         counts[lo : lo + step] = _flat_orbit_counts(perms[lo : lo + step])
     return counts

@@ -3,7 +3,8 @@
 B(l, n) is the sum over divisor chains d_1 | d_2 | ... | d_{l-1} | n of the
 product d_1 * ... * d_{l-1}. The three routes:
 
-  * b_via_flags: literal chain enumeration;
+  * b_via_flags: literal chain enumeration, refused with BudgetError past
+    DEFAULT_MAX_WORK chains, counted before any is walked;
   * b_via_recursion: B(l, n) = sum_{d|n} (n/d)^{l-1} B(l-1, d), B(1, .) = 1;
   * b_via_multiplicativity: product of per-prime local factors.
 
@@ -13,16 +14,30 @@ the recursion anchor (value 1); the local-factor route requires l >= 2.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import divisors, factorize
+from .errors import DEFAULT_MAX_WORK, BudgetError
 from .qseries import qpoch
 
 
 def b_via_flags(ell: int, n: int) -> int:
-    """Chain enumeration: sum of d_1*...*d_{l-1} over d_1|...|d_{l-1}|n."""
+    """Chain enumeration: sum of d_1*...*d_{l-1} over d_1|...|d_{l-1}|n.
+
+    There are prod C(a + l - 1, l - 1) chains over the p^a exactly dividing
+    n; past DEFAULT_MAX_WORK of them it raises BudgetError before the walk.
+    Each divisor list is built once per call.
+    """
     if ell < 1 or n < 1:
         raise ValueError("need ell >= 1 and n >= 1")
+    chains = math.prod(math.comb(a + ell - 1, ell - 1) for _, a in factorize(n))
+    if chains > DEFAULT_MAX_WORK:
+        raise BudgetError(
+            f"b_via_flags({ell}, {n}) walks {chains:,} divisor chains, "
+            f"more than DEFAULT_MAX_WORK = {DEFAULT_MAX_WORK:,}"
+        )
+    divs: dict[int, list[int]] = {}
     total = 0
     # stack holds (remaining chain length, top divisor, product so far)
     stack = [(ell - 1, n, 1)]
@@ -31,7 +46,9 @@ def b_via_flags(ell: int, n: int) -> int:
         if depth == 0:
             total += prod
             continue
-        for d in divisors(top):
+        if top not in divs:
+            divs[top] = divisors(top)
+        for d in divs[top]:
             stack.append((depth - 1, d, prod * d))
     return total
 

@@ -14,11 +14,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import BudgetError
-
-# factorize refuses an n that still needs trial divisors past this bound,
-# so no call spends more than about a second in the division loop.
-MAX_TRIAL_DIVISOR = 10**7
+from .errors import MAX_TRIAL_DIVISOR, BudgetError
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -19,14 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError
-
-# verify_power_rule refuses a series of K terms whose cost (K + ell) bits(K)
-# passes this cap: with z = a/b and q = c/d, its numbers hold about
-# bits(K) = ell bits(b + |a|) + (ell K + ell(ell-1)/2) bits(d), the size of
-# the right side at K = 0 and of the Horner sum's denominator, and it takes
-# about K + ell products of numbers of that size.
-MAX_POWER_COST = 500_000_000
+from .errors import MAX_POWER_COST, BudgetError
 
 
 def qpoch(z: Fraction | int, q: Fraction | int, r: int) -> Fraction:
@@ -76,7 +69,12 @@ def _runs_past(x_num: int, x_den: int, c: int, d: int, n: int) -> bool:
 
 
 def _bits(ell: int, a: int, b: int, d: int, terms: float) -> float:
-    """bits(K) for K = terms: see MAX_POWER_COST."""
+    """bits(K) for K = terms, with z = a/b and q = c/d.
+
+    That is the size of the right side at K = 0 and of the Horner sum's
+    denominator. Summing K terms takes about K + ell products of numbers
+    that size, so MAX_POWER_COST caps the cost (K + ell) bits(K).
+    """
     return ell * (b + abs(a)).bit_length() + (ell * terms + ell * (ell - 1) // 2) * d.bit_length()
 
 

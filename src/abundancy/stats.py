@@ -34,11 +34,9 @@ import numpy as np
 
 from . import _kernels
 from .core import factorize, primes_up_to
-from .errors import MalformedTable
+from .errors import EXACT_NMAX_CAP, BudgetError, MalformedTable
 
 EULER_GAMMA = 0.5772156649015328606
-
-_EXACT_NMAX_CAP = 20_000
 
 
 def zeta(s: int, eps: float = 1e-15) -> float:
@@ -262,8 +260,9 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
              0.0; see _replica_mean. Independent of how a NumPy build
              chunks reductions.
       dd     double-double cumsums, correctly rounded mean (reference)
-      exact  exact-rational partial sums S, capped at N <= 20000; the
-             walk runs in double-double and the mean is correctly rounded
+      exact  exact-rational partial sums S; past EXACT_NMAX_CAP = 20000
+             terms it raises BudgetError. The walk runs in double-double
+             and the mean is correctly rounded
     All methods agree to well below 1e-8 on the mean at N = 10^6.
     """
     if table.ell != 2:
@@ -277,8 +276,8 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
               "dd": _kernels.dd_cumsum, "exact": _kernels.dd_cumsum}.get(method)
     if cumsum is None:
         raise ValueError(f"unknown method: {method!r}")
-    if method == "exact" and N > _EXACT_NMAX_CAP:
-        raise ValueError(f"exact method capped at N <= {_EXACT_NMAX_CAP} (got {N})")
+    if method == "exact" and N > EXACT_NMAX_CAP:
+        raise BudgetError(f"exact method capped at N <= {EXACT_NMAX_CAP} (got {N})")
     terms = _index_terms(table, N)
     if method == "exact":
         partial = accumulate(Fraction(table[n], n) for n in range(1, N + 1))

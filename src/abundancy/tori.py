@@ -12,8 +12,8 @@ Each direction r thus defines a permutation pi_r of the vertex set; the
 pi_r commute pairwise, act transitively, and generate a group of order
 n = f_1 ... f_ell with the basepoint map (c_1..c_ell) -> prod pi_r^{c_r}
 applied to vertex (1,..,1) a bijection. Counting specs per n recovers
-B(ell, n), and relabeling vertices in all n! ways recovers every
-transitive commuting tuple exactly once per (n-1)! labelings:
+B(ell, n), and relabeling each torus by the (n-1)! bijections that fix
+vertex 1 makes every transitive commuting tuple exactly once:
 
     A(ell, n, 1) = (n-1)! B(ell, n)
 
@@ -35,11 +35,8 @@ from . import _kernels
 from ._files import write_atomic
 from .bvalues import b_via_flags
 from .core import divisors
-from .errors import BudgetError
+from .errors import BUILD_MAX_N, VALIDATE_MAX_N, BudgetError
 from .permtuples import PermTuple, transitive_tuples
-
-VALIDATE_MAX_N = 2048
-BUILD_MAX_N = 2**18
 
 
 @dataclass(frozen=True)
@@ -292,14 +289,16 @@ class DoubleCountResult:
 def double_count_check(ell: int, n: int) -> DoubleCountResult:
     """Tori-with-relabelings against brute force, as sets.
 
-    Builds every spec with product n, relabels each realization's tuple by
-    all n! vertex bijections, dedupes, and compares with the enumerated
-    transitive tuples, found within permtuples.DEFAULT_MAX_WORK. match also
-    requires count = (n-1)! B(ell, n).
+    Relabels every spec's torus by the (n-1)! bijections fixing vertex 1,
+    one per coset of its centralizer (the regular group it generates), so
+    each tuple is made once: the A(ell, n, 1) ell n entries that
+    transitive_tuples, run first, refuses past permtuples.DEFAULT_MAX_WORK.
+    match requires that set to equal transitive_tuples and to have (n-1)!
+    B(ell, n) members.
     """
     brute = transitive_tuples(ell, n)
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    sigmas = list(itertools.permutations(range(1, n + 1)))
+    sigmas = [(1,) + rest for rest in itertools.permutations(range(2, n + 1))]
     for spec in all_specs(ell, n):
         perms = build_torus(spec).perms
         for sigma in sigmas:

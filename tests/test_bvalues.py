@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from abundancy import bvalues
 from abundancy.bvalues import (
     abundancy_index,
     b_via_flags,
@@ -13,6 +14,7 @@ from abundancy.bvalues import (
     b_via_recursion,
     local_factor,
 )
+from abundancy.core import divisors
 from abundancy.errors import BudgetError
 from abundancy.sieve import sieve_b
 
@@ -90,6 +92,36 @@ def test_multiplicativity_refuses_a_large_prime_in_bounded_time():
     with pytest.raises(BudgetError, match=str(2**61 - 1)):
         b_via_multiplicativity(2, 2**61 - 1)
     assert time.perf_counter() - start < 2.0
+
+
+def test_flags_refuses_past_the_chain_budget_before_the_walk(monkeypatch):
+    # 720720 = 2^4 3^2 5 7 11 13: C(11, 7) C(9, 7) 8^4 = 48,660,480 chains
+    def refuse(n):
+        raise AssertionError("a divisor list was built")
+
+    monkeypatch.setattr(bvalues, "divisors", refuse)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="48,660,480 divisor chains"):
+        b_via_flags(8, 720720)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_flags_chain_budget_boundary(monkeypatch):
+    # 12 = 2^2 3 has C(4, 2) C(3, 2) = 18 chains d_1 | d_2 | 12
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return divisors(n)
+
+    expected = b_via_recursion(3, 12)
+    monkeypatch.setattr(bvalues, "divisors", counted)
+    monkeypatch.setattr(bvalues, "DEFAULT_MAX_WORK", 18)
+    assert b_via_flags(3, 12) == expected
+    assert sorted(calls) == divisors(12)  # one list per distinct top
+    monkeypatch.setattr(bvalues, "DEFAULT_MAX_WORK", 17)
+    with pytest.raises(BudgetError, match="18 divisor chains"):
+        b_via_flags(3, 12)
 
 
 def test_abundancy_index():

@@ -337,7 +337,7 @@ def test_verify_conjecture_failure_modes(tmp_path):
     assert run(["verify-conjecture", "--nmax", "20000", "--method",
                 "exact", "--max-rel-err", "1.0"]) == 0
     assert run(["verify-conjecture", "--nmax", "30000", "--method",
-                "exact"]) == 2  # over the exact-method cap
+                "exact"]) == 3  # over the exact-method cap
 
 
 def test_verify_conjecture_non_ascii_table_exit_1(tmp_path, capsys):

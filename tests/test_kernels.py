@@ -249,7 +249,7 @@ def test_orbit_counts_edge_cases():
 def test_orbit_counts_batch_spans_chunks():
     # three full chunks of tuples and a partial one
     n = 10
-    T = 3 * (_kernels.ORBIT_CHUNK // n) + 7
+    T = 3 * (_kernels.RUN // n) + 7
     rng = np.random.default_rng(23)
     perms = rng.permuted(np.tile(np.arange(n), (T, 2, 1)), axis=2)
     _assert_union_find(perms)

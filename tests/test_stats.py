@@ -8,7 +8,7 @@ import pytest
 
 from abundancy import _kernels, stats
 from abundancy.core import primes_up_to
-from abundancy.errors import MalformedTable
+from abundancy.errors import BudgetError, MalformedTable
 from abundancy.sieve import ArithTable, sieve_b
 from abundancy.stats import (
     EULER_GAMMA,
@@ -241,7 +241,7 @@ def test_error_series_exact_small_n(table2):
     exact = error_series(table2, 20_000, method="exact")
     kah = error_series(table2, 20_000)
     assert abs(exact.mean_E - kah.mean_E) < 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):
         error_series(table2, 20_001, method="exact")
 
 
@@ -334,7 +334,7 @@ def test_error_series_checks_method_before_reading_the_table(table2, monkeypatch
     monkeypatch.setattr(stats, "_index_terms", refuse)
     with pytest.raises(ValueError, match="unknown method: 'mystery'"):
         error_series(table2, 100, method="mystery")
-    with pytest.raises(ValueError, match=r"exact method capped at N <= 20000 \(got 20001\)"):
+    with pytest.raises(BudgetError, match=r"exact method capped at N <= 20000 \(got 20001\)"):
         error_series(sieve_b(2, 100), 20_001, method="exact")
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from abundancy import tori
 from abundancy.bvalues import b_via_recursion
 from abundancy.errors import BudgetError
-from abundancy.permtuples import PermTuple
+from abundancy.permtuples import PermTuple, transitive_tuples
 from abundancy.tori import (
     BUILD_MAX_N,
     TorusSpec,
@@ -340,11 +340,45 @@ def test_double_count_small():
 
 
 def test_double_count_full_ranges():
-    for ell, ns in ((2, range(1, 7)), (3, range(1, 5))):
+    for ell, ns in ((2, range(1, 8)), (3, range(1, 6)), (4, (4, 5))):
         for n in ns:
             res = double_count_check(ell, n)
             assert res.match, (ell, n, res)
             assert res.count == res.expected
+
+
+def _double_count_all_relabelings(ell, n):
+    # relabel by all n! bijections and dedupe the n copies of each tuple
+    seen = set()
+    for spec in all_specs(ell, n):
+        perms = build_torus(spec).perms
+        for sigma in itertools.permutations(range(1, n + 1)):
+            seen.add(perms.conjugate(sigma).perms)
+    expected = math.factorial(n - 1) * b_via_recursion(ell, n)
+    match = seen == transitive_tuples(ell, n) and len(seen) == expected
+    return tori.DoubleCountResult(ell=ell, n=n, count=len(seen),
+                                  expected=expected, match=match)
+
+
+def test_double_count_matches_all_relabelings():
+    for ell in (1, 2, 3):
+        for n in range(1, 6):
+            assert double_count_check(ell, n) == _double_count_all_relabelings(ell, n)
+
+
+def test_double_count_makes_each_tuple_once(monkeypatch):
+    sigmas = []
+    conjugate = PermTuple.conjugate
+
+    def counted(self, sigma):
+        sigmas.append(tuple(sigma))
+        return conjugate(self, sigma)
+
+    monkeypatch.setattr(PermTuple, "conjugate", counted)
+    res = double_count_check(2, 5)
+    assert len(sigmas) == spec_count(2, 5) * math.factorial(4) == 144
+    assert res.match and res.count == 144
+    assert all(sigma[0] == 1 for sigma in sigmas)
 
 
 def test_every_spec_validates_all_true():
