@@ -152,7 +152,8 @@ def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
     Tuple t's images are offset by t*n, so each generator is one
     permutation of [0, T*n). Starting from lab[i] = i, each round takes
     new[i] = min(lab[i], lab[g(i)], lab[g^-1(i)] over all generators g),
-    then jumps new[i] = new[new[i]], until new == lab.
+    then jumps new[i] = new[new[i]], until new == lab. One small tuple's
+    round costs NumPy call overhead, so it gathers by take and tests bytes.
 
     Why the fixpoint is exact: lab[i] <= i and lab[i] lies in the orbit
     of i throughout, and neither step raises a label, so at the fixpoint
@@ -166,22 +167,21 @@ def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
     logarithmic number of rounds, not one round per step.
     """
     T, ell, n = perms.shape
-    size = T * n
-    ident = np.arange(size)
+    ident = np.arange(T * n)
     # rows: the identity, the generators, their inverses
-    G = np.empty((2 * ell + 1, size), dtype=np.intp)
+    G = np.empty((2 * ell + 1, T * n), dtype=np.intp)
     G[0] = ident
     np.add(perms.transpose(1, 0, 2), n * np.arange(T)[:, None],
            out=G[1 : ell + 1].reshape(ell, T, n), casting="unsafe")
     G[ell + 1 :][np.arange(ell)[:, None], G[1 : ell + 1]] = ident
     lab = ident
     while True:
-        new = lab[G].min(axis=0)
-        new = new[new]
-        if np.array_equal(new, lab):
+        new = lab.take(G).min(axis=0)
+        new = new.take(new)
+        if new.tobytes() == lab.tobytes():
             break
         lab = new
-    return np.count_nonzero((lab == ident).reshape(T, n), axis=1)
+    return (lab == ident).reshape(T, n).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

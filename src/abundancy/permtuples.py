@@ -168,16 +168,16 @@ def _centralizer(P: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _check_commute(tuples: np.ndarray) -> None:
-    """Raise VerificationFailure unless every tuple's members pairwise commute."""
-    for a in range(tuples.shape[1] - 1):
-        p = tuples[:, a : a + 1]
-        rest = tuples[:, a + 1 :]
-        if not np.array_equal(
-            np.take_along_axis(p, rest, axis=2), np.take_along_axis(rest, p, axis=2)
-        ):
-            raise VerificationFailure(
-                f"a built tuple has a non-commuting pair at member {a}"
-            )
+    """Raise VerificationFailure unless each tuple's last member commutes with the rest.
+
+    That is width - 1 pairs a tuple, not all of them: _search checks and
+    yields each tuple's prefix one level down, before the tuple is built.
+    """
+    p, rest = tuples[:, -1:], tuples[:, :-1]
+    if not np.array_equal(
+        np.take_along_axis(p, rest, axis=2), np.take_along_axis(rest, p, axis=2)
+    ):
+        raise VerificationFailure("a built tuple has a non-commuting pair at its last member")
 
 
 def _refuse(count: int, what: str, ell: int, n: int, max_work: int) -> None:
@@ -224,7 +224,10 @@ def _search(ell: int, P: np.ndarray, max_work: int) -> Iterator[tuple[int, np.nd
     width x n), each summed over every s and width, are checked against
     max_work before any tuple is built. The tuples are then gathered at
     most SEARCH_CHUNK entries a run (one prefix at least), and every run is
-    checked against the definition before it is yielded.
+    checked against the definition before it is yielded: its last member
+    against the rest (_check_commute). The prefixes of width w are the
+    tuples of width w - 1, all checked and yielded before, so by induction
+    every pair of every yielded tuple commutes.
     """
     N, n = P.shape
     built = tests = 0
@@ -264,6 +267,7 @@ def _search(ell: int, P: np.ndarray, max_work: int) -> Iterator[tuple[int, np.nd
                 _check_commute(tuples)
                 yield size, tuples
             if width <= len(levels):
+                # the next level's prefixes: this level's tuples, in order
                 rows = np.column_stack([np.repeat(rows, np.diff(off), axis=0), flat])
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +74,7 @@ class TorusSpec:
 
     @property
     def n(self) -> int:
-        out = 1
-        for f in self.dims:
-            out *= f
-        return out
+        return prod(self.dims)
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,8 @@ def build_torus(spec: TorusSpec) -> TorusRealization:
     carried through phi_t - 1 steps of each pi_t with t < r, in order.
     Those pi_t move only the lower block u % m, so every wrapped vertex
     gets the same carry: it is found once, on the m vertices of one lower
-    block, and written into the wrap slab of each upper block. More than
+    block (pi_t[:m] permutes [0, m), and its power is taken by squaring),
+    and written into the wrap slab of each upper block. More than
     BUILD_MAX_N vertices raise BudgetError before anything is built.
     """
     n = spec.n
@@ -151,8 +149,10 @@ def build_torus(spec: TorusSpec) -> TorusRealization:
         np.add(u, m, out=pi)
         carry = u[:m]
         for pi_t, phi_t in zip(out, phi):
-            for _ in range(phi_t - 1):
-                carry = pi_t[carry]
+            p, e = pi_t[:m], phi_t - 1
+            while e:
+                carry = p.take(carry) if e & 1 else carry
+                p, e = (p.take(p) if e > 1 else p), e >> 1
         # pi viewed as (upper block, coordinate r, lower block)
         pi.reshape(-1, f, m)[:, f - 1] = u[:: f * m, None] + carry
         m *= f
@@ -168,12 +168,8 @@ class TorusChecks:
     basepoint_bijective: bool
 
     def all_true(self) -> bool:
-        return (
-            self.commutes
-            and self.transitive
-            and self.group_order_n
-            and self.basepoint_bijective
-        )
+        return (self.commutes and self.transitive
+                and self.group_order_n and self.basepoint_bijective)
 
 
 def validate(real: TorusRealization) -> TorusChecks:
@@ -188,20 +184,23 @@ def validate(real: TorusRealization) -> TorusChecks:
     bijection. When it is, the rows are distinct and inv[G[i, 0]] = i finds
     the one row of G that starts with a given point, so a row of pi G lies
     in G iff it equals the row that inv names: closure is checked by
-    lookup. Generators are taken one at a time, so beside G only one
-    generator's pi G and its looked-up rows are held, never ell of them.
-    When the first column is not a bijection, closure falls back to
-    comparing the row sets of pi G and G, so group_order_n keeps its
-    meaning on any tuple. Checks read real.perms, so a tampered tuple is
-    seen. A torus of more than VALIDATE_MAX_N vertices raises BudgetError.
+    lookup, for all generators at once, over runs of rows of G that hold
+    about _kernels.RUN entries of pi G. When the first column is not a
+    bijection, closure falls back to comparing the row sets of pi G and G,
+    so group_order_n keeps its meaning on any tuple. Checks read
+    real.perms, so a tampered tuple is seen. At census sizes a call costs
+    NumPy's per-call overhead, not arithmetic, so every gather is an
+    ndarray.take and arrays are compared by their bytes. More than
+    VALIDATE_MAX_N vertices raise BudgetError.
     """
     P = np.array(real.perms.perms, dtype=np.int64) - 1
     n = P.shape[1]
     if n > VALIDATE_MAX_N:
         raise BudgetError(f"validate materializes an n x n table; n={n} > {VALIDATE_MAX_N}")
-    PP = P[:, P]  # PP[a, b] = pi_a after pi_b
-    commutes = np.array_equal(PP, PP.transpose(1, 0, 2))
-    transitive = _kernels.orbit_counts(P[None])[0] == 1
+    # int64 arrays of one shape by construction: equal bytes, equal arrays
+    PP = P.take(P, axis=1)  # PP[a, b] = pi_a after pi_b
+    commutes = PP.tobytes() == PP.transpose(1, 0, 2).tobytes()
+    transitive = bool(_kernels.orbit_counts(P[None])[0] == 1)
     G = np.empty((n, n), dtype=np.int64)
     G[0] = np.arange(n, dtype=np.int64)
     count = 1
@@ -210,29 +209,26 @@ def validate(real: TorusRealization) -> TorusChecks:
         k = 1
         while k < f:
             j = min(k, f - k)
-            pk = pi[G[(k - 1) * count]]  # row (k - 1) count is pi^(k - 1)
-            G[k * count : (k + j) * count] = pk[G[: j * count]]
+            pk = pi.take(G[(k - 1) * count])  # row (k - 1) count is pi^(k - 1)
+            G[k * count : (k + j) * count] = pk.take(G[: j * count])
             k += j
         count *= f
     first = G[:, 0]
     inv = np.zeros(n, dtype=np.int64)
     inv[first] = G[0]  # a point missing from first keeps 0, and first[0] = 0
-    basepoint_bijective = np.array_equal(first[inv], G[0])
+    basepoint_bijective = first.take(inv).tobytes() == G[0].tobytes()
     if basepoint_bijective:
+        step = max(1, _kernels.RUN // P.size)  # rows of G per run
         group_order_n = all(
-            np.array_equal(pg, G[inv[pg[:, 0]]]) for pg in (pi[G] for pi in P)
+            PG.tobytes() == G.take(inv.take(PG[:, :, 0]), axis=0).tobytes()
+            for PG in (P.take(G[a : a + step], axis=1) for a in range(0, n, step))
         )
     else:
         rows = set(map(bytes, G))
         group_order_n = len(rows) == n and all(
-            set(map(bytes, pi[G])) == rows for pi in P
+            set(map(bytes, pi.take(G))) == rows for pi in P
         )
-    return TorusChecks(
-        commutes=commutes,
-        transitive=bool(transitive),
-        group_order_n=bool(group_order_n),
-        basepoint_bijective=bool(basepoint_bijective),
-    )
+    return TorusChecks(commutes, transitive, group_order_n, basepoint_bijective)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +264,10 @@ def spec_count(ell: int, n: int) -> int:
     """
     if ell < 1 or n < 1:
         raise ValueError("ell and n must be >= 1")
-    total = 0
-    for dims in _ordered_factorizations(n, ell):
-        c = 1
-        for s in range(1, ell):
-            c *= dims[s - 1] ** (ell - s)
-        total += c
-    return total
+    return sum(
+        prod(f ** (ell - s) for s, f in enumerate(dims[:-1], start=1))
+        for dims in _ordered_factorizations(n, ell)
+    )
 
 
 @dataclass(frozen=True)
@@ -286,23 +279,30 @@ class DoubleCountResult:
     match: bool
 
 
+def _relabel(P: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Row k is P relabelled by S[k] as by PermTuple.conjugate: S[k, P] put at S[k]."""
+    out = np.empty((len(S),) + P.shape, dtype=np.int64)
+    np.put_along_axis(out, np.broadcast_to(S[:, None], out.shape), S.take(P, axis=1), axis=2)
+    return out
+
+
 def double_count_check(ell: int, n: int) -> DoubleCountResult:
     """Tori-with-relabelings against brute force, as sets.
 
     Relabels every spec's torus by the (n-1)! bijections fixing vertex 1,
     one per coset of its centralizer (the regular group it generates), so
     each tuple is made once: the A(ell, n, 1) ell n entries that
-    transitive_tuples, run first, refuses past permtuples.DEFAULT_MAX_WORK.
+    transitive_tuples, run first, refuses past permtuples.DEFAULT_MAX_WORK;
+    a torus takes all (n-1)! relabellings in one gather and one scatter.
     match requires that set to equal transitive_tuples and to have (n-1)!
     B(ell, n) members.
     """
     brute = transitive_tuples(ell, n)
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    sigmas = [(1,) + rest for rest in itertools.permutations(range(2, n + 1))]
+    S = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))], dtype=np.int64)
     for spec in all_specs(ell, n):
-        perms = build_torus(spec).perms
-        for sigma in sigmas:
-            seen.add(perms.conjugate(sigma).perms)
+        P = np.array(build_torus(spec).perms.perms, dtype=np.int64) - 1
+        seen.update(tuple(map(tuple, tup)) for tup in (_relabel(P, S) + 1).tolist())
     expected = factorial(n - 1) * b_via_flags(ell, n)
     match = seen == brute and len(seen) == expected
     return DoubleCountResult(

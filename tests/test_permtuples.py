@@ -323,6 +323,29 @@ def test_every_chunk_is_checked_against_the_definition():
                 transitive_tuples(2, 3)
 
 
+def test_check_commute_compares_the_last_member_with_every_other():
+    # (0 1), the identity, (1 2): each adjacent pair commutes, the outer one does not
+    tup = np.array([[[1, 0, 2], [0, 1, 2], [0, 2, 1]]])
+    with pytest.raises(VerificationFailure, match="non-commuting pair"):
+        permtuples._check_commute(tup)
+    permtuples._check_commute(tup[:, :2])
+    permtuples._check_commute(tup[:, 1:])
+
+
+@pytest.mark.parametrize("ell,n", [(3, 5), (4, 4), (5, 3)])
+def test_every_prefix_is_yielded_before_its_extensions(ell, n):
+    # _check_commute tests only the last member, so each tuple's prefix must
+    # have been checked and yielded one level down first
+    seen = set()
+    with mock.patch.object(permtuples, "SEARCH_CHUNK", 64):
+        P = permtuples._permutations(ell, n, DEFAULT_MAX_WORK)
+        for _, run in permtuples._search(ell, P, DEFAULT_MAX_WORK):
+            if run.shape[1] > 1:
+                assert {t.tobytes() for t in run[:, :-1]} <= seen
+            seen.update(t.tobytes() for t in run)
+    assert any(len(t) == ell * n * 8 for t in seen)
+
+
 def test_pairs_of_eight_points_under_the_default_budget():
     # refused while the budget was n!^ell; 887,040 pairs, counted chunk by chunk
     at = enumerate_A(2, 8)

@@ -254,6 +254,30 @@ def test_validate_matches_reference_on_drawn_tuples(dims):
     assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
+@pytest.mark.parametrize("run", [None, 8])
+def test_validate_matches_reference_at_census_dims(monkeypatch, run):
+    # census-sized: n = 24 in three directions; tampered tuples included, and
+    # both closure paths taken with both answers; a small RUN splits the
+    # lookup into one run per row of G
+    if run is not None:
+        monkeypatch.setattr(tori._kernels, "RUN", run)
+    dims = (2, 3, 4)
+    specs = [s for s in all_specs(3, 24) if s.dims == dims]
+    real = build_torus(specs[0])
+    paths = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_drawn_tuple(specs))
+    def check(perms):
+        c = validate(dataclasses.replace(real, perms=PermTuple(perms=perms)))
+        got = (c.commutes, c.transitive, c.group_order_n, c.basepoint_bijective)
+        assert got == _reference_checks(perms, dims), (perms, got)
+        paths.add((c.basepoint_bijective, c.group_order_n))
+
+    check()
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_validate_budget(monkeypatch):
     real = build_torus(TorusSpec(dims=(3000,), twists=()))
     with pytest.raises(BudgetError):
@@ -368,17 +392,37 @@ def test_double_count_matches_all_relabelings():
 
 def test_double_count_makes_each_tuple_once(monkeypatch):
     sigmas = []
-    conjugate = PermTuple.conjugate
+    relabel = tori._relabel
 
-    def counted(self, sigma):
-        sigmas.append(tuple(sigma))
-        return conjugate(self, sigma)
+    def counted(P, S):
+        sigmas.extend(map(tuple, S.tolist()))
+        return relabel(P, S)
 
-    monkeypatch.setattr(PermTuple, "conjugate", counted)
+    monkeypatch.setattr(tori, "_relabel", counted)
     res = double_count_check(2, 5)
     assert len(sigmas) == spec_count(2, 5) * math.factorial(4) == 144
     assert res.match and res.count == 144
-    assert all(sigma[0] == 1 for sigma in sigmas)
+    assert all(sigma[0] == 0 for sigma in sigmas)
+
+
+@pytest.mark.parametrize("ell,n", [(2, 6), (3, 5)])
+def test_gathered_relabelling_matches_conjugate(monkeypatch, ell, n):
+    # every torus, relabelled by every bijection fixing vertex 1, row by row
+    tori_seen = []
+    relabel = tori._relabel
+
+    def checked(P, S):
+        out = relabel(P, S)
+        perms = PermTuple(perms=tuple(map(tuple, (P + 1).tolist())))
+        for sigma, row in zip((S + 1).tolist(), (out + 1).tolist()):
+            assert perms.conjugate(sigma).perms == tuple(map(tuple, row))
+        tori_seen.append(perms.perms)
+        return out
+
+    monkeypatch.setattr(tori, "_relabel", checked)
+    res = double_count_check(ell, n)
+    assert res.match and res.count == res.expected
+    assert tori_seen == [build_torus(spec).perms.perms for spec in all_specs(ell, n)]
 
 
 def test_every_spec_validates_all_true():
