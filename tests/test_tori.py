@@ -256,26 +256,11 @@ def test_validate_matches_reference_on_drawn_tuples(dims):
 
 @pytest.mark.parametrize("run", [None, 8])
 def test_validate_matches_reference_at_census_dims(monkeypatch, run):
-    # census-sized: n = 24 in three directions; tampered tuples included, and
-    # both closure paths taken with both answers; a small RUN splits the
-    # lookup into one run per row of G
+    # the census's size, n = 24 in three directions; a small RUN splits the
+    # closure lookup into one run per row of G
     if run is not None:
         monkeypatch.setattr(tori._kernels, "RUN", run)
-    dims = (2, 3, 4)
-    specs = [s for s in all_specs(3, 24) if s.dims == dims]
-    real = build_torus(specs[0])
-    paths = set()
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_drawn_tuple(specs))
-    def check(perms):
-        c = validate(dataclasses.replace(real, perms=PermTuple(perms=perms)))
-        got = (c.commutes, c.transitive, c.group_order_n, c.basepoint_bijective)
-        assert got == _reference_checks(perms, dims), (perms, got)
-        paths.add((c.basepoint_bijective, c.group_order_n))
-
-    check()
-    assert paths == {(True, True), (True, False), (False, True), (False, False)}
+    test_validate_matches_reference_on_drawn_tuples((2, 3, 4))
 
 
 def test_validate_budget(monkeypatch):
