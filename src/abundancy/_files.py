@@ -1,8 +1,9 @@
-"""Atomic file writes, and the int-length check, shared by every module
-that writes an output file."""
+"""Atomic file writes, the one JSON writer, and the int-length check,
+shared by every module that writes an output file."""
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -31,6 +32,12 @@ def write_atomic(path: str | Path, data: bytes | Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj atomically as sorted, indented, ASCII JSON and a newline."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    write_atomic(path, text.encode("ascii"))
 
 
 def refuse_long_ints(values: Iterable[tuple[int, int]], what: str) -> None:

@@ -16,12 +16,11 @@ and never loads NumPy; the budget defaults come from the NumPy-free errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 
-from ._files import refuse_long_ints, write_atomic
+from ._files import refuse_long_ints, write_atomic, write_json
 from .errors import DEFAULT_MAX_NMAX, DEFAULT_MAX_WORK
 from .errors import BudgetError, TableLoadError, VerificationFailure
 
@@ -45,11 +44,6 @@ def _check_threshold(flag: str, value: float | None) -> None:
     # every comparison with NaN is false, so a NaN gate would never fail
     if value is not None and not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{flag} must be finite and >= 0, got {value}")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    write_atomic(path, text.encode("utf-8"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +147,7 @@ def _cmd_bruteforce(args) -> int:
     at = enumerate_A(args.ell, args.n, max_work=args.max_work)
     row = {str(k): str(at[k]) for k in range(1, args.n + 1)}
     if args.out:
-        _write_json(args.out, {"ell": args.ell, "n": args.n, "counts": row})
+        write_json(args.out, {"ell": args.ell, "n": args.n, "counts": row})
     compact = ",".join(f"{k}:{v}" for k, v in row.items())
     print(f"bruteforce ell={args.ell} n={args.n} total={at.total()} counts={{{compact}}}")
     return 0
@@ -171,7 +165,7 @@ def _cmd_genfunc(args) -> int:
             "N": poly.N,
             "rows": [[str(c) for c in row] for row in poly.rows],
         }
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     print(f"genfunc ell={args.ell} N={args.nmax} rows={args.nmax + 1}"
           + (f" -> {args.out}" if args.out else ""))
     return 0
@@ -186,7 +180,7 @@ def _cmd_cauchy(args) -> int:
     rep = cauchy_check(args.ell, args.n, args.k, args.r, args.M,
                        n_trunc=args.n_trunc)
     if args.out:
-        _write_json(args.out, asdict(rep) | {"exact": str(rep.exact)})
+        write_json(args.out, asdict(rep) | {"exact": str(rep.exact)})
     print(f"cauchy ell={args.ell} n={args.n} k={args.k} r={args.r} M={args.M} "
           f"numeric={rep.numeric!r} exact={rep.exact} abs_err={rep.abs_err:.3e}")
     if args.max_err is not None and rep.abs_err > args.max_err:
@@ -233,7 +227,7 @@ def _cmd_verify_theorem(args) -> int:
 
 def _cmd_verify_conjecture(args) -> int:
     from .sieve import load_table, sieve_b
-    from .stats import error_series, mu_constant
+    from .stats import error_series
 
     _check_threshold("--max-rel-err", args.max_rel_err)
     if args.table is not None:
@@ -248,10 +242,10 @@ def _cmd_verify_conjecture(args) -> int:
         lines.append("")
         write_atomic(args.hist, "\n".join(lines).encode("utf-8"))
     if args.summary:
-        _write_json(args.summary, {
+        write_json(args.summary, {
             "nmax": summary.nmax,
             "mean_E": summary.mean_E,
-            "mu": mu_constant(),
+            "mu": -summary.minus_mu,
             "rel_err": summary.rel_err,
             "bins": summary.bins,
             "last_E": summary.last_E,
@@ -281,7 +275,7 @@ def _cmd_moments(args) -> int:
         result = replace(result,
                          empirical=empirical_moment(table, args.m, table.nmax))
     if args.out:
-        _write_json(args.out, asdict(result))
+        write_json(args.out, asdict(result))
     emp = "" if result.empirical is None else f" empirical={result.empirical!r}"
     print(f"moments ell={result.ell} m={result.m} "
           f"theoretical={result.theoretical!r}{emp} "

@@ -290,7 +290,7 @@ def hr_ratio(n: int, x) -> float:
     if xf <= 0.0:
         raise ValueError("x must be positive")
     exact = float(h_point(2, n, Fraction(x)))
-    z2 = zeta(2, 1e-15)
+    z2 = zeta(2)
     asym = (
         xf ** ((1.0 + xf) / 4.0)
         * 2.0 ** (-(5.0 + 3.0 * xf) / 4.0)

@@ -342,9 +342,12 @@ def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
     inv = np.argsort(P, axis=1)
     tuples = set()
     step = max(1, SEARCH_CHUNK // (ell * n))
+    # base-n row keys, ordered as the rows are; P's n! n entries were
+    # allocated, so n <= 15 and every key is below n^n < 2^63
+    digits = n ** np.arange(n - 1, -1, -1)
     for s, size, heads in found.values():
         # w s w^-1 maps w[i] to w[s[i]], so its image of j is w[s[w^-1[j]]]
-        _, first = np.unique(np.take_along_axis(P, s[inv], axis=1), axis=0, return_index=True)
+        _, first = np.unique(np.take_along_axis(P, s[inv], axis=1) @ digits, return_index=True)
         assert len(first) == size
         heads = np.concatenate(heads)
         total = len(heads) * size

@@ -42,7 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from ._files import refuse_long_ints, write_atomic
+from ._files import refuse_long_ints, write_atomic, write_json
 from .core import primes_up_to
 from .errors import (
     DEFAULT_MAX_NMAX,
@@ -331,8 +331,6 @@ def _render_int64(run: np.ndarray, start: int) -> bytes:
 
 def _render_rows(run, start: int) -> bytes:
     # One %-format call renders a run of rows: the cells alternate n, value.
-    if isinstance(run, np.ndarray):
-        run = run.tolist()
     cells = [0] * (2 * len(run))
     cells[0::2] = range(start + 1, start + 1 + len(run))
     cells[1::2] = run
@@ -358,16 +356,12 @@ def save_table(table: ArithTable, path: str | Path) -> None:
             yield piece
 
     write_atomic(path, pieces())
-    sidecar = {
+    write_json(Path(str(path) + ".json"), {
         "ell": table.ell,
         "nmax": table.nmax,
         "format_version": FORMAT_VERSION,
         "sha256": digest.hexdigest(),
-    }
-    write_atomic(
-        Path(str(path) + ".json"),
-        (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode("ascii"),
-    )
+    })
 
 
 def _read_sidecar(sidecar_path: Path) -> dict:
@@ -403,8 +397,10 @@ def _parse_canonical(data: bytes, nmax: int) -> np.ndarray | None:
     Canonical: the header, then rows n,value for n = 1..nmax, each of
     1 to 18 digits, each row ending in a newline. This is what save_table
     writes for values below 10^18. Anything else (signs, spaces, blank
-    lines, a third column, a wrong n, a longer value) returns None and goes
-    to the row loop, which accepts or rejects it as it always has.
+    lines, a third column, a wrong n, a longer value) returns None. What
+    it accepts passes load_table's whole-file checks: only digits, commas
+    and newlines (ASCII), the header first, chunks that end at newlines
+    and cover the file, and nmax rows.
 
     The header is checked once; the rest of the file is taken in chunks of
     about _PARSE_CHUNK bytes that end at a newline, and no pass reads the
@@ -412,9 +408,10 @@ def _parse_canonical(data: bytes, nmax: int) -> np.ndarray | None:
     "0" must alternate comma, newline with a field of 1 to 18 digits before
     each; np.fromstring then reads the fields, newlines turned to commas,
     and n must count on from the last chunk. Every temporary is bounded by
-    the chunk.
+    the chunk. A canonical row takes at least 4 bytes, "1,1\n", so an nmax
+    the file cannot hold returns None before nmax values are allocated.
     """
-    if not data.startswith(_HEADER):
+    if not data.startswith(_HEADER) or 4 * nmax > len(data) - len(_HEADER):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     values = np.empty(nmax, dtype=np.int64)
@@ -479,9 +476,9 @@ def load_table(
     positive integer ell and nmax (all before the data file is read);
     sha256 of the data file; the caller's expected ell and nmax (when
     given); ASCII bytes, header, trailing newline, row count, and each
-    row's shape and n. A canonical file is parsed in bulk NumPy passes;
-    any other goes through a row loop, with the same checks and errors
-    either way.
+    row's shape and n. A file the bulk NumPy parse accepts has met every
+    check on the data; any other goes through them in that order, then a
+    row loop, so a rejected file gets the same error either way.
     """
     path = Path(path)
     sidecar = _read_sidecar(Path(str(path) + ".json"))
@@ -497,18 +494,18 @@ def load_table(
         raise MetadataMismatch(
             f"table has nmax={file_nmax}, caller expected nmax={nmax}"
         )
-    if not data.isascii():
-        raise MalformedTable(f"non-ASCII bytes in {path}")
-    if not (data.startswith(_HEADER) or data == _HEADER[:-1]):
-        raise MalformedTable("missing 'n,value' header")
-    if not data.endswith(b"\n"):
-        raise MalformedTable("data file not newline-terminated")
-    # every line ends in a newline, so the lines after the header are rows
-    rows = data.count(b"\n") - 1
-    if rows != file_nmax:
-        raise MalformedTable(f"expected {file_nmax} rows, found {rows}")
     values = _parse_canonical(data, file_nmax)
     if values is None:
+        if not data.isascii():
+            raise MalformedTable(f"non-ASCII bytes in {path}")
+        if not (data.startswith(_HEADER) or data == _HEADER[:-1]):
+            raise MalformedTable("missing 'n,value' header")
+        if not data.endswith(b"\n"):
+            raise MalformedTable("data file not newline-terminated")
+        # every line ends in a newline, so the lines after the header are rows
+        rows = data.count(b"\n") - 1
+        if rows != file_nmax:
+            raise MalformedTable(f"expected {file_nmax} rows, found {rows}")
         values = _parse_rows(data)
     meta = {
         "ell": file_ell,

@@ -39,28 +39,21 @@ from .errors import EXACT_NMAX_CAP, BudgetError, MalformedTable
 EULER_GAMMA = 0.5772156649015328606
 
 
-def zeta(s: int, eps: float = 1e-15) -> float:
-    """zeta(s) for integer s >= 2, within max(eps, 1e-15).
+def zeta(s: int) -> float:
+    """zeta(s) for integer s >= 2, within 1e-15.
 
     Alternating eta series accelerated by Chebyshev-weight recombination:
     the n-term stage has remainder <= 3 / (3+sqrt(8))^n for the eta sum,
     hence <= 3 / ((3+sqrt(8))^n (1 - 2^{1-s})) after rescaling. The
     recombination weights are exact rationals (the leading one satisfies
     D_k = 6 D_{k-1} - D_{k-2}), so the stage is evaluated exactly and
-    rounded once; n is chosen for a remainder of eps/10, leaving that
-    single rounding as the dominant error. eps below the double rounding
-    floor is clamped to 1e-15.
+    rounded once. n = 22 terms leave a remainder of at most
+    6 / (3+sqrt(8))^22 = 8.7e-17 for every s >= 2, so that single rounding
+    is the dominant error; 21 would leave more than 1e-16.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    eps = max(eps, 1e-15)
-    base = 3.0 + math.sqrt(8.0)
-    denom = 1.0 - 2.0 ** (1 - s)
-    n = 2
-    while 3.0 / (base**n * denom) > eps / 10.0:
-        n += 1
+    n = 22
     d_prev, d = 1, 3  # ((3+sqrt8)^k + (3-sqrt8)^k)/2 for k = 0, 1
     for _ in range(n - 1):
         d_prev, d = d, 6 * d - d_prev
@@ -76,7 +69,7 @@ def zeta(s: int, eps: float = 1e-15) -> float:
 
 def mu_constant() -> float:
     """gamma/2 + ln(24 zeta(2))/4 - zeta(2)/2 in double precision."""
-    z2 = zeta(2, 1e-15)
+    z2 = zeta(2)
     return EULER_GAMMA / 2.0 + math.log(24.0 * z2) / 4.0 - z2 / 2.0
 
 
@@ -286,7 +279,7 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
         S = cumsum(terms)
     narr = np.arange(1, N + 1, dtype=np.float64)
     mu = mu_constant()
-    E = S - zeta(2, 1e-15) * narr + 0.5 * np.log(narr)
+    E = S - zeta(2) * narr + 0.5 * np.log(narr)
     mean_E = _replica_mean(E) if method == "naive" else math.fsum(E) / N
     X = cumsum(E + mu)
     counts, edges = np.histogram(X, bins=bins)

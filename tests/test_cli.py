@@ -12,6 +12,7 @@ import pytest
 import abundancy
 from abundancy import genfunc, permtuples, sieve
 from abundancy.cli import build_parser, main
+from abundancy.stats import mu_constant
 
 
 def run(argv):
@@ -384,6 +385,32 @@ def test_summary_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert summary.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+def test_every_json_output_is_sorted_indented_ascii(tmp_path):
+    table = tmp_path / "t.csv"
+    assert run(["sieve", "--nmax", "1000", "--out", str(table)]) == 0
+    out = {name: str(tmp_path / f"{name}.json")
+           for name in ("bruteforce", "genfunc", "cauchy", "summary", "moments")}
+    assert run(["bruteforce", "--n", "4", "--out", out["bruteforce"]]) == 0
+    assert run(["genfunc", "--nmax", "5", "--out", out["genfunc"]]) == 0
+    assert run(["cauchy", "--n", "5", "--k", "2", "--r", "0.3", "--grid", "64",
+                "--out", out["cauchy"]]) == 0
+    assert run(["verify-conjecture", "--table", str(table),
+                "--summary", out["summary"]]) == 0
+    assert run(["moments", "--m", "2", "--prime-cutoff", "100",
+                "--table", str(table), "--out", out["moments"]]) == 0
+    for path in [*out.values(), str(table) + ".json"]:
+        raw = Path(path).read_bytes()
+        assert raw.isascii(), path
+        text = raw.decode("ascii")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_summary_mu_is_mu_constant(tmp_path):
+    summary = tmp_path / "s.json"
+    assert run(["verify-conjecture", "--nmax", "2000", "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["mu"].hex() == mu_constant().hex()
 
 
 def test_moments_json(tmp_path):

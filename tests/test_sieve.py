@@ -527,6 +527,26 @@ def test_load_rejects_non_ascii_data(tmp_path):
         load_table(path)
 
 
+def test_load_rejects_a_canonical_file_with_an_extra_row(tmp_path):
+    # a file the bulk parse would accept but for its last row
+    path = tmp_path / "t.csv"
+    save_table(sieve_b(2, 1000), path)
+    data = path.read_bytes() + b"1001,2340\n"
+    _seal(path, data, nmax=1000)
+    with pytest.raises(MalformedTable, match="expected 1000 rows, found 1001"):
+        load_table(path)
+
+
+def test_load_rejects_a_high_byte_in_a_canonical_file(tmp_path):
+    path = tmp_path / "t.csv"
+    save_table(sieve_b(2, 1000), path)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n500,") + 5] = 0x80
+    _seal(path, bytes(data), nmax=1000)
+    with pytest.raises(MalformedTable, match="non-ASCII bytes"):
+        load_table(path)
+
+
 @pytest.mark.parametrize("sidecar", [
     "[]", '"table"', "3", "null",
     '{"format_version": 1, "ell": 2}',

@@ -43,16 +43,9 @@ def test_zeta_correctly_rounded_vs_mpmath():
         assert zeta(s) == float(mpmath.zeta(s)), s
 
 
-def test_zeta_eps_clamp_and_coarse():
-    assert zeta(2, 1e-30) == zeta(2, 1e-15)
-    assert abs(zeta(2, 1e-3) - math.pi**2 / 6) < 1e-3
-
-
 def test_zeta_guards():
     with pytest.raises(ValueError):
         zeta(1)
-    with pytest.raises(ValueError):
-        zeta(2, 0.0)
 
 
 def test_mu_constant_value():
@@ -305,6 +298,29 @@ def test_error_series_pinned_bits(table2, method, N, mean_E, last_E, hist_sha256
     assert summary.last_E == last_E
     digest = hashlib.sha256(repr(summary.histogram).encode()).hexdigest()
     assert digest == hist_sha256
+
+
+def _math_log(x):
+    """np.log elementwise by math.log, which no NumPy loop dispatch changes."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+# np.log may differ from math.log by an ulp at some n, by which SIMD loop
+# the NumPy build dispatches; the histograms move with it, the headline
+# mean and last E do not.
+@pytest.mark.parametrize("method, mean_E, last_E", [
+    ("kahan", -0.38508486931399744, 0.3774636010638517),
+    ("naive", PUBLISHED_MEAN_E, 0.3774636129382145),
+])
+def test_headline_bits_do_not_depend_on_the_log_loop(table2, monkeypatch,
+                                                     method, mean_E, last_E):
+    calls = []
+    monkeypatch.setattr(np, "log", lambda x: calls.append(1) or _math_log(x))
+    summary = error_series(table2, method=method)
+    assert calls
+    assert summary.mean_E == mean_E
+    assert summary.last_E == last_E
 
 
 def test_error_series_kernel_per_method(table2, monkeypatch):
