@@ -5,11 +5,13 @@ stack of rows: the caller either bounds the values (an int64 table is one
 row, with no modulus) or passes residues modulo primes small enough that a
 pass cannot overflow before it reduces. The compensated cumulative sums add
 in a fixed order, so every result is bit-reproducible across NumPy builds.
-The cumsums take float64 input and run their sequential recurrences (Kahan,
-double-double) over Python floats in fixed runs of RUN elements; the order
-of additions, and so every bit, is that of a plain per-element loop over
-the array. Totals are not summed here: callers use math.fsum, which is
-correctly rounded. Orbit counting labels a whole batch of tuples in one
+The cumsums take finite float64 input. kahan_cumsum runs its sequential
+recurrence over Python floats in fixed runs of RUN elements; the order of
+additions, and so every bit, is that of a plain per-element loop over the
+array. dd_cumsum returns the correctly rounded prefix sums: it adds in
+int64 limbs, exactly, and rounds each prefix once, so its bits depend on
+no order of float additions and no CPU dispatch. Totals are not summed
+here: callers use math.fsum, which is correctly rounded. Orbit counting labels a whole batch of tuples in one
 flat index space: its Python loops run over propagation rounds and
 fixed-size chunks, never over tuples.
 """
@@ -75,19 +77,68 @@ def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Compensated cumulative sums. kahan_cumsum is the working precision of the
-# headline running sums; dd_cumsum (double-double) is the higher-precision
-# reference.
+# Cumulative sums. kahan_cumsum is the working precision of the headline
+# running sums; dd_cumsum, the correctly rounded prefix sums, is the
+# reference. (It is named for the double-double loop it replaced, which gave
+# the same bits on every input the package passes it.)
 #
-# Input is converted to float64 at entry. The recurrences are sequential, so
-# they run element by element in ascending order, over Python floats: the
-# input is taken RUN elements at a time with tolist(), and each run of
-# prefix sums is written back in one slice assignment. Python floats are
-# IEEE binary64 like np.float64 scalars, so the bits are those of the same
-# loop over the array's own elements; only NumPy's per-scalar cost is gone.
+# Input is converted to float64 at entry, and a non-finite entry raises
+# ValueError naming its index: past one, every later prefix would be nan.
+#
+# kahan_cumsum's recurrence is sequential, so it runs element by element in
+# ascending order, over Python floats: the input is taken RUN elements at a
+# time with tolist(), and each run of prefix sums is written back in one
+# slice assignment. Python floats are IEEE binary64 like np.float64 scalars,
+# so the bits are those of the same loop over the array's own elements; only
+# NumPy's per-scalar cost is gone.
+#
+# dd_cumsum adds exactly. Every entry is an integer multiple of 2^E0, where
+# E0 = max(e - 53, -1074) for the binary exponent e of the smallest nonzero
+# |x| (all doubles are multiples of 2^-1074). A prefix of n entries, each
+# below 2^k, is below n 2^k, so L limbs of 26 bits, of weights 2^(E0 + 26 j),
+# hold it with the top one at most 2^26; rounding reads at least three,
+# so L >= 3. Each entry is split into signed limb digits from the top down:
+# digit j is trunc(r 2^-(E0 + 26 j)) of what r is left of the entry, below
+# 2^26 in magnitude, and its value is subtracted from r. Both steps are
+# exact: the scaling can round only by underflowing below 1, where trunc
+# gives 0 anyway, and the subtraction leaves r's own low bits. Each limb
+# takes one int64 cumsum per step, with the previous step's last prefix as
+# carry-in, and carries then move up so that every limb but the top one
+# lies in [0, 2^26) and the top one carries the sign. A step runs
+# 4 RUN // L entries, so no temporary holds more than 4 RUN int64 entries,
+# however wide the span.
+#
+# Each prefix is then rounded once. With L <= 4 limbs it is
+# A 2^(52 + E0) + B 2^E0, where A = C3 2^26 + C2 is signed and at most 2^52
+# in magnitude and B = C1 2^26 + C0 lies in [0, 2^52): two exact doubles, whose
+# one IEEE addition is the correctly rounded sum. Wider prefixes are made
+# positive (a negative one is negated and carried again, its result negated
+# back) and read from the window of four limbs whose top one, h, is the
+# highest nonzero limb: A = C_h 2^26 + C_(h-1) >= 2^26 and
+# B = C_(h-2) 2^26 + C_(h-3). The limbs below the window are less than one
+# unit of B, and the result's ulp is at least 2^26 units, so they matter
+# only at an exact tie; there a nonzero one sets B's lowest bit (a sticky
+# bit), which lifts the tie to the upper neighbour and moves no other case.
+# The addition is done at a scale 2^min(b, 0), b the window's exponent, so
+# that neither term rounds or overflows, and the sum is scaled back by
+# 2^(b - min(b, 0)) >= 1: exact, or past the float range the +-inf that
+# IEEE addition gives.
+
+_LIMB = 26
+_MASK = (1 << _LIMB) - 1
+
+
+def _require_finite(a: np.ndarray) -> None:
+    for start in range(0, a.shape[0], RUN):
+        bad = ~np.isfinite(a[start : start + RUN])
+        if bad.any():
+            i = start + int(bad.argmax())
+            raise ValueError(f"non-finite input at index {i}: {float(a[i])}")
+
 
 def kahan_cumsum(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
+    _require_finite(a)
     out = np.empty_like(a)
     s = 0.0
     c = 0.0
@@ -106,24 +157,74 @@ def kahan_cumsum(a: np.ndarray) -> np.ndarray:
 
 def dd_cumsum(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    hi = 0.0
-    lo = 0.0
-    for start in range(0, a.shape[0], RUN):
-        run = []
-        push = run.append
-        for x in a[start : start + RUN].tolist():
-            s = hi + x
-            b = s - hi
-            err = (hi - (s - b)) + (x - b)
-            lo += err
-            hi = s
-            t = hi + lo
-            lo -= t - hi
-            hi = t
-            push(hi)
-        out[start : start + RUN] = run
+    _require_finite(a)
+    n = a.shape[0]
+    out = np.zeros_like(a)
+    amin, amax = math.inf, 0.0
+    for start in range(0, n, 4 * RUN):
+        ax = np.abs(a[start : start + 4 * RUN])
+        amax = max(amax, float(ax.max()))
+        amin = min(amin, float(ax.min(where=ax > 0.0, initial=math.inf)))
+    if amax == 0.0:
+        return out
+    e0 = max(math.frexp(amin)[1] - 53, -1074)
+    L = max(-(-(math.frexp(amax)[1] - e0 + n.bit_length()) // _LIMB), 3)
+    step = 4 * RUN // L
+    carry = np.zeros(L, dtype=np.int64)
+    for start in range(0, n, step):
+        r = a[start : start + step].copy()
+        t = np.empty_like(r)
+        C = np.empty((L, r.shape[0]), dtype=np.int64)
+        for j in range(L - 1, -1, -1):
+            b = e0 + _LIMB * j
+            np.trunc(np.ldexp(r, -b, out=t), out=t)
+            C[j] = t
+            r -= np.ldexp(t, b, out=t)
+        C[:, 0] += carry
+        np.cumsum(C, axis=1, out=C)
+        _carry(C)
+        carry = C[:, -1].copy()
+        _round_limbs(C, e0, out[start : start + step])
     return out
+
+
+def _carry(C: np.ndarray) -> None:
+    # every limb but the top one into [0, 2^26); the top one keeps the sign
+    for j in range(C.shape[0] - 1):
+        c = C[j] >> _LIMB
+        C[j] &= _MASK
+        C[j + 1] += c
+
+
+def _round_limbs(C: np.ndarray, e0: int, out: np.ndarray) -> None:
+    L = C.shape[0]
+    if L <= 4:
+        A = C[2] if L == 3 else (C[3] << _LIMB) + C[2]
+        _add_scaled(A, (C[1] << _LIMB) + C[0], e0, out)
+        return
+    neg = C[-1] < 0
+    np.negative(C, out=C, where=neg)
+    _carry(C)
+    nonzero = C != 0
+    w = np.maximum((L - 4) - nonzero[::-1].argmax(axis=0), 0)
+    cols = np.arange(C.shape[1])
+    A = (C[w + 3, cols] << _LIMB) + C[w + 2, cols]
+    B = (C[w + 1, cols] << _LIMB) + C[w, cols]
+    below = np.logical_or.accumulate(nonzero, axis=0)
+    B |= (w > 0) & below[np.maximum(w - 1, 0), cols]
+    _add_scaled(A, B, e0 + _LIMB * w, out)
+    np.negative(out, out=out, where=neg)
+
+
+def _add_scaled(A: np.ndarray, B: np.ndarray, b, out: np.ndarray) -> None:
+    # out = A 2^(52 + b) + B 2^b, rounded once; see the block comment above.
+    # int32 exponents: NumPy's ldexp loop for int64 ones is many times slower
+    b = np.asarray(b, dtype=np.int32)
+    s = np.minimum(b, 0)
+    np.add(np.ldexp(A.astype(np.float64), 52 + s),
+           np.ldexp(B.astype(np.float64), s), out=out)
+    with np.errstate(over="ignore"):
+        np.ldexp(out, b - s, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Three layers:
 
 Headline totals (Cesaro means, empirical moments, the mean of E) are
 correctly rounded sums (math.fsum); headline cumulative sums run
-compensated (Kahan) in fixed ascending-n order. A double-double reference
-and an exact-rational small-N variant exist for cross-checking the
-rounding model. The naive replica of the published pipeline fixes every
+compensated (Kahan) in fixed ascending-n order. A reference whose
+cumulative sums are correctly rounded (`dd`) and an exact-rational small-N
+variant exist for cross-checking the rounding model. The naive replica of the published pipeline fixes every
 operation: a sequential float64 cumsum S, E = (S - zeta(2) n) + (1/2) ln n,
 and a mean whose sum runs over consecutive 8192-element blocks (NumPy's
 default buffer size), each summed with NumPy's classic pairwise rule, the
@@ -252,10 +252,12 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
              classic pairwise sums, block sums added left to right from
              0.0; see _replica_mean. Independent of how a NumPy build
              chunks reductions.
-      dd     double-double cumsums, correctly rounded mean (reference)
+      dd     correctly rounded cumsums (_kernels.dd_cumsum, named for
+             the double-double loop it replaced) and a correctly rounded
+             mean (reference)
       exact  exact-rational partial sums S; past EXACT_NMAX_CAP = 20000
-             terms it raises BudgetError. The walk runs in double-double
-             and the mean is correctly rounded
+             terms it raises BudgetError. The walk's cumsum and the mean
+             are correctly rounded, as for dd
     All methods agree to well below 1e-8 on the mean at N = 10^6.
     """
     if table.ell != 2:

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abundancy import _kernels, sieve
+from abundancy import _kernels, sieve, stats
 
 
 def _weights(n, r):
@@ -112,6 +114,104 @@ def test_compensated_sums_convert_input_to_float64(dtype):
         out = kernel(a)
         assert out.dtype == np.float64
         assert np.array_equal(_bits(out), _bits(kernel(a64)))
+
+
+def _exact_cumsum(a):
+    # every prefix over one power-of-two denominator, then Python's correctly
+    # rounded int / int
+    ratios = [x.as_integer_ratio() for x in np.asarray(a, dtype=np.float64).tolist()]
+    den = max((d for _, d in ratios), default=1)
+    prefixes = accumulate(num * (den // d) for num, d in ratios)
+    return np.array([p / den for p in prefixes], dtype=np.float64)
+
+
+# |x| <= 2^1000 keeps every prefix of a few thousand entries in range
+_any_double = st.floats(min_value=-(2.0**1000), max_value=2.0**1000,
+                        allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tie(draw):
+    # b, half an ulp of b (an exact tie when b is a power of two), then a
+    # tiny term that breaks the tie either way, or nothing
+    b = math.ldexp(1.0, draw(st.integers(-900, 900)))
+    b = draw(st.sampled_from([b, -b, b + math.ulp(b), -3 * b]))
+    half = math.copysign(math.ldexp(math.ulp(b), -1), b)
+    return [b, half, draw(st.sampled_from([0.0, 1.0, -1.0])) * b * 2.0**-120]
+
+
+@st.composite
+def _cancelling(draw):
+    xs = draw(st.lists(_any_double, min_size=1, max_size=20))
+    return xs + [-x for x in reversed(xs)]
+
+
+@st.composite
+def _cumsum_input(draw):
+    parts = draw(st.lists(
+        st.one_of(st.lists(_any_double, max_size=20), _tie(), _cancelling()),
+        min_size=1, max_size=4))
+    values = [x for part in parts for x in part]
+    # a step of dd_cumsum runs at most 4 RUN // 3 entries, so the longer
+    # size crosses at least one step boundary, whatever the span
+    size = draw(st.sampled_from([len(values), 4 * RUN // 3 + 7]))
+    return np.resize(np.array(values, dtype=np.float64), size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cumsum_input())
+def test_dd_cumsum_is_correctly_rounded(a):
+    out = _kernels.dd_cumsum(a)
+    assert out.dtype == np.float64 and out.shape == a.shape
+    assert np.array_equal(_bits(out), _bits(_exact_cumsum(a)))
+
+
+def test_dd_cumsum_index_terms_and_walk_bit_equal_to_element_loop():
+    # the two inputs error_series sums at N = 10^5: the ell = 2 index terms
+    # and the walk E + mu
+    N = 10**5
+    terms = stats._index_terms(sieve.sieve_b(2, N), N)
+    S = _ref_dd_cumsum(terms)
+    assert np.array_equal(_bits(_kernels.dd_cumsum(terms)), _bits(S))
+    n = np.arange(1, N + 1, dtype=np.float64)
+    walk = S - stats.zeta(2) * n + 0.5 * np.log(n) + stats.mu_constant()
+    assert np.array_equal(_bits(_kernels.dd_cumsum(walk)), _bits(_ref_dd_cumsum(walk)))
+
+
+def test_dd_cumsum_memory_is_bounded_at_the_extremes_of_the_exponent_range():
+    # significands at every exponent from the subnormal 2^-1074 up to 2^1000:
+    # about 80 limbs, so short steps; one prefix also passes the float range
+    # and comes back
+    rng = np.random.default_rng(41)
+    size = 10**5
+    a = np.ldexp(rng.integers(-(2**53) + 1, 2**53, size=size).astype(np.float64),
+                 rng.integers(-1074 - 52, 1000 - 52, size=size))
+    a[:3] = 0.0, -0.0, 5e-324
+    tracemalloc.start()
+    try:
+        out = _kernels.dd_cumsum(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_bits(out), _bits(_exact_cumsum(a)))
+    # the limbs of the whole input would take 80 * size * 8 bytes = 64 MB;
+    # each temporary is capped at 4 RUN int64 entries (512 kB), and a few
+    # are alive at once
+    assert peak - out.nbytes < 8 * 4 * RUN * 8, peak
+    top = np.finfo(np.float64).max
+    out = _kernels.dd_cumsum(np.array([top, top, -top, -top, -top]))
+    assert out.tolist() == [top, math.inf, top, 0.0, -top]
+
+
+@pytest.mark.parametrize("kernel", [_kernels.kahan_cumsum, _kernels.dd_cumsum])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", [0, RUN + 3])
+def test_cumsums_reject_non_finite_input(kernel, bad, where):
+    a = np.ones(2 * RUN)
+    a[where] = bad
+    a[-1] = math.inf  # only the first one is named
+    with pytest.raises(ValueError, match=f"non-finite input at index {where}:"):
+        kernel(a)
 
 
 def test_orbit_counts():
