@@ -11,9 +11,9 @@ additions, and so every bit, is that of a plain per-element loop over the
 array. dd_cumsum returns the correctly rounded prefix sums: it adds in
 int64 limbs, exactly, and rounds each prefix once, so its bits depend on
 no order of float additions and no CPU dispatch. Totals are not summed
-here: callers use math.fsum, which is correctly rounded. Orbit counting labels a whole batch of tuples in one
-flat index space: its Python loops run over propagation rounds and
-fixed-size chunks, never over tuples.
+here: callers use math.fsum, which is correctly rounded. Orbit counting
+labels a whole batch of tuples in one flat index space: its Python loops
+run over propagation rounds and fixed-size chunks, never over tuples.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
 # Cumulative sums. kahan_cumsum is the working precision of the headline
 # running sums; dd_cumsum, the correctly rounded prefix sums, is the
 # reference. (It is named for the double-double loop it replaced, which gave
-# the same bits on every input the package passes it.)
+# the same bits on error_series' inputs at every N checked, up to 10^7.)
 #
 # Input is converted to float64 at entry, and a non-finite entry raises
 # ValueError naming its index: past one, every later prefix would be nan.
@@ -96,25 +96,25 @@ def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
 # E0 = max(e - 53, -1074) for the binary exponent e of the smallest nonzero
 # |x| (all doubles are multiples of 2^-1074). A prefix of n entries, each
 # below 2^k, is below n 2^k, so L limbs of 26 bits, of weights 2^(E0 + 26 j),
-# hold it with the top one at most 2^26; rounding reads at least three,
-# so L >= 3. Each entry is split into signed limb digits from the top down:
-# digit j is trunc(r 2^-(E0 + 26 j)) of what r is left of the entry, below
-# 2^26 in magnitude, and its value is subtracted from r. Both steps are
-# exact: the scaling can round only by underflowing below 1, where trunc
-# gives 0 anyway, and the subtraction leaves r's own low bits. Each limb
-# takes one int64 cumsum per step, with the previous step's last prefix as
-# carry-in, and carries then move up so that every limb but the top one
-# lies in [0, 2^26) and the top one carries the sign. A step runs
+# hold it with the top one at most 2^26 in magnitude; rounding reads at
+# least three, so L >= 3. Each entry is split into signed limb digits from
+# the top down: digit j is trunc(r 2^-(E0 + 26 j)) of what r is left of the
+# entry, below 2^26 in magnitude, and its value is subtracted from r. Both
+# steps are exact: the scaling can round only by underflowing below 1,
+# where trunc gives 0 anyway, and the subtraction leaves r's own low bits.
+# Each limb takes one int64 cumsum per step, with the previous step's last
+# prefix as carry-in, and carries then move up so that every limb but the
+# top one lies in [0, 2^26) and the top one carries the sign. A step runs
 # 4 RUN // L entries, so no temporary holds more than 4 RUN int64 entries,
 # however wide the span.
 #
 # Each prefix is then rounded once. With L <= 4 limbs it is
-# A 2^(52 + E0) + B 2^E0, where A = C3 2^26 + C2 is signed and at most 2^52
-# in magnitude and B = C1 2^26 + C0 lies in [0, 2^52): two exact doubles, whose
-# one IEEE addition is the correctly rounded sum. Wider prefixes are made
-# positive (a negative one is negated and carried again, its result negated
-# back) and read from the window of four limbs whose top one, h, is the
-# highest nonzero limb: A = C_h 2^26 + C_(h-1) >= 2^26 and
+# A 2^(52 + E0) + B 2^E0, where A = C3 2^26 + C2 is signed and at most
+# 2^52 in magnitude and B = C1 2^26 + C0 lies in [0, 2^52): two exact
+# doubles, whose one IEEE addition is the correctly rounded sum. Wider
+# prefixes are made positive (a negative one is negated and carried again,
+# its result negated back) and read from the window of four limbs whose top
+# one, h, is the highest nonzero limb: A = C_h 2^26 + C_(h-1) >= 2^26 and
 # B = C_(h-2) 2^26 + C_(h-3). The limbs below the window are less than one
 # unit of B, and the result's ulp is at least 2^26 units, so they matter
 # only at an exact tie; there a nonzero one sets B's lowest bit (a sticky

@@ -119,7 +119,7 @@ def test_compensated_sums_convert_input_to_float64(dtype):
 def _exact_cumsum(a):
     # every prefix over one power-of-two denominator, then Python's correctly
     # rounded int / int
-    ratios = [x.as_integer_ratio() for x in np.asarray(a, dtype=np.float64).tolist()]
+    ratios = [x.as_integer_ratio() for x in a.tolist()]
     den = max((d for _, d in ratios), default=1)
     prefixes = accumulate(num * (den // d) for num, d in ratios)
     return np.array([p / den for p in prefixes], dtype=np.float64)
@@ -132,8 +132,8 @@ _any_double = st.floats(min_value=-(2.0**1000), max_value=2.0**1000,
 
 @st.composite
 def _tie(draw):
-    # b, half an ulp of b (an exact tie when b is a power of two), then a
-    # tiny term that breaks the tie either way, or nothing
+    # b, then half an ulp of b away from zero, which ties b with its
+    # neighbour, then a tiny term that breaks the tie either way, or nothing
     b = math.ldexp(1.0, draw(st.integers(-900, 900)))
     b = draw(st.sampled_from([b, -b, b + math.ulp(b), -3 * b]))
     half = math.copysign(math.ldexp(math.ulp(b), -1), b)
@@ -175,7 +175,8 @@ def test_dd_cumsum_index_terms_and_walk_bit_equal_to_element_loop():
     assert np.array_equal(_bits(_kernels.dd_cumsum(terms)), _bits(S))
     n = np.arange(1, N + 1, dtype=np.float64)
     walk = S - stats.zeta(2) * n + 0.5 * np.log(n) + stats.mu_constant()
-    assert np.array_equal(_bits(_kernels.dd_cumsum(walk)), _bits(_ref_dd_cumsum(walk)))
+    want = _ref_dd_cumsum(walk)
+    assert np.array_equal(_bits(_kernels.dd_cumsum(walk)), _bits(want))
 
 
 def test_dd_cumsum_memory_is_bounded_at_the_extremes_of_the_exponent_range():
@@ -184,7 +185,8 @@ def test_dd_cumsum_memory_is_bounded_at_the_extremes_of_the_exponent_range():
     # and comes back
     rng = np.random.default_rng(41)
     size = 10**5
-    a = np.ldexp(rng.integers(-(2**53) + 1, 2**53, size=size).astype(np.float64),
+    significands = rng.integers(-(2**53) + 1, 2**53, size=size)
+    a = np.ldexp(significands.astype(np.float64),
                  rng.integers(-1074 - 52, 1000 - 52, size=size))
     a[:3] = 0.0, -0.0, 5e-324
     tracemalloc.start()
@@ -210,7 +212,8 @@ def test_cumsums_reject_non_finite_input(kernel, bad, where):
     a = np.ones(2 * RUN)
     a[where] = bad
     a[-1] = math.inf  # only the first one is named
-    with pytest.raises(ValueError, match=f"non-finite input at index {where}:"):
+    with pytest.raises(ValueError,
+                       match=f"non-finite input at index {where}:"):
         kernel(a)
 
 
