@@ -62,13 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bruteforce", help="enumerate commuting tuples, count orbits")
     p.add_argument("--ell", type=int, default=DEFAULT_ELL)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK)
+    p.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK,
+                   help="cap on the entries of the centralizers, class sweeps and "
+                        "last-level tuples, plus the recurrence's passes in 64-bit limbs")
     p.add_argument("--out", default=None, help="A-row JSON path")
 
     p = sub.add_parser("genfunc", help="exact coefficient triangle A(ell,n,k)")
     p.add_argument("--ell", type=int, default=DEFAULT_ELL)
     p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK)
+    p.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK,
+                   help="cap on the triangle's inner-loop terms, nmax(nmax+1)(nmax+2)/6")
     p.add_argument("--out", default=None, help="triangle JSON path")
 
     p = sub.add_parser("cauchy", help="contour-quadrature coefficient check")

@@ -10,36 +10,34 @@ can cross-check each other:
 and, in the other direction, every A(ell, n, k) is a Bell-type polynomial
 in the B values (see bell_transform).
 
-Every commuting tuple not headed by the identity is conjugate to one
-headed by the block rotation s of its first member's cycle type, so each
-type is searched once, inside C(s), and weighted by its class size
-n!/|C(s)| (the decomposition of Bryan & Fulman, Ann. Comb. 1998). C(s) is
-read off the list of all permutations by the definition, z∘s = s∘z.
-Tuples grow one member at a time inside the common centralizer of the
-prefix, and every tuple is checked against the definition before its
-orbits are counted, one run of tuples at a time. max_work refuses ell,
-the n!·n entries of the permutation list, the candidate tests and the
-tuple entries built (tuples x width x n), each before it is allocated;
-callers other than enumerate_A use DEFAULT_MAX_WORK.
+The count is the class equation at every level (the decomposition of
+Bryan & Fulman, Ann. Comb. 1998): H, the common centralizer of a prefix,
+permutes the prefix's orbits, so
+
+    count(H, orbits, d) = sum over H-classes [x] of
+                          |[x]| count(C_H(x), orbits v cycles(x), d - 1).
+
+The classes of S_n are the cycle types, and C(s) of each block rotation s
+is built by the leader rule, with no list of S_n. Each (H, orbits) node is
+swept once, and ell enters only as passes of the recurrence over the graph
+of nodes. max_work caps the work of a call, each part counted before it is
+done; callers other than enumerate_A use DEFAULT_MAX_WORK.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._kernels import orbit_counts
 from .errors import DEFAULT_MAX_WORK, BudgetError, VerificationFailure
-
-# entries of C(s) per run of _keep_commuting's tests, and tuple entries
-# (tuples x width x n) per run that _search yields
-SEARCH_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -125,182 +123,183 @@ class ATable:
 
 
 def _cycle_types(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into parts of at least `least`, parts ascending."""
+    """The partitions of n into parts >= least, parts ascending, in lexicographic order.
+
+    Each level of the recursion takes all the parts of one length, so it is
+    only as deep as the distinct lengths."""
     if n == 0:
         yield ()
     for L in range(least, n + 1):
-        yield from ((L,) + rest for rest in _cycle_types(n - L, L))
+        for m in range(n // L, 0, -1):
+            yield from ((L,) * m + rest for rest in _cycle_types(n - m * L, L + 1))
 
 
-def _permutations(ell: int, n: int, max_work: int) -> np.ndarray:
-    """The n! permutations of n points as rows, in lexicographic order.
+class _Budget:
+    """The running work of one call, refused past max_work before the work is done."""
 
-    ell and the list's n!·n entries are each refused past max_work first.
+    def __init__(self, ell: int, n: int, max_work: int):
+        self.where, self.cap, self.used = f"ell={ell}, n={n}", max_work, 0
+
+    def spend(self, count: int, what: str) -> None:
+        if self.used + count > self.cap:
+            raise BudgetError(f"{what} take the work to {self.used + count}, "
+                              f"past max_work = {self.cap} at {self.where}")
+        self.used += count
+
+
+def _rotation_centralizer(t: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The block rotation s of cycle type t, and the rows of C(s) by the leader rule.
+
+    The block at b of length L steps b + k to b + (k + 1) % L; b is its
+    cycle's leader. z∘s = s∘z gives z(b + k) = s^k(z(b)), so z on a leader
+    fixes z on its cycle, and z(b) must lie on a cycle of the same length:
+    the m cycles of length L are permuted in m! ways and each turned in L.
+    """
+    starts = np.cumsum((0,) + t[:-1])
+    s = np.concatenate([b + (np.arange(L) + 1) % L for b, L in zip(starts, t)])
+    rows, base = np.zeros((1, 0), dtype=np.int8), 0
+    for L, m in sorted(Counter(t).items()):
+        moves = np.array(list(itertools.permutations(range(m))))[:, None, :, None]
+        turns = np.indices((L,) * m).reshape(m, -1).T[None, :, :, None]
+        block = (base + L * moves + (turns + np.arange(L)) % L).reshape(-1, m * L)
+        rows = np.hstack([np.repeat(rows, len(block), axis=0),
+                          np.tile(block.astype(np.int8), (len(rows), 1))])
+        base += m * L
+    return s.astype(np.int8), rows
+
+
+def _conjugates(H: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i is H[i] x H[i]^-1, which sends H[i][j] to H[i][x[j]]."""
+    out = np.empty_like(H)
+    np.put_along_axis(out, H, H[:, x], axis=1)
+    return out
+
+
+def _join(labels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The least point of each orbit of the blocks of labels joined with the cycles of x."""
+    linked = (labels[:, None] == labels) | (x[:, None] == np.arange(len(x)))
+    linked |= linked.T
+    for _ in range(len(x).bit_length()):  # paths of up to 2^k steps after k squarings
+        linked = linked @ linked
+    return linked.argmax(axis=1).astype(np.int8)
+
+
+def _class_graph(n: int, budget: _Budget, sweep: int):
+    """The nodes (H, keys of H, least point of each orbit, depth), breadth first; the
+    first edge of each node at depth <= sweep; and the edges (child, class size, x).
+
+    Node 0, the top, is S_n on n singletons. Below it a class is the distinct
+    conjugates of x by all of H, and C_H(x) the rows whose conjugate is x.
+    """
+    nodes, index, starts, edges = [], {}, [0], []
+    # base-n row keys, ordered as the rows are; C(s) of a transposition,
+    # 2 (n-2)! n entries, was allocated, so n <= 15 and every key is below 2^63
+    digits = n ** np.arange(n - 1, -1, -1)
+
+    def node(H, keys, labels, depth):
+        key = keys.tobytes() + labels.tobytes()
+        if key not in index:
+            index[key] = len(nodes)
+            nodes.append((H, keys, labels, depth))
+        return index[key]
+
+    ident = np.arange(n, dtype=np.int8)
+    node(None, digits[:0], ident, 0)
+    edges.append((0, 1, ident))  # the identity's class: the top again, one member on
+    classes = 1
+    for t in itertools.islice(_cycle_types(n), 1, None):
+        order = prod(factorial(m) * L**m for L, m in Counter(t).items())
+        budget.spend(order * n, f"C(s) of the cycle type with parts {[L for L in t if L > 1]}")
+        s, C = _rotation_centralizer(t)
+        keys = C @ digits
+        if not np.array_equal(C[:, s], s[C]):
+            raise VerificationFailure(f"a row of C(s) does not commute with s at {t}")
+        distinct = len(np.unique(keys))
+        if distinct != order:
+            raise VerificationFailure(f"C(s) has {distinct} distinct rows, not {order}, at {t}")
+        size, rest = divmod(factorial(n), order)
+        if rest:
+            raise ArithmeticError(f"|C(s)| = {order} does not divide n! at {t}")
+        classes += size
+        rank = np.argsort(keys)
+        edges.append((node(C[rank], keys[rank], _join(ident, s), 1), size, s))
+    if classes != factorial(n):
+        raise ArithmeticError(f"the class equation of S_{n} sums to {classes}, not {n}!")
+    for H, keys, labels, depth in itertools.islice(nodes, 1, None):  # nodes grows as it is swept
+        if depth > sweep:
+            break
+        starts.append(len(edges))
+        left = np.ones(len(H), dtype=bool)  # the rows in no class yet
+        while left.any():
+            x = H[left.argmax()]
+            budget.spend(len(H) * n, "the class sweeps")
+            conj = _conjugates(H, x) @ digits
+            members, fixed = np.unique(conj), conj == x @ digits
+            if len(members) * np.count_nonzero(fixed) != len(H):
+                raise ArithmeticError(f"a class of {len(members)} with a centralizer of "
+                                      f"{np.count_nonzero(fixed)} in a group of {len(H)}")
+            left[np.searchsorted(keys, members)] = False
+            child = node(H[fixed], keys[fixed], _join(labels, x), depth + 1)
+            edges.append((child, len(members), x))
+    return nodes, starts + [len(edges)], edges
+
+
+def _recurrence(ell: int, n: int, budget: _Budget, sweep_last: bool = False):
+    """The histogram of A(ell, n, .), the class graph, and which nodes reach one orbit.
+
+    h_d(v), the histogram of d more members at node v, sums size x h_(d-1)
+    over v's classes; h_0 is one at v's orbit count. Pass d runs over the
+    nodes at depth <= ell - d. The orbit kernel counts h_1 below the top from
+    (orbit permutation, x) for every x of H, in one call. reach[d] marks h_d at one orbit.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if ell > max_work:
-        raise BudgetError(f"ell = {ell} exceeds max_work = {max_work}")
-    # n!·n, formed only up to the first partial product past max_work
-    entries = n
-    for i in range(2, n + 1):
-        if entries > max_work:
-            break
-        entries *= i
-    if entries > max_work:
-        raise BudgetError(
-            f"the n! permutations of n = {n} points hold more than "
-            f"max_work = {max_work} entries"
-        )
-    # one byte an entry: no list of more than 127 points fits in memory
-    images = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    return np.fromiter(images, dtype=np.int8, count=entries).reshape(-1, n)
-
-
-def _centralizer(P: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The rows z of P with z(s(j)) = s(z(j)) for every j, one j at a time."""
-    rows = np.arange(len(P))
-    for j, sj in enumerate(s):
-        rows = rows[P[rows, sj] == s[P[rows, j]]]
-    return P[rows]
-
-
-def _check_commute(tuples: np.ndarray) -> None:
-    """Raise VerificationFailure unless each tuple's last member commutes with the rest.
-
-    That is width - 1 pairs a tuple, not all of them: _search checks and
-    yields each tuple's prefix one level down, before the tuple is built.
-    """
-    p, rest = tuples[:, -1:], tuples[:, :-1]
-    if not np.array_equal(
-        np.take_along_axis(p, rest, axis=2), np.take_along_axis(rest, p, axis=2)
-    ):
-        raise VerificationFailure("a built tuple has a non-commuting pair at its last member")
-
-
-def _refuse(count: int, what: str, ell: int, n: int, max_work: int) -> None:
-    if count > max_work:
-        raise BudgetError(
-            f"the search needs {count} {what}, more than max_work = {max_work} "
-            f"for ell={ell}, n={n}"
-        )
-
-
-def _keep_commuting(
-    C: np.ndarray, off: np.ndarray, flat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The next level: prefix i's candidate flat[j] extends it to new row j.
-
-    New row j keeps the candidates of prefix i that commute with flat[j],
-    each found by composing the two rows of C both ways. Returns (off,
-    kept), new row j's at kept[off[j]:off[j+1]]. Runs of at most
-    SEARCH_CHUNK entries of C (one row at least) bound the temporaries.
-    """
-    sizes = np.diff(off)
-    lo, m = np.repeat(off[:-1], sizes), np.repeat(sizes, sizes)
-    new_off = np.zeros(len(flat) + 1, dtype=np.int64)
-    kept = []
-    for a, b in _runs(m, SEARCH_CHUNK // C.shape[1]):
-        ends = np.cumsum(m[a:b])
-        pos = np.arange(ends[-1]) + np.repeat(lo[a:b] - (ends - m[a:b]), m[a:b])
-        x = flat[pos]
-        p, z = C[np.repeat(flat[a:b], m[a:b])], C[x]
-        hit = (np.take_along_axis(p, z, axis=1) == np.take_along_axis(z, p, axis=1)).all(axis=1)
-        new_off[a + 1 : b + 1] = new_off[a] + np.concatenate([[0], np.cumsum(hit)])[ends]
-        kept.append(x[hit])
-    return new_off, np.concatenate(kept)
-
-
-def _search(ell: int, P: np.ndarray, max_work: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Runs of tuples (s, x_2, ..., x_w), w <= ell, with the size of the class of s.
-
-    s runs over one block rotation per cycle type, cycles shortest first;
-    the identity heads only the 1-tuple (id) (see enumerate_A). A run has
-    shape (T, w, n), entries 0-based. Inside C(s) every prefix keeps the
-    members of C(s) that commute with all of its own (_keep_commuting), one
-    int64 per tuple. The candidate tests and the tuple entries (tuples x
-    width x n), each summed over every s and width, are checked against
-    max_work before any tuple is built. The tuples are then gathered at
-    most SEARCH_CHUNK entries a run (one prefix at least), and every run is
-    checked against the definition before it is yielded: its last member
-    against the rest (_check_commute). The prefixes of width w are the
-    tuples of width w - 1, all checked and yielded before, so by induction
-    every pair of every yielded tuple commutes.
-    """
-    N, n = P.shape
-    built = tests = 0
-    plans = []
-    for t in _cycle_types(n):
-        # the block at b of length L steps b + k to b + (k + 1) % L
-        starts = np.cumsum((0,) + t[:-1])
-        s = np.concatenate([b + (np.arange(L) + 1) % L for b, L in zip(starts, t)])
-        C = _centralizer(P, s)
-        size, rest = divmod(N, len(C))
-        if rest:
-            raise ArithmeticError(f"|C(s)| = {len(C)} does not divide n! = {N} at {t}")
-        # prefix i of a level draws its last member from flat[off[i]:off[i+1]];
-        # the empty prefix draws from all of C(s)
-        off, flat = np.array([0, len(C)]), np.arange(len(C))
-        levels = []
-        for width in range(2, ell + 1 if t[-1] > 1 else 2):
-            built += len(flat) * width * n
-            _refuse(built, f"tuple entries by the {width}-tuples", ell, n, max_work)
-            levels.append((off, flat))
-            if width == ell:
-                break
-            # each new row tests its prefix's candidates
-            sizes = np.diff(off)
-            tests += int(np.dot(sizes, sizes))
-            _refuse(tests, f"candidate tests to reach the {width + 1}-tuples", ell, n, max_work)
-            off, flat = _keep_commuting(C, off, flat)
-        plans.append((s, C, size, levels))
-    for s, C, size, levels in plans:
-        yield size, s[None, None]  # a view of s: nothing is built
-        rows = np.empty((1, 0), dtype=np.int64)  # the prefixes, as rows of C
-        for width, (off, flat) in enumerate(levels, 2):
-            for a, b in _runs(np.diff(off), SEARCH_CHUNK // (width * n)):
-                parent = np.repeat(np.arange(a, b), np.diff(off[a : b + 1]))
-                x = C[np.column_stack([rows[parent], flat[off[a] : off[b]]])]
-                tuples = np.concatenate([np.broadcast_to(s, (len(x), 1, n)), x], axis=1)
-                _check_commute(tuples)
-                yield size, tuples
-            if width <= len(levels):
-                # the next level's prefixes: this level's tuples, in order
-                rows = np.column_stack([np.repeat(rows, np.diff(off), axis=0), flat])
-
-
-def _runs(m: np.ndarray, step: int) -> Iterator[tuple[int, int]]:
-    """Consecutive runs [a, b) of rows with at most step candidates in all.
-
-    Row i has m[i] candidates; a row with more than step is a run of its own.
-    """
-    ends = np.cumsum(m)
-    a = 0
-    while a < len(m):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - m[a] + step, side="right")))
-        yield a, b
-        a = b
+    # a pass takes n entries an edge; an entry of pass d is at most n!^d, of
+    # d n ceil(log2 n) bits at most, counted in 64-bit limbs
+    bits = n * (n - 1).bit_length()
+    per_edge = n * (ell + bits * ell * (ell + 1) // 128)
+    budget.spend(per_edge, "the recurrence's passes over the top's identity class")
+    nodes, starts, edges = _class_graph(n, budget, ell - 1 if sweep_last else ell - 2)
+    budget.spend((len(edges) - 1) * per_edge, f"the recurrence's passes over {len(edges)} classes")
+    depth = np.array([v[3] for v in nodes])
+    child, weight = np.array([e[0] for e in edges]), np.array([e[1] for e in edges], dtype=object)
+    orbits = np.array([np.count_nonzero(v[2] == np.arange(n)) for v in nodes])
+    h = np.zeros((len(nodes), n + 1), dtype=object)
+    h[np.arange(len(nodes)), orbits] = 1
+    reach = [orbits == 1]
+    last = nodes[1 : np.searchsorted(depth, ell - 1, side="right")]
+    if last:
+        groups = [v[0] for v in last]
+        sizes = [len(H) for H in groups]
+        budget.spend(sum(sizes) * 2 * n, "the last level's tuples")
+        # each point to the next of its orbit, the last to the first: the least
+        later = [np.triu(v[2][:, None] == v[2], 1) for v in last]
+        cycles = [np.where(a.any(axis=1), a.argmax(axis=1), v[2]) for a, v in zip(later, last)]
+        tuples = np.stack([np.repeat(cycles, sizes, axis=0), np.concatenate(groups)], axis=1)
+        at = np.repeat(np.arange(len(last)), sizes) * (n + 1) + orbit_counts(tuples)
+        h1 = np.bincount(at, minlength=len(last) * (n + 1)).reshape(-1, n + 1)
+    # the top alone (n = 1) is its own one class, so every pass would copy h_0
+    for d in range(1, ell + 1 if len(nodes) > 1 else 1):
+        m = 1 if d == 1 else int(np.searchsorted(depth, ell - d, side="right"))
+        new = np.add.reduceat(weight[: starts[m], None] * h[child[: starts[m]]], starts[:m], axis=0)
+        if d == 1 and last:
+            h[1 : len(last) + 1] = h1
+        h[:m] = new
+        reach.append((h[: 1 + len(last) if d == 1 else m, 1] != 0).astype(bool))
+    return h[0, 1:], (nodes, starts, edges), reach
 
 
 def enumerate_A(ell: int, n: int, *, max_work: int = DEFAULT_MAX_WORK) -> ATable:
-    """A(ell, n, k) for all k by direct enumeration and orbit counting.
+    """A(ell, n, k) for all k, by the class equation at every level (see _recurrence).
 
-    Conjugation keeps orbit counts, and a tuple headed by the identity has
-    the orbits of its tail, so with A(0, n, k) = [k = n]
-
-        A(ell, n, k) = A(ell-1, n, k) + sum over block rotations s != id of
-            (n!/|C(s)|) #{commuting (x_2..x_ell) in C(s)^(ell-1) : the
-                          tuple (s, x_2..x_ell) has k orbits}.
-
-    _search runs the recursion as its loop over widths 1..ell, and the
-    orbits are counted run by run into one histogram.
+    max_work caps the entries of the centralizers, the class sweeps and the
+    last level's tuples, each before it is allocated, and the recurrence's
+    passes in 64-bit limbs, before the first.
     """
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for size, run in _search(ell, _permutations(ell, n, max_work), max_work):
-        hist += size * np.bincount(orbit_counts(run), minlength=n + 1)
-    return ATable(ell=ell, n=n, counts=tuple(int(c) for c in hist[1 : n + 1]))
+    hist, _, _ = _recurrence(ell, n, _Budget(ell, n, max_work))
+    return ATable(ell=ell, n=n, counts=tuple(int(c) for c in hist))
 
 
 def b_from_bruteforce(ell: int, n: int) -> int:
@@ -314,54 +313,53 @@ def b_from_bruteforce(ell: int, n: int) -> int:
     return q
 
 
+def _fixing_first(n: int) -> np.ndarray:
+    """The (n-1)! bijections of n points that fix point 0, as rows."""
+    return np.array([(0,) + p for p in itertools.permutations(range(1, n))], dtype=np.int8)
+
+
+def _chains(starts: list, child: list, reach: list, ell: int) -> list[tuple[int, ...]]:
+    """The chains of ell classes from the top that end on one orbit, as tuples of edges:
+    with d members to go, a chain takes the classes whose node reaches one orbit in d - 1."""
+    if len(reach[0]) == 1:  # the top alone (n = 1): its identity class ell times
+        return [(0,) * ell]
+    walk = [(0, ())]  # (node, chain)
+    for d in range(ell, 0, -1):
+        walk = [(child[e], chain + (e,)) for v, chain in walk
+                for e in range(starts[v], starts[v + 1]) if reach[d - 1][child[e]]]
+    return [chain for _, chain in walk]
+
+
 def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
     """The transitive commuting tuples, 1-based, as a set, within DEFAULT_MAX_WORK.
 
-    Each transitive tuple (s, x_2..x_w) of _search, after ell - w
-    identities, is relabelled once by each of the n!/|C(s)| bijections w
-    that first give a member w s w^-1 of the class of s, every member x
-    becoming w x w^-1, in runs of at most SEARCH_CHUNK entries; so each
-    tuple is made once. The output, A(ell, n, 1)·ell·n entries, is refused
-    past DEFAULT_MAX_WORK before any tuple is relabelled.
+    The recurrence, swept down to its last member, has one chain of class
+    representatives per S_n-orbit of tuples. A transitive tuple's centralizer
+    is the regular group it generates, so a chain that ends on one orbit
+    weighs (n-1)!, the product of its class sizes, and the (n-1)! bijections
+    w that fix point 1 meet each coset of that group once: relabelled by
+    each, x becoming w x w^-1, the chain gives its whole orbit. Both facts
+    are asserted. The output, A(ell, n, 1)·ell·n entries, is counted first.
     """
-    P = _permutations(ell, n, DEFAULT_MAX_WORK)
-    found, count = {}, 0  # the bytes of s -> (s, class size, transitive tuples)
-    for size, run in _search(ell, P, DEFAULT_MAX_WORK):
-        trans = run[orbit_counts(run) == 1]
-        if len(trans):
-            count += size * len(trans)
-            ident = np.broadcast_to(np.arange(n), (len(trans), ell - run.shape[1], n))
-            s = run[0, 0]
-            found.setdefault(s.tobytes(), (s, size, []))[2].append(
-                np.concatenate([ident, trans], axis=1))
-    if count * ell * n > DEFAULT_MAX_WORK:
-        raise BudgetError(
-            f"the {count} transitive {ell}-tuples of n = {n} points hold more than "
-            f"DEFAULT_MAX_WORK = {DEFAULT_MAX_WORK} entries"
-        )
-    inv = np.argsort(P, axis=1)
+    budget = _Budget(ell, n, DEFAULT_MAX_WORK)
+    hist, (nodes, starts, edges), reach = _recurrence(ell, n, budget, sweep_last=True)
+    count = int(hist[0])
+    budget.spend(count * ell * n, f"the {count} transitive {ell}-tuples")
+    W = _fixing_first(n)
+    inv = np.argsort(W, axis=1)
     tuples = set()
-    step = max(1, SEARCH_CHUNK // (ell * n))
-    # base-n row keys, ordered as the rows are; P's n! n entries were
-    # allocated, so n <= 15 and every key is below n^n < 2^63
-    digits = n ** np.arange(n - 1, -1, -1)
-    for s, size, heads in found.values():
-        # w s w^-1 maps w[i] to w[s[i]], so its image of j is w[s[w^-1[j]]]
-        _, first = np.unique(np.take_along_axis(P, s[inv], axis=1) @ digits, return_index=True)
-        assert len(first) == size
-        heads = np.concatenate(heads)
-        total = len(heads) * size
-        for a in range(0, total, step):
-            r, w = np.divmod(np.arange(a, min(a + step, total)), size)
-            w = first[w]
-            x = np.take_along_axis(heads[r], inv[w][:, None, :], axis=2).reshape(len(w), -1)
-            relabelled = np.take_along_axis(P[w], x, axis=1).reshape(-1, ell, n) + 1
-            tuples.update(tuple(map(tuple, tup)) for tup in relabelled.tolist())
+    for chain in _chains(starts, [e[0] for e in edges], reach, ell):
+        weight = prod(edges[e][1] for e in chain)
+        if weight != factorial(n - 1):
+            raise ArithmeticError(f"a transitive chain of weight {weight}, not (n-1)!")
+        # w x w^-1 sends j to w[x[w^-1[j]]]
+        reps = np.array([edges[e][2] for e in chain])
+        relabelled = np.take_along_axis(W[None], reps[:, inv], axis=2).transpose(1, 0, 2) + 1
+        tuples.update(tuple(map(tuple, tup)) for tup in relabelled.tolist())
+    # the weights sum to count, so this asserts the relabellings distinct
     if len(tuples) != count:
-        raise VerificationFailure(
-            f"relabelling made {len(tuples)} distinct transitive {ell}-tuples of "
-            f"n = {n} points, not the {count} counted"
-        )
+        raise VerificationFailure(f"relabelling made {len(tuples)} distinct transitive "
+                                  f"{ell}-tuples of n = {n} points, not the {count} counted")
     return tuples
 
 

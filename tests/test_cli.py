@@ -118,25 +118,26 @@ def test_bruteforce_long_tuples_at_n_1(capsys):
 
 
 def test_bruteforce_budget_counts_the_search(capsys):
-    # (2, 8), (3, 7) and (2, 9) run inside the centralizers of one
-    # permutation per cycle type, within the default
+    # (2, 8), (3, 7), (2, 9) and (3, 9) run by the class equation at every
+    # level, within the default
     assert run(["bruteforce", "--ell", "2", "--n", "8"]) == 0
     assert "total=887040 counts={1:75600," in capsys.readouterr().out
     assert run(["bruteforce", "--ell", "3", "--n", "7"]) == 0
     assert "total=856800 counts={1:41040," in capsys.readouterr().out
     assert run(["bruteforce", "--ell", "2", "--n", "9"]) == 0
     assert "total=10886400 counts={1:524160," in capsys.readouterr().out
-    # (3, 9) is refused on its tests, before any runs
+    assert run(["bruteforce", "--ell", "3", "--n", "9"]) == 0
+    assert "counts={1:5241600," in capsys.readouterr().out
+    # C(s) of a transposition of 12 points is refused before it is built
     start = time.perf_counter()
-    with mock.patch.object(permtuples, "_keep_commuting", side_effect=AssertionError):
-        assert run(["bruteforce", "--ell", "3", "--n", "9"]) == 3
-    assert "needs 101606400 candidate tests" in capsys.readouterr().err
-    assert run(["bruteforce", "--ell", "1", "--n", "10"]) == 3
+    with mock.patch.object(permtuples, "_rotation_centralizer", side_effect=AssertionError):
+        assert run(["bruteforce", "--ell", "2", "--n", "12"]) == 3
+    assert "C(s) of the cycle type with parts [2]" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
-    # (3, 7) needs 69,505 tests and builds 156,373 tuple entries
-    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "156372"]) == 3
-    assert "needs 156373 tuple entries" in capsys.readouterr().err
-    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "156373"]) == 0
+    # (3, 7) does 70,126 work in all, the last level's tuples last
+    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "70125"]) == 3
+    assert "last level's tuples take the work to 70126" in capsys.readouterr().err
+    assert run(["bruteforce", "--ell", "3", "--n", "7", "--max-work", "70126"]) == 0
 
 
 def test_genfunc_json(tmp_path):

@@ -1,7 +1,7 @@
 import itertools
 import time
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from unittest import mock
 
 import numpy as np
@@ -167,39 +167,6 @@ def test_commuting_pairs_count_partitions():
         assert enumerate_A(2, n).total() == factorial(n) * p[n]
 
 
-# ell <= 4 of the pair filter's cases, so that one run per prefix stays fast
-_STREAM_CASES = [(ell, n) for ell, n in _SEARCH_CASES if ell <= 4 and n <= 6]
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=st.sampled_from(_STREAM_CASES), data=st.data())
-def test_streamed_search_matches_for_any_chunk(case, data):
-    # a chunk of 1 entry holds one prefix's tuples a run, a few entries one
-    # or a few, and n! ell n entries at least one prefix's worth, since no
-    # prefix draws its last member from more than n! candidates
-    ell, n = case
-    chunk = data.draw(st.one_of(
-        st.just(1), st.integers(2, 4 * ell * n), st.just(factorial(n) * ell * n)
-    ))
-    want = (enumerate_A(ell, n), b_from_bruteforce(ell, n), transitive_tuples(ell, n))
-    runs = []
-
-    def recording(tuples):
-        runs.append(tuples)
-        check(tuples)
-
-    check = permtuples._check_commute
-    with mock.patch.object(permtuples, "SEARCH_CHUNK", chunk), \
-            mock.patch.object(permtuples, "_check_commute", recording):
-        got = (enumerate_A(ell, n), b_from_bruteforce(ell, n), transitive_tuples(ell, n))
-    assert got == want
-    assert (got[0].counts, got[2]) == _reference(ell, n)
-    for run in runs:
-        # past the bound only when the run is one prefix's tuples
-        prefixes = np.unique(run[:, :-1].reshape(len(run), -1), axis=0)
-        assert run.size <= chunk or len(prefixes) == 1
-
-
 def test_one_point_tuples_of_any_length():
     # one candidate per level: the search runs level by level, not recursively
     assert enumerate_A(1200, 1).counts == (1,)
@@ -217,133 +184,217 @@ def test_budget_refusal():
             enumerate_A(ell, 1, max_work=10)
     with pytest.raises(BudgetError):
         enumerate_A(10**8, 2)
-    # refused on the 6-tuples inside the centralizers of S_7, before any is built
+    # refused on the recurrence's 5000 passes, whose entries grow to 5000 x 21
+    # bits, before any centralizer of S_7 is built
     with pytest.raises(BudgetError):
         enumerate_A(5000, 7)
 
 
-def test_output_bound_refuses_before_allocating():
-    # S_2 has 2^(w-1) w-tuples headed by the transposition, w 2^w entries;
-    # those of widths 2..20 sum to 19 * 2^21 entries, past the default
+def test_passes_are_counted_by_size():
+    # at (300, 8) the 300 passes over the 1661 classes of S_8's graph take
+    # 300 x 1661 x 8 = 3,986,400 entries, within the default, but an entry
+    # of pass d has up to 24 d bits, so in 64-bit limbs they take 229,733,040
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="39845888 tuple entries by the 20-tuples"):
-        enumerate_A(24, 2)
+    with mock.patch.object(permtuples, "orbit_counts", side_effect=AssertionError):
+        with pytest.raises(BudgetError, match="1661 classes take the work to 229733040"):
+            enumerate_A(300, 8)
     assert time.perf_counter() - start < 1.0
-    # widths 2..5 build exactly 256 entries, admitted at a max_work of 256
-    assert enumerate_A(5, 2, max_work=256).total() == 2**5
-    with pytest.raises(BudgetError, match="256 tuple entries by the 5-tuples"):
-        enumerate_A(5, 2, max_work=255)
+
+
+def test_class_equation_reaches_past_the_old_budget():
+    # nine and ten points and long tuples, against the B values of the flag count
+    for ell, n in ((3, 9), (2, 10), (4, 8), (6, 6), (19, 8)):
+        b_row = [b_via_flags(ell, v) for v in range(1, n + 1)]
+        assert enumerate_A(ell, n).counts == bell_transform(ell, n, b_row).counts
+
+
+def test_output_bound_refuses_before_allocating(monkeypatch):
+    # the 7! B(4, 8) = 7,030,800 transitive 4-tuples of 8 points hold 32 entries
+    # each, 224,985,600 in all, past the default: refused once they are
+    # counted, before the bijections that relabel them are listed
+    monkeypatch.setattr(permtuples, "_fixing_first", mock.Mock(side_effect=AssertionError))
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="the 7030800 transitive 4-tuples take the work to"):
+        transitive_tuples(4, 8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_permutation_list_refused_before_it_is_built():
-    # n!·n entries: 96 at n = 4; 36,288,000 at n = 10, past the default
+    # no list of S_n is built; the largest list is C(s) of a transposition,
+    # 2 (n-2)! n entries (87,091,200 at n = 12), counted before the leader
+    # rule runs, and ell is counted by the recurrence's passes first
+    start = time.perf_counter()
+    with mock.patch.object(permtuples, "_rotation_centralizer", side_effect=AssertionError), \
+            mock.patch.object(permtuples, "_conjugates", side_effect=AssertionError):
+        for ell, n in ((2, 12), (1, 13), (10**8, 2)):
+            with pytest.raises(BudgetError):
+                enumerate_A(ell, n)
+    assert time.perf_counter() - start < 1.0
+    # at n = 4: the four C(s) but the identity's hold (4 + 3 + 8 + 4) x 4 = 76
+    # entries, and one pass over the five classes takes 5 x 4 = 20
     assert enumerate_A(1, 4, max_work=96).counts == (6, 11, 6, 1)  # cycle counts
-    with mock.patch.object(permtuples.itertools, "permutations", side_effect=AssertionError):
-        with pytest.raises(BudgetError, match="n = 4 points hold more than max_work = 95"):
-            enumerate_A(1, 4, max_work=95)
-        for ell in (1, 2):
-            with pytest.raises(BudgetError, match="n = 10 points"):
-                enumerate_A(ell, 10)
+    with pytest.raises(BudgetError, match="5 classes take the work to 96, past max_work = 95"):
+        enumerate_A(1, 4, max_work=95)
 
 
 def test_candidate_tests_refused_before_they_run():
-    # the transposition of S_9 has a centralizer of 2 * 7! = 10,080, so its
-    # 3-tuples need 10,080^2 = 101,606,400 tests, past the default
+    # a class sweep tests each row of H as a candidate for C_H(x), |H| n
+    # entries, counted before it runs; at (3, 10) the sweeps of the
+    # centralizer of a transposition, 80,640 rows of 10 points, pass the
+    # default partway, and none runs past it
+    swept = []
+    conjugates = permtuples._conjugates
+
+    def counting(H, x):
+        swept.append(H.size)
+        return conjugates(H, x)
+
     start = time.perf_counter()
-    with mock.patch.object(permtuples, "_keep_commuting", side_effect=AssertionError):
-        with pytest.raises(BudgetError, match="needs 101606400 candidate tests"):
-            enumerate_A(3, 9)
+    with mock.patch.object(permtuples, "_conjugates", counting):
+        with pytest.raises(BudgetError, match="the class sweeps take the work to"):
+            enumerate_A(3, 10)
     assert time.perf_counter() - start < 1.0
+    assert 0 < sum(swept) <= DEFAULT_MAX_WORK
 
 
 def test_last_level_refuses_before_any_chunk():
-    # (3, 4) builds 1,124 tuple entries inside its centralizers
-    assert enumerate_A(3, 4, max_work=1124).total() == 504
-    with pytest.raises(BudgetError, match="1124 tuple entries by the 3-tuples"):
-        enumerate_A(3, 4, max_work=1123)
-    P = permtuples._permutations(3, 4, 1123)
-    with mock.patch.object(permtuples, "SEARCH_CHUNK", 1):
-        with pytest.raises(BudgetError, match="1124 tuple entries by the 3-tuples"):
-            next(permtuples._search(3, P, 1123))
-    # past the default every level is counted before any tuple is built
-    start = time.perf_counter()
-    with mock.patch.object(permtuples, "_check_commute", side_effect=AssertionError):
-        for ell, n in ((20, 2), (13, 3), (8, 5)):
-            with pytest.raises(BudgetError, match=f"tuple entries by the {ell}-tuples"):
-                enumerate_A(ell, n)
-    assert time.perf_counter() - start < 1.0
+    # the last level hands (orbit permutation, x), for every x of every node,
+    # to the orbit kernel in one chunk of 2 n entries a tuple, counted first
+    with mock.patch.object(permtuples, "orbit_counts", side_effect=AssertionError):
+        with pytest.raises(BudgetError, match="the last level's tuples take the work to"):
+            enumerate_A(2, 11)
+    # (3, 4) does 900 work in all, the last level last
+    assert enumerate_A(3, 4, max_work=900).total() == 504
+    with pytest.raises(BudgetError, match="tuples take the work to 900, past max_work = 899"):
+        enumerate_A(3, 4, max_work=899)
 
 
 def test_candidate_tests_run_once():
-    # at ell = 3 each x in C(s) tests all of C(s) once, so the tests number
-    # the sum of |C(s)|^2 over the cycle types but the identity's
-    keep = permtuples._keep_commuting
-    counted = []
+    # each (H, orbits) node is swept once per call, one sweep a class, so
+    # once ell passes the depth of the graph a longer tuple adds passes of
+    # the recurrence but no sweep
+    conjugates, class_graph = permtuples._conjugates, permtuples._class_graph
 
-    def counting(C, off, flat):
-        # each candidate of a prefix tests all of that prefix's candidates
-        counted.append(int(np.dot(np.diff(off), np.diff(off))))
-        return keep(C, off, flat)
+    def sweeps(ell, n):
+        swept, graphs = [], []
 
-    def z(t):  # |C(s)| for the cycle type t
-        return prod(L ** t.count(L) * factorial(t.count(L)) for L in set(t))
+        def recording(H, x):
+            swept.append(H.tobytes() + x.tobytes())
+            return conjugates(H, x)
 
-    with mock.patch.object(permtuples, "_keep_commuting", counting):
-        at = enumerate_A(3, 7)
-    want = sum(z(t) ** 2 for t in permtuples._cycle_types(7) if t[-1] > 1)
-    assert sum(counted) == want == 69_505
-    assert at[1] == factorial(6) * b_via_flags(3, 7) == 41_040
+        def keeping(*args):
+            graphs.append(class_graph(*args))
+            return graphs[-1]
+
+        with mock.patch.object(permtuples, "_conjugates", recording), \
+                mock.patch.object(permtuples, "_class_graph", keeping):
+            at = enumerate_A(ell, n)
+        (_, starts, edges), = graphs
+        assert len(swept) == len(edges) - starts[1]  # the classes below the top
+        return swept, at
+
+    swept10, _ = sweeps(10, 6)
+    swept30, at30 = sweeps(30, 6)
+    assert swept10 == swept30 and len(swept30) == 218
+    assert at30.counts == bell_transform(30, 6, [b_via_flags(30, v) for v in range(1, 7)]).counts
 
 
 def test_callers_without_max_work_read_the_default(monkeypatch):
-    # (2, 4) builds 152 tuple entries; its 42 transitive pairs hold 336
-    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 336)
+    # (2, 4): the recurrence swept to the last member does 720 work, and the
+    # 42 transitive pairs hold 336 entries
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 1056)
     assert len(transitive_tuples(2, 4)) == factorial(3) * b_via_flags(2, 4)
     assert tori.double_count_check(2, 4).match
-    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 335)
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 1055)
     for call in (transitive_tuples, tori.double_count_check):
-        with pytest.raises(BudgetError, match="the 42 transitive 2-tuples of n = 4"):
+        with pytest.raises(BudgetError, match="the 42 transitive 2-tuples take the work to 1056"):
             call(2, 4)
-    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 152)
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 719)
+    for call in (transitive_tuples, tori.double_count_check):
+        with pytest.raises(BudgetError, match="last level's tuples take the work to 720"):
+            call(2, 4)
+    # enumerate_A(2, 4) does 268
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 268)
     assert b_from_bruteforce(2, 4) == b_via_flags(2, 4)
-    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 151)
-    for call in (transitive_tuples, tori.double_count_check, b_from_bruteforce):
-        with pytest.raises(BudgetError, match="152 tuple entries by the 2-tuples"):
-            call(2, 4)
+    monkeypatch.setattr(permtuples, "DEFAULT_MAX_WORK", 267)
+    with pytest.raises(BudgetError, match="take the work to 268, past max_work = 267"):
+        b_from_bruteforce(2, 4)
+
+
+def _tampered_centralizer(change):
+    build = permtuples._rotation_centralizer
+
+    def builder(t):
+        s, C = build(t)
+        return s, change(C)
+
+    return builder
 
 
 def test_every_chunk_is_checked_against_the_definition():
-    # a centralizer that admits every permutation yields pairs that do not
-    # commute; each run must be checked before it is counted
-    with mock.patch.object(permtuples, "_centralizer", lambda P, s: P):
-        with pytest.raises(VerificationFailure, match="non-commuting pair"):
-            enumerate_A(2, 3)
-        with mock.patch.object(permtuples, "SEARCH_CHUNK", 1):
-            with pytest.raises(VerificationFailure):
-                transitive_tuples(2, 3)
+    # each C(s), the chunk of rows the recurrence starts from, is checked row
+    # by row against z∘s = s∘z and for as many distinct rows as the rule counts
+    for change, message in [
+        (lambda C: C[:-1], "distinct rows"),  # a row missing
+        (lambda C: np.vstack([C[:-1], C[:1]]), "distinct rows"),  # a row twice
+        # the 4-cycle (0 1 2 3) in place of a row of C((2 3)), the first tried
+        (lambda C: np.vstack([C[:-1], [[1, 2, 3, 0]]]), "does not commute"),
+    ]:
+        with mock.patch.object(permtuples, "_rotation_centralizer", _tampered_centralizer(change)):
+            for call in (enumerate_A, transitive_tuples):
+                with pytest.raises(VerificationFailure, match=message):
+                    call(2, 4)
 
 
-def test_check_commute_compares_the_last_member_with_every_other():
-    # (0 1), the identity, (1 2): each adjacent pair commutes, the outer one does not
-    tup = np.array([[[1, 0, 2], [0, 1, 2], [0, 2, 1]]])
-    with pytest.raises(VerificationFailure, match="non-commuting pair"):
-        permtuples._check_commute(tup)
-    permtuples._check_commute(tup[:, :2])
-    permtuples._check_commute(tup[:, 1:])
+def test_class_equation_of_the_top_is_asserted(monkeypatch):
+    # a cycle type left out leaves the classes of S_4 short of 4!
+    types = permtuples._cycle_types
+    monkeypatch.setattr(permtuples, "_cycle_types",
+                        lambda n, least=1: (t for t in types(n, least) if t != (2, 2)))
+    with pytest.raises(ArithmeticError, match="class equation of S_4 sums to 21"):
+        enumerate_A(2, 4)
 
 
-@pytest.mark.parametrize("ell,n", [(3, 5), (4, 4), (5, 3)])
-def test_every_prefix_is_yielded_before_its_extensions(ell, n):
-    # _check_commute tests only the last member, so each tuple's prefix must
-    # have been checked and yielded one level down first
-    seen = set()
-    with mock.patch.object(permtuples, "SEARCH_CHUNK", 64):
-        P = permtuples._permutations(ell, n, DEFAULT_MAX_WORK)
-        for _, run in permtuples._search(ell, P, DEFAULT_MAX_WORK):
-            if run.shape[1] > 1:
-                assert {t.tobytes() for t in run[:, :-1]} <= seen
-            seen.update(t.tobytes() for t in run)
-    assert any(len(t) == ell * n * 8 for t in seen)
+def test_class_sweep_checks_size_times_centralizer():
+    # one more row of H seen to commute with x breaks |[x]| |C_H(x)| = |H|;
+    # C((0 1)(2 3)) in S_4, of order 8, is the first group not abelian
+    conjugates = permtuples._conjugates
+
+    def one_more_fixed(H, x):
+        out = conjugates(H, x)
+        out[np.flatnonzero((out != x).any(axis=1))[:1]] = x
+        return out
+
+    with mock.patch.object(permtuples, "_conjugates", one_more_fixed):
+        with pytest.raises(ArithmeticError, match="of 2 with a centralizer of 5 in a group of 8"):
+            enumerate_A(3, 4)
+        with pytest.raises(ArithmeticError, match="in a group of 8"):
+            transitive_tuples(2, 4)
+
+
+def test_chain_weight_is_checked(monkeypatch):
+    # the top's last class, the n-cycles, weighted twice: the chains through
+    # it no longer weigh (n-1)!
+    class_graph = permtuples._class_graph
+
+    def doubled(*args):
+        nodes, starts, edges = class_graph(*args)
+        child, size, x = edges[starts[1] - 1]
+        edges[starts[1] - 1] = child, 2 * size, x
+        return nodes, starts, edges
+
+    monkeypatch.setattr(permtuples, "_class_graph", doubled)
+    with pytest.raises(ArithmeticError, match="a transitive chain of weight 12, not"):
+        transitive_tuples(2, 4)
+
+
+def test_repeated_relabelling_is_refused(monkeypatch):
+    first = permtuples._fixing_first
+    monkeypatch.setattr(permtuples, "_fixing_first",
+                        lambda n: np.vstack([first(n)[:-1], first(n)[:1]]))
+    with pytest.raises(VerificationFailure,
+                       match="made 35 distinct transitive 2-tuples of n = 4 points, not the 42"):
+        transitive_tuples(2, 4)
 
 
 def test_pairs_of_eight_points_under_the_default_budget():
