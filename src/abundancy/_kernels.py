@@ -3,17 +3,17 @@
 Integer kernels are exact, in int64. The divisor-sum pass runs over a
 stack of rows: the caller either bounds the values (an int64 table is one
 row, with no modulus) or passes residues modulo primes small enough that a
-pass cannot overflow before it reduces. The compensated cumulative sums add
-in a fixed order, so every result is bit-reproducible across NumPy builds.
-The cumsums take finite float64 input. kahan_cumsum runs its sequential
+pass cannot overflow before it reduces. The float sums add in a fixed
+order, or exactly, so every result is bit-reproducible across NumPy builds.
+They take finite float64 input. kahan_cumsum runs its sequential
 recurrence over Python floats in fixed runs of RUN elements; the order of
 additions, and so every bit, is that of a plain per-element loop over the
-array. dd_cumsum returns the correctly rounded prefix sums: it adds in
-int64 limbs, exactly, and rounds each prefix once, so its bits depend on
-no order of float additions and no CPU dispatch. Totals are not summed
-here: callers use math.fsum, which is correctly rounded. Orbit counting
-labels a whole batch of tuples in one flat index space: its Python loops
-run over propagation rounds and fixed-size chunks, never over tuples.
+array. dd_cumsum returns the correctly rounded prefix sums and exact_sum
+the correctly rounded total: both add in int64 limbs, exactly, and round
+once per result, so their bits depend on no order of float additions and
+no CPU dispatch. Orbit counting labels a whole batch of tuples in one flat
+index space: its Python loops run over propagation rounds and fixed-size
+chunks, never over tuples.
 """
 
 from __future__ import annotations
@@ -77,10 +77,11 @@ def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Cumulative sums. kahan_cumsum is the working precision of the headline
-# running sums; dd_cumsum, the correctly rounded prefix sums, is the
-# reference. (It is named for the double-double loop it replaced, which gave
-# the same bits on error_series' inputs at every N checked, up to 10^7.)
+# Sums. kahan_cumsum is the working precision of the headline running sums;
+# dd_cumsum, the correctly rounded prefix sums, is the reference. (It is
+# named for the double-double loop it replaced, which gave the same bits on
+# error_series' inputs at every N checked, up to 10^7.) exact_sum is the
+# correctly rounded total, a Python float, as math.fsum gives it.
 #
 # Input is converted to float64 at entry, and a non-finite entry raises
 # ValueError naming its index: past one, every later prefix would be nan.
@@ -106,7 +107,8 @@ def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
 # prefix as carry-in, and carries then move up so that every limb but the
 # top one lies in [0, 2^26) and the top one carries the sign. A step runs
 # 4 RUN // L entries, so no temporary holds more than 4 RUN int64 entries,
-# however wide the span.
+# however wide the span. _limb_plan finds E0 and L, and _split makes the
+# digits of one step.
 #
 # Each prefix is then rounded once. With L <= 4 limbs it is
 # A 2^(52 + E0) + B 2^E0, where A = C3 2^26 + C2 is signed and at most
@@ -123,6 +125,15 @@ def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
 # that neither term rounds or overflows, and the sum is scaled back by
 # 2^(b - min(b, 0)) >= 1: exact, or past the float range the +-inf that
 # IEEE addition gives.
+#
+# exact_sum splits the same way, step by step, but reduces each limb's
+# digits of a step to one int64 total instead of a cumsum, adds that to the
+# running limb totals and carries them up; a step's total of one limb is
+# below 4 RUN 2^26 = 2^42 in magnitude, so nothing overflows. The totals are
+# then rounded once, as one prefix. So the result is dd_cumsum's last
+# prefix, and math.fsum's result wherever fsum gives one: an empty or
+# all-zero input gives +0.0, and a total past the float range +-inf, where
+# fsum raises OverflowError.
 
 _LIMB = 26
 _MASK = (1 << _LIMB) - 1
@@ -158,34 +169,65 @@ def kahan_cumsum(a: np.ndarray) -> np.ndarray:
 def dd_cumsum(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     _require_finite(a)
-    n = a.shape[0]
     out = np.zeros_like(a)
-    amin, amax = math.inf, 0.0
-    for start in range(0, n, 4 * RUN):
-        ax = np.abs(a[start : start + 4 * RUN])
-        amax = max(amax, float(ax.max()))
-        amin = min(amin, float(ax.min(where=ax > 0.0, initial=math.inf)))
-    if amax == 0.0:
+    plan = _limb_plan(a)
+    if plan is None:
         return out
-    e0 = max(math.frexp(amin)[1] - 53, -1074)
-    L = max(-(-(math.frexp(amax)[1] - e0 + n.bit_length()) // _LIMB), 3)
+    e0, L = plan
     step = 4 * RUN // L
     carry = np.zeros(L, dtype=np.int64)
-    for start in range(0, n, step):
-        r = a[start : start + step].copy()
-        t = np.empty_like(r)
-        C = np.empty((L, r.shape[0]), dtype=np.int64)
-        for j in range(L - 1, -1, -1):
-            b = e0 + _LIMB * j
-            np.trunc(np.ldexp(r, -b, out=t), out=t)
-            C[j] = t
-            r -= np.ldexp(t, b, out=t)
+    for start in range(0, a.shape[0], step):
+        C = _split(a[start : start + step], e0, L)
         C[:, 0] += carry
         np.cumsum(C, axis=1, out=C)
         _carry(C)
         carry = C[:, -1].copy()
         _round_limbs(C, e0, out[start : start + step])
     return out
+
+
+def exact_sum(a: np.ndarray) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    _require_finite(a)
+    plan = _limb_plan(a)
+    if plan is None:
+        return 0.0
+    e0, L = plan
+    step = 4 * RUN // L
+    total = np.zeros((L, 1), dtype=np.int64)
+    for start in range(0, a.shape[0], step):
+        total += _split(a[start : start + step], e0, L).sum(axis=1, keepdims=True)
+        _carry(total)
+    out = np.empty(1)
+    _round_limbs(total, e0, out)
+    return float(out[0])
+
+
+def _limb_plan(a: np.ndarray) -> tuple[int, int] | None:
+    # (E0, L) for sums over a, or None when every entry is zero
+    amin, amax = math.inf, 0.0
+    for start in range(0, a.shape[0], 4 * RUN):
+        ax = np.abs(a[start : start + 4 * RUN])
+        amax = max(amax, float(ax.max()))
+        amin = min(amin, float(ax.min(where=ax > 0.0, initial=math.inf)))
+    if amax == 0.0:
+        return None
+    e0 = max(math.frexp(amin)[1] - 53, -1074)
+    L = max(-(-(math.frexp(amax)[1] - e0 + a.shape[0].bit_length()) // _LIMB), 3)
+    return e0, L
+
+
+def _split(x: np.ndarray, e0: int, L: int) -> np.ndarray:
+    # the (L, len(x)) signed limb digits of x's entries, from the top down
+    r = x.copy()
+    t = np.empty_like(r)
+    C = np.empty((L, r.shape[0]), dtype=np.int64)
+    for j in range(L - 1, -1, -1):
+        b = e0 + _LIMB * j
+        np.trunc(np.ldexp(r, -b, out=t), out=t)
+        C[j] = t
+        r -= np.ldexp(t, b, out=t)
+    return C
 
 
 def _carry(C: np.ndarray) -> None:

@@ -9,7 +9,8 @@ Three layers:
     local factors, with explicit tail bounds.
 
 Headline totals (Cesaro means, empirical moments, the mean of E) are
-correctly rounded sums (math.fsum); headline cumulative sums run
+correctly rounded sums (_kernels.exact_sum, the bits of math.fsum, added
+in int64 limbs); headline cumulative sums run
 compensated (Kahan) in fixed ascending-n order. A reference whose
 cumulative sums are correctly rounded (`dd`) and an exact-rational small-N
 variant exist for cross-checking the rounding model. The naive replica of
@@ -139,21 +140,21 @@ def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
 
 
 def cesaro_mean(table, N: int) -> float:
-    """(1/N) sum_{n<=N} B(ell,n)/n^{ell-1}, the sum correctly rounded."""
-    terms = _index_terms(table, N)
-    return math.fsum(terms.tolist()) / N
+    """(1/N) sum_{n<=N} B(ell,n)/n^{ell-1}, the sum correctly rounded
+    (_kernels.exact_sum)."""
+    return _kernels.exact_sum(_index_terms(table, N)) / N
 
 
 def empirical_moment(table, m: int, N: int) -> float:
-    """(1/N) sum_{n<=N} (B(ell,n)/n^{ell-1})^m, the sum correctly rounded;
-    a sum past the float range raises ValueError naming ell and m."""
+    """(1/N) sum_{n<=N} (B(ell,n)/n^{ell-1})^m, the sum correctly rounded
+    (_kernels.exact_sum); a term or a sum past the float range raises
+    ValueError naming ell and m."""
     if m < 1:
         raise ValueError("m must be >= 1")
     terms = _index_terms(table, N, m)
-    try:
-        total = math.fsum(terms.tolist())  # inf if a term is
-    except OverflowError:  # finite terms, an infinite sum
-        total = math.inf
+    # the terms are positive; the kernel takes finite ones, whose sum is inf
+    # past the float range
+    total = math.inf if np.isinf(terms).any() else _kernels.exact_sum(terms)
     _refuse_past_float_range(total, table.ell, m)
     return total / N
 
@@ -245,7 +246,8 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     method picks the cumulative-sum kernel and the rule for the mean; E,
     its mean and the walk cumsum(E + mu) are otherwise the same code:
       kahan  Kahan-compensated cumsums in ascending order and a
-             correctly rounded mean (the headline path)
+             correctly rounded mean, summed by _kernels.exact_sum (the
+             headline path)
       naive  the published pipeline digit for digit: sequential float64
              cumsum, E = (S - zeta(2) n) + (1/2) ln n, and the mean over
              8192-element blocks (NumPy's default buffer size) with
@@ -282,7 +284,7 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     narr = np.arange(1, N + 1, dtype=np.float64)
     mu = mu_constant()
     E = S - zeta(2) * narr + 0.5 * np.log(narr)
-    mean_E = _replica_mean(E) if method == "naive" else math.fsum(E) / N
+    mean_E = _replica_mean(E) if method == "naive" else _kernels.exact_sum(E) / N
     X = cumsum(E + mu)
     counts, edges = np.histogram(X, bins=bins)
     hist = tuple(

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import abundancy
@@ -456,6 +457,26 @@ def test_moments_past_the_float_range_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert "ell=2, m=400" in err
+
+
+@pytest.mark.parametrize("m", [364, 365])
+def test_moments_past_the_float_range_on_a_table(tmp_path, capsys, m):
+    # theoretical moments that stay finite, and an empirical one that does
+    # not: the index is 1 up to n = 499 and 7 from there, so at m = 364 the
+    # 501 terms near 4e307 are finite and their sum is not, and at m = 365
+    # every such term is infinite
+    values = np.arange(1, 1001, dtype=np.int64)
+    values[499:] *= 7
+    table = tmp_path / "t.csv"
+    sieve.save_table(sieve.ArithTable(ell=2, nmax=1000, values=values,
+                                      metadata={}), table)
+    assert run(["moments", "--ell", "2", "--m", str(m)]) == 0
+    capsys.readouterr()
+    assert run(["moments", "--ell", "2", "--m", str(m),
+                "--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("usage error: the moment exceeds the float range for "
+                   f"ell=2, m={m}\n")
 
 
 def test_tori_past_the_vertex_bound_refuses_fast(tmp_path):

@@ -205,7 +205,72 @@ def test_dd_cumsum_memory_is_bounded_at_the_extremes_of_the_exponent_range():
     assert out.tolist() == [top, math.inf, top, 0.0, -top]
 
 
-@pytest.mark.parametrize("kernel", [_kernels.kahan_cumsum, _kernels.dd_cumsum])
+@settings(max_examples=150, deadline=None)
+@given(_cumsum_input())
+def test_exact_sum_is_fsum_bit_for_bit(a):
+    # every _cumsum_input total stays in the float range, where math.fsum,
+    # correctly rounded too, is the independent reference
+    total = _kernels.exact_sum(a)
+    assert type(total) is float
+    assert total.hex() == math.fsum(a.tolist()).hex()
+
+
+def test_exact_sum_of_nothing_or_zeros_is_plus_zero():
+    for a in ([], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0] * RUN,
+              [1.0, -1.0], [-5e-324, 5e-324]):
+        total = _kernels.exact_sum(np.array(a, dtype=np.float64))
+        assert type(total) is float
+        assert total.hex() == math.fsum(a).hex() == "0x0.0p+0", a
+
+
+def _rounded(q: Fraction) -> float:
+    # Python rounds int / int correctly and raises past the float range,
+    # where the correctly rounded value is +-inf
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def test_exact_sum_past_the_float_range_is_inf():
+    # math.fsum raises OverflowError here, so the reference is exact; the
+    # last cases pass the range on the way and come back
+    top = np.finfo(np.float64).max
+    half_ulp = math.ldexp(1.0, 970)  # top + half_ulp ties to 2^1024
+    cases = {math.inf: [[top, top], [top, half_ulp], [top] * 1000,
+                        [top, top, -top, half_ulp]],
+             -math.inf: [[-top, -top, top / 2], [-top, -half_ulp]],
+             top: [[top, half_ulp, -5e-324], [top, top, -top]],
+             0.0: [[top] * 3 + [-top] * 3]}
+    for want, arrays in cases.items():
+        for a in arrays:
+            assert _rounded(sum(map(Fraction, a))) == want, a
+            total = _kernels.exact_sum(np.array(a))
+            assert type(total) is float and total == want, a
+
+
+def test_exact_sum_memory_is_bounded_at_the_extremes_of_the_exponent_range():
+    # as for dd_cumsum: about 80 limbs, so short steps
+    rng = np.random.default_rng(43)
+    size = 10**5
+    significands = rng.integers(-(2**53) + 1, 2**53, size=size)
+    a = np.ldexp(significands.astype(np.float64),
+                 rng.integers(-1074 - 52, 1000 - 52, size=size))
+    a[:3] = 0.0, -0.0, 5e-324
+    tracemalloc.start()
+    try:
+        total = _kernels.exact_sum(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total.hex() == math.fsum(a.tolist()).hex()
+    # the limbs of the whole input would take 80 * size * 8 bytes = 64 MB;
+    # each temporary is capped at 4 RUN int64 entries (512 kB)
+    assert peak < 8 * 4 * RUN * 8, peak
+
+
+@pytest.mark.parametrize("kernel", [_kernels.kahan_cumsum, _kernels.dd_cumsum,
+                                    _kernels.exact_sum])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("where", [0, RUN + 3])
 def test_cumsums_reject_non_finite_input(kernel, bad, where):

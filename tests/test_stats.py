@@ -343,6 +343,19 @@ def test_error_series_kernel_per_method(table2, monkeypatch):
         assert calls == names, method
 
 
+def test_totals_are_summed_by_exact_sum(table2, monkeypatch):
+    calls = []
+    kernel = _kernels.exact_sum
+    monkeypatch.setattr(_kernels, "exact_sum",
+                        lambda a: calls.append(a.shape[0]) or kernel(a))
+    cesaro_mean(table2, 1000)
+    empirical_moment(table2, 2, 999)
+    for method in ("kahan", "dd", "exact", "naive"):
+        error_series(table2, 998, method=method)
+    # the naive replica keeps the published order of additions
+    assert calls == [1000, 999, 998, 998, 998]
+
+
 def test_error_series_checks_method_before_reading_the_table(table2, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("_index_terms ran")
@@ -450,6 +463,18 @@ def test_moments_past_the_float_range_refuse():
     table = ArithTable(ell=2, nmax=1000, values=values, metadata={})
     with pytest.raises(ValueError, match="ell=2, m=364"):
         empirical_moment(table, 364, 1000)
+
+
+def test_an_infinite_power_is_refused_before_the_sum(monkeypatch):
+    # the sum kernel takes finite input only; an infinite term is the
+    # moment's own refusal, not the kernel's
+    def refuse(a):
+        raise AssertionError("exact_sum ran")
+
+    monkeypatch.setattr(_kernels, "exact_sum", refuse)
+    with pytest.raises(ValueError,
+                       match="^the moment exceeds the float range for ell=2, m=700$"):
+        empirical_moment(sieve_b(2, 1000), 700, 1000)
 
 
 def test_moments_near_the_float_range_keep_their_bits():
