@@ -9,17 +9,17 @@ Three layers:
     local factors, with explicit tail bounds.
 
 Headline totals (Cesaro means, empirical moments, the mean of E) are
-correctly rounded sums (_kernels.exact_sum, the bits of math.fsum, added
-in int64 limbs); headline cumulative sums run
-compensated (Kahan) in fixed ascending-n order. A reference whose
-cumulative sums are correctly rounded (`dd`) and an exact-rational small-N
-variant exist for cross-checking the rounding model. The naive replica of
-the published pipeline fixes every operation: a sequential float64 cumsum
-S, E = (S - zeta(2) n) + (1/2) ln n, and a mean whose sum runs over
-consecutive 8192-element blocks (NumPy's default buffer size), each summed
-with NumPy's classic pairwise rule, the block sums added left to right.
-The sum is made of explicit elementwise additions, so its result does not
-depend on how a NumPy build chunks its reductions.
+correctly rounded sums (_kernels.exact_sum: math.fsum's bits, added in
+int64 limbs); headline cumulative sums run compensated (Kahan) in fixed
+ascending-n order. A reference whose cumulative sums are correctly rounded
+(`dd`) and an exact-rational small-N variant exist for cross-checking the
+rounding model. The naive replica of the published pipeline fixes every
+operation: a sequential float64 cumsum S, E = (S - zeta(2) n) + (1/2) ln n,
+and a mean whose sum runs over consecutive 8192-element blocks (NumPy's
+default buffer size), each summed with NumPy's classic pairwise rule, the
+block sums added left to right. The sum is made of explicit elementwise
+additions, so its result does not depend on how a NumPy build chunks its
+reductions.
 """
 
 from __future__ import annotations

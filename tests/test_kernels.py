@@ -233,8 +233,8 @@ def _rounded(q: Fraction) -> float:
 
 
 def test_exact_sum_past_the_float_range_is_inf():
-    # math.fsum raises OverflowError here, so the reference is exact; the
-    # last cases pass the range on the way and come back
+    # math.fsum raises OverflowError on every case here, so the reference is
+    # exact; the cases that end at top and 0.0 pass the range and come back
     top = np.finfo(np.float64).max
     half_ulp = math.ldexp(1.0, 970)  # top + half_ulp ties to 2^1024
     cases = {math.inf: [[top, top], [top, half_ulp], [top] * 1000,
