@@ -330,8 +330,22 @@ def _chains(starts: list, child: list, reach: list, ell: int) -> list[tuple[int,
     return [chain for _, chain in walk]
 
 
-def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
-    """The transitive commuting tuples, 1-based, as a set, within DEFAULT_MAX_WORK.
+def _distinct_rows(tuples: np.ndarray) -> np.ndarray:
+    """The distinct tuples of an int8 array (..., ell, n) as read-only rows
+    (count, ell, n), in ascending lexicographic order.
+
+    Each tuple's bytes are one void item, which np.unique sorts by memcmp:
+    the entries are small and non-negative, so byte order is numeric order."""
+    shape = tuples.shape[-2:]
+    flat = np.ascontiguousarray(tuples, dtype=np.int8).reshape(-1, shape[0] * shape[1])
+    out = np.unique(flat.view(np.dtype((np.void, flat.shape[1]))))
+    out = out.view(np.int8).reshape((-1,) + shape)
+    out.flags.writeable = False
+    return out
+
+
+def transitive_tuples(ell: int, n: int) -> np.ndarray:
+    """The transitive commuting tuples as sorted int8 rows, within DEFAULT_MAX_WORK.
 
     The recurrence, swept down to its last member, has one chain of class
     representatives per S_n-orbit of tuples. A transitive tuple's centralizer
@@ -339,23 +353,25 @@ def transitive_tuples(ell: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
     weighs (n-1)!, the product of its class sizes, and the (n-1)! bijections
     w that fix point 1 meet each coset of that group once: relabelled by
     each, x becoming w x w^-1, the chain gives its whole orbit. Both facts
-    are asserted. The output, A(ell, n, 1)·ell·n entries, is counted first.
+    are asserted. The output, a read-only (A(ell, n, 1), ell, n) array of
+    1-based images, its rows distinct and ascending, is counted first.
     """
     budget = _Budget(ell, n, DEFAULT_MAX_WORK)
     hist, (nodes, starts, edges), reach = _recurrence(ell, n, budget, sweep_last=True)
     count = int(hist[0])
     budget.spend(count * ell * n, f"the {count} transitive {ell}-tuples")
     W = _fixing_first(n)
-    inv = np.argsort(W, axis=1)
-    tuples = set()
-    for chain in _chains(starts, [e[0] for e in edges], reach, ell):
-        weight = prod(edges[e][1] for e in chain)
-        if weight != factorial(n - 1):
-            raise ArithmeticError(f"a transitive chain of weight {weight}, not (n-1)!")
-        # w x w^-1 sends j to w[x[w^-1[j]]]
-        reps = np.array([edges[e][2] for e in chain])
-        relabelled = np.take_along_axis(W[None], reps[:, inv], axis=2).transpose(1, 0, 2) + 1
-        tuples.update(tuple(map(tuple, tup)) for tup in relabelled.tolist())
+    chains = np.array(_chains(starts, [e[0] for e in edges], reach, ell))
+    weights = np.prod(np.array([e[1] for e in edges], dtype=object)[chains], axis=1)
+    wrong = np.flatnonzero(weights != factorial(n - 1))
+    if len(wrong):
+        raise ArithmeticError(f"a transitive chain of weight {weights[wrong[0]]}, not (n-1)!")
+    # w x w^-1 sends j to w[x[w^-1[j]]]; each chain gathers its members' relabellings
+    used, at = np.unique(chains, return_inverse=True)
+    reps = np.array([edges[e][2] for e in used])
+    relabelled = np.take_along_axis(W[None], reps[:, np.argsort(W, axis=1)], axis=2) + 1
+    rows = relabelled[at.reshape(chains.shape)[:, None], np.arange(len(W))[:, None]]
+    tuples = _distinct_rows(rows)
     # the weights sum to count, so this asserts the relabellings distinct
     if len(tuples) != count:
         raise VerificationFailure(f"relabelling made {len(tuples)} distinct transitive "

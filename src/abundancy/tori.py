@@ -17,8 +17,8 @@ vertex 1 makes every transitive commuting tuple exactly once:
 
     A(ell, n, 1) = (n-1)! B(ell, n)
 
-double_count_check verifies that set equality against the brute-force
-enumeration.
+double_count_check verifies that identity row for row against the
+brute-force enumeration, both sides as sorted int8 arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ._files import write_atomic
 from .bvalues import b_via_flags
 from .core import divisors
 from .errors import BUILD_MAX_N, VALIDATE_MAX_N, BudgetError
-from .permtuples import PermTuple, transitive_tuples
+from .permtuples import PermTuple, _distinct_rows, transitive_tuples
 
 
 @dataclass(frozen=True)
@@ -287,24 +287,23 @@ def _relabel(P: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def double_count_check(ell: int, n: int) -> DoubleCountResult:
-    """Tori-with-relabelings against brute force, as sets.
+    """Tori-with-relabelings against brute force, as sorted int8 rows.
 
     Relabels every spec's torus by the (n-1)! bijections fixing vertex 1,
     one per coset of its centralizer (the regular group it generates), so
     each tuple is made once: the A(ell, n, 1) ell n entries that
     transitive_tuples, run first, refuses past permtuples.DEFAULT_MAX_WORK;
     a torus takes all (n-1)! relabellings in one gather and one scatter.
-    match requires that set to equal transitive_tuples and to have (n-1)!
-    B(ell, n) members.
+    count is the number of distinct relabelled tuples, as sorted int8 rows;
+    match requires them to equal transitive_tuples and to number (n-1)! B(ell, n).
     """
     brute = transitive_tuples(ell, n)
-    seen: set[tuple[tuple[int, ...], ...]] = set()
     S = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))], dtype=np.int64)
-    for spec in all_specs(ell, n):
-        P = np.array(build_torus(spec).perms.perms, dtype=np.int64) - 1
-        seen.update(tuple(map(tuple, tup)) for tup in (_relabel(P, S) + 1).tolist())
+    rows = [(_relabel(np.array(build_torus(spec).perms.perms, dtype=np.int64) - 1, S) + 1)
+            .astype(np.int8) for spec in all_specs(ell, n)]
+    seen = _distinct_rows(np.concatenate(rows))
     expected = factorial(n - 1) * b_via_flags(ell, n)
-    match = seen == brute and len(seen) == expected
+    match = np.array_equal(seen, brute) and len(seen) == expected
     return DoubleCountResult(
         ell=ell, n=n, count=len(seen), expected=expected, match=match
     )

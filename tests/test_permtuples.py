@@ -108,9 +108,25 @@ def test_b_from_bruteforce_matches_flags():
 def test_transitive_tuples_shape():
     ts = transitive_tuples(2, 3)
     assert len(ts) == factorial(2) * b_via_flags(2, 3)
-    for tup in ts:
+    for tup in _nested(ts):
         pt = PermTuple(perms=tup)
         assert pt.commutes() and pt.is_transitive()
+
+
+@pytest.mark.parametrize("ell,n", [(3, 1), (1, 1), (1, 5), (3, 4)])
+def test_transitive_tuples_are_sorted_read_only_int8_rows(ell, n):
+    ts = transitive_tuples(ell, n)
+    assert isinstance(ts, np.ndarray) and ts.dtype == np.int8
+    assert ts.flags.c_contiguous and not ts.flags.writeable
+    assert ts.shape == (enumerate_A(ell, n)[1], ell, n)
+    assert ts.min() >= 1 and ts.max() <= n
+    rows = ts.reshape(len(ts), -1).tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+def _nested(rows):
+    # int8 rows of tuples as nested tuples, the format of PermTuple.perms
+    return [tuple(map(tuple, tup)) for tup in rows.tolist()]
 
 
 def _pair_filter(ell, n):
@@ -156,7 +172,7 @@ _SEARCH_CASES = [
 def test_search_matches_pair_filter(ell, n):
     hist, transitive = _reference(ell, n)
     assert enumerate_A(ell, n).counts == hist
-    assert transitive_tuples(ell, n) == transitive
+    assert _nested(transitive_tuples(ell, n)) == sorted(transitive)
 
 
 def test_commuting_pairs_count_partitions():

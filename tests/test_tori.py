@@ -364,7 +364,8 @@ def _double_count_all_relabelings(ell, n):
         for sigma in itertools.permutations(range(1, n + 1)):
             seen.add(perms.conjugate(sigma).perms)
     expected = math.factorial(n - 1) * b_via_recursion(ell, n)
-    match = seen == transitive_tuples(ell, n) and len(seen) == expected
+    brute = [tuple(map(tuple, tup)) for tup in transitive_tuples(ell, n).tolist()]
+    match = brute == sorted(seen) and len(seen) == expected
     return tori.DoubleCountResult(ell=ell, n=n, count=len(seen),
                                   expected=expected, match=match)
 
@@ -388,6 +389,45 @@ def test_double_count_makes_each_tuple_once(monkeypatch):
     assert len(sigmas) == spec_count(2, 5) * math.factorial(4) == 144
     assert res.match and res.count == 144
     assert all(sigma[0] == 0 for sigma in sigmas)
+
+
+def _tamper_first_torus(monkeypatch, change):
+    # change the relabellings of the first torus in place; returns them all
+    relabel = tori._relabel
+    made = []
+
+    def tampered(P, S):
+        out = relabel(P, S)
+        if not made:
+            change(out)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(tori, "_relabel", tampered)
+    return made
+
+
+def test_double_count_sees_a_repeated_tuple(monkeypatch):
+    def repeat(out):  # the first relabelling made again in place of the last
+        out[-1] = out[0]
+
+    _tamper_first_torus(monkeypatch, repeat)
+    res = double_count_check(2, 5)
+    assert res.count == res.expected - 1 == 143
+    assert not res.match
+
+
+def test_double_count_sees_a_tuple_brute_force_does_not_make(monkeypatch):
+    # the first torus of (2, 4) is (identity, 4-cycle); two images swapped in
+    # its identity make a transposition, which does not commute with the cycle
+    def swap(out):
+        out[0, 0, [0, 1]] = out[0, 0, [1, 0]]
+
+    made = _tamper_first_torus(monkeypatch, swap)
+    res = double_count_check(2, 4)
+    assert res.count == res.expected == 42
+    assert not res.match
+    assert not (transitive_tuples(2, 4) == made[0][0] + 1).all(axis=(1, 2)).any()
 
 
 @pytest.mark.parametrize("ell,n", [(2, 6), (3, 5)])
