@@ -1,9 +1,9 @@
 """Hot loops, in NumPy and plain Python.
 
-Integer kernels are exact, in int64. The divisor-sum pass runs over a
-stack of rows: the caller either bounds the values (an int64 table is one
-row, with no modulus) or passes residues modulo primes small enough that a
-pass cannot overflow before it reduces. The float sums add in a fixed
+Integer kernels are exact, in int64. The divisor-sum pass runs prime by
+prime over a stack of rows: the caller either bounds the values (an int64
+table is one row, with no modulus) or passes residues modulo primes small
+enough that a pass cannot overflow before it reduces. The float sums add in a fixed
 order, or exactly, so every result is bit-reproducible across NumPy builds.
 They take finite float64 input. kahan_cumsum runs its sequential
 recurrence over Python floats in fixed runs of RUN elements; the order of
@@ -32,48 +32,93 @@ RUN = 1 << 14
 
 # ---------------------------------------------------------------------------
 # Dirichlet convolution pass: out[m] = sum_{d|m} (m/d)^r t[d], 1-based values
-# stored at index n-1, in int64. t is a (k, n) stack of tables and w the
-# (k, n) stack of their weights q^r for q = 1..n. Without p, the caller
-# guarantees that no weight, product or sum overflows; an int64 table is a
-# one-row stack. With p, a (k, 1) column of primes, row i holds residues mod
-# p[i] and w the weights q^r mod p[i], since q**r itself overflows. Each
-# product of a residue and a weight is then below p^2; slot m receives one
-# product per divisor of m, at most 2 sqrt(n) of them, and is reduced mod p
-# once, at the end of the pass. So the caller must choose primes with
-# p^2 (2 isqrt(n) + 2) < 2^63. Each slice update covers at most RUN elements.
+# stored at index m-1, in int64; t is a (k, n) stack of tables. q -> q^r is
+# completely multiplicative, so the pass is the product over the primes
+# q <= n of the Euler factors 1 / (1 - q^r q^-s): for each prime, in any
+# order, f[kq] += q^r f[k] for k ascending, each source k read once it holds
+# its final value for that prime. That is about n ln ln n updates, where a
+# loop over all pairs d q <= n takes n ln n.
+#
+# plan = conv_plan(primes, n) splits the primes <= n at isqrt(n), and w is
+# the (k, pi(n)) stack of weights q^r at the primes, in the same order.
+# - A small prime q <= isqrt(n), in ascending order, takes its sources in
+#   chunks [q^j, q^(j+1)), cut to RUN elements, one strided slice update
+#   each. The targets lie in [q^(j+1), q^(j+2)), apart from the sources,
+#   and a source's own update came from k/q < q^j, an earlier chunk.
+# - Then the large primes q > isqrt(n) go all at once, by gather and
+#   scatter: their sources k <= n/q < sqrt(n) are never targets, which are
+#   multiples of a prime above sqrt(n), and kq = k'q' forces q = q', since
+#   q cannot divide k' < q. The (k, q) pairs are taken k-major, in runs of
+#   RUN; plan holds bounds[k], the number of pairs with source <= k.
+#
+# Without p, the caller guarantees that no weight, product or sum
+# overflows; an int64 table is a one-row stack. With p, a (k, 1) column of
+# primes, row i holds residues mod p[i] and w the weights q^r mod p[i]. A
+# slot is reduced mod p before it can be read as a source: prime q reads
+# only k <= n/q, so a target kq of q is reduced at once when kq <= n/q, and
+# every slot at the end of the pass. A slot read by q was last updated by q
+# or an earlier prime q', with k <= n/q <= n/q', so it is below p, and each
+# product is below p^2. Slot m takes one product per prime dividing m, so
+# before its last reduction it holds less than (1 + omega(m)) p^2, and
+# omega(m) < log2(n) + 1. Updates run over blocks of rows spanning at most
+# RUN slots in all, or one row, so a short table's whole stack goes in a few
+# calls and each call touches the pages of few rows.
 
-def conv_pass(t: np.ndarray, w: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-    out = np.zeros_like(t)
-    # Blocks of rows spanning at most RUN slots in all, or one row: each
-    # strided update then touches the pages of few rows (on a 2-core VM, one
-    # row at a time ran 1.5-1.9x faster than the whole stack at n = 10^6,
-    # k = 4).
-    rows = max(1, RUN // t.shape[1])
-    for i in range(0, t.shape[0], rows):
-        block = slice(i, i + rows)
-        _divisor_sums(out[block], t[block], w[block])
+
+ConvPlan = tuple[list[int], np.ndarray, np.ndarray]  # small primes, large primes, bounds
+
+
+def conv_plan(primes: np.ndarray, n: int) -> ConvPlan:
+    # from the ascending int64 primes <= n
+    s = int(np.searchsorted(primes, math.isqrt(n), side="right"))
+    large = primes[s:]
+    sources = n // int(large[0]) if large.size else 0
+    counts = np.searchsorted(large, n // np.arange(1, sources + 1), side="right")
+    return primes[:s].tolist(), large, np.concatenate(([0], np.cumsum(counts)))
+
+
+def conv_pass(
+    t: np.ndarray, w: np.ndarray, plan: ConvPlan, p: np.ndarray | None = None
+) -> np.ndarray:
+    small, large, bounds = plan
+    n = t.shape[1]
+    out = t.copy()
+    rows = max(1, RUN // n)
+    blocks = [slice(i, i + rows) for i in range(0, t.shape[0], rows)]
+    for j, q in enumerate(small):
+        top = n // q + 1  # sources k < top
+        read = n // (q * q)  # a target kq is read later only if k <= read
+        lo = 1
+        while lo < top:
+            hi = min(lo * q, top)
+            for a in range(lo, hi, RUN):
+                b = min(a + RUN, hi)
+                src, tgt = slice(a - 1, b - 1), slice(a * q - 1, b * q - 1, q)
+                for blk in blocks:
+                    x = out[blk, tgt]
+                    x += w[blk, j : j + 1] * out[blk, src]
+                    if p is not None and a <= read:
+                        x[:, : read + 1 - a] %= p[blk]
+            lo = hi
+    wl = w[:, len(small) :]
+    for a in range(0, int(bounds[-1]), RUN):
+        b = min(a + RUN, int(bounds[-1]))
+        # source k = i + 1 has the flat pairs [bounds[i], bounds[i+1]); a run
+        # covers those of i0 .. i1-1, the first and last only in part
+        i0 = int(np.searchsorted(bounds, a, side="right")) - 1
+        i1 = int(np.searchsorted(bounds, b, side="left"))
+        cnt = np.minimum(bounds[i0 + 1 : i1 + 1], b) - np.maximum(bounds[i0:i1], a)
+        src = np.repeat(np.arange(i0, i1), cnt)  # k - 1
+        col = np.arange(a, b) - np.repeat(bounds[i0:i1], cnt)  # index into large
+        tgt = (src + 1) * large[col] - 1
+        for blk in blocks:
+            o = out[blk]  # take along the rows beats 2-d fancy indexing
+            x = o.take(tgt, axis=1)
+            x += wl[blk].take(col, axis=1) * o.take(src, axis=1)
+            o[:, tgt] = x
     if p is not None:
         out %= p
     return out
-
-
-def _divisor_sums(out: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
-    # Indexed along slots through transposed views: a slot is a column.
-    out, t, w = out.T, t.T, w.T
-    n = t.shape[0]
-    lim = math.isqrt(n)
-    # d-major for small d, q-major for small q; the two ranges partition
-    # all (d, q) pairs with d*q <= n.
-    for d in range(1, lim + 1):
-        q_end = n // d + 1
-        for q_lo in range(1, q_end, RUN):
-            q_hi = min(q_lo + RUN, q_end)
-            out[d * q_lo - 1 : d * q_hi - 1 : d] += w[q_lo - 1 : q_hi - 1] * t[d - 1]
-    for q in range(1, lim + 1):
-        d_end = n // q + 1
-        for d_lo in range(lim + 1, d_end, RUN):
-            d_hi = min(d_lo + RUN, d_end)
-            out[q * d_lo - 1 : q * d_hi - 1 : q] += w[q - 1] * t[d_lo - 1 : d_hi - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Primes, factorization, and divisor machinery.
 
-Everything here returns exact Python integers. Factorization is trial
-division by 2 and the odd numbers up to sqrt(n), the one path for every n,
-and it refuses with BudgetError past MAX_TRIAL_DIVISOR; the module keeps
-no state between calls.
+Every public function here returns exact Python integers; the one prime
+sieve, _prime_array, also gives the sieve module its int64 array.
+Factorization is trial division by 2 and the odd numbers up to sqrt(n),
+the one path for every n, and it refuses with BudgetError past
+MAX_TRIAL_DIVISOR; the module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -14,19 +15,34 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import MAX_TRIAL_DIVISOR, BudgetError
+from .errors import DEFAULT_MAX_NMAX, MAX_TRIAL_DIVISOR, BudgetError
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending. Empty list for limit < 2."""
+    """All primes <= limit, ascending. Empty list for limit < 2.
+
+    Raises BudgetError past DEFAULT_MAX_NMAX, before any allocation.
+    """
+    if limit > DEFAULT_MAX_NMAX:
+        raise BudgetError(
+            f"primes_up_to({limit}) exceeds the memory budget ({DEFAULT_MAX_NMAX})"
+        )
+    return _prime_array(limit).tolist()
+
+
+def _prime_array(limit: int) -> np.ndarray:
+    """All primes <= limit as an ascending int64 array; the callers check
+    the budget first. Eratosthenes over the odd numbers: entry i of the
+    (limit + 1) // 2 byte mask stands for 2i + 1."""
     if limit < 2:
-        return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return [int(p) for p in np.nonzero(mask)[0]]
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False  # 1
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd).astype(np.int64) + 1))
 
 
 @dataclass(frozen=True)

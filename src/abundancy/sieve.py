@@ -1,18 +1,22 @@
 """Bulk tables of B(l, n) for n = 1..N via iterated divisor-sum passes.
 
 Pass r turns t_r into t_{r+1}(m) = sum_{d|m} (m/d)^r t_r(d); starting from
-the all-ones table, l-1 passes give B(l, .). Work is O(l N log N).
+the all-ones table, l-1 passes give B(l, .). A pass applies the Euler
+factor of each prime q <= N, t(kq) += q^r t(k) for k ascending, so the work
+is O(l N log log N).
 
-Values are exact. Each pass is one _kernels.conv_pass over an int64 stack
-with weights q^r. When the a-priori bound 3 (bit_length(N) + 1) N^{l-1}
+Values are exact. The primes <= N are sieved once per table, and each pass
+is one _kernels.conv_pass over an int64 stack with weights q^r at those
+primes. When the a-priori bound 3 (bit_length(N) + 1) N^{l-1}
 < 2^63 guarantees every intermediate fits, since B(l, n) <= (1 + ln n)
 zeta(2) ... zeta(l-1) n^{l-1} (_bound proves it), the stack is one row of
 values and has no modulus. Otherwise it has one row of residues per prime
 p_i, weights mod p_i too, and each value is rebuilt from its k residues
 by Garner's mixed-radix CRT into a Python int. Each prime
-satisfies p^2 (2 isqrt(N) + 2) < 2^63, since a pass adds at most 2 sqrt(N)
-products below p^2 into a slot before it reduces mod p (24 bits at
-N = 5e7, 26 at 2e5). The primes' product exceeds the bound 2^8-fold, and
+satisfies p^2 (2 isqrt(N) + 2) < 2^63 (24 bits at N = 5e7, 26 at 2e5),
+which is more than a pass needs: a slot takes one product below p^2 per
+prime dividing it, fewer than log2(N) + 1, before it is reduced mod p. The
+primes' product exceeds the bound 2^8-fold, and
 every value's top Garner digit is checked against the bound, so a corrupt
 residue raises ArithmeticError instead of yielding a wrong value.
 
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import _kernels
 from ._files import refuse_long_ints, write_atomic, write_json
-from .core import primes_up_to
+from .core import _prime_array
 from .errors import (
     DEFAULT_MAX_NMAX,
     BudgetError,
@@ -102,9 +106,13 @@ def _bound(ell: int, nmax: int) -> int:
 
     Mid-pass safety of the int64 path: pass r turns B(r, .) into
     B(r+1, .), and B(r+1, m) <= B(ell, m) since a pass keeps its d = m term
-    t_r(m) with weight 1. Every term (m/d)^r t_r(d) is non-negative, so each
-    partial sum in a slot is at most the slot's final value. Every weight
-    q^r <= nmax^(ell-1) is below the bound too. The moduli and the CRT's
+    t_r(m) with weight 1. The pass applies one prime's Euler factor at a
+    time; after any set S of primes, slot m holds the sum of the terms
+    (m/d)^r t_r(d) with every prime of m/d in S, a sub-sum of the pass's
+    terms. Every term is non-negative, so that is at most the slot's final
+    value, and so is each product q^r t(k) added to slot m = kq, itself a
+    sub-sum of the terms of m. Every weight q^r <= nmax^(ell-1) is below
+    the bound too. The moduli and the CRT's
     corruption check read the same bound.
     """
     return 3 * (nmax.bit_length() + 1) * nmax ** (ell - 1)
@@ -117,9 +125,10 @@ def _int64_safe(ell: int, nmax: int) -> bool:
 def _prime_bits(nmax: int) -> int:
     """Widest b with 2^(2b) (2 isqrt(nmax) + 2) <= 2^63.
 
-    A pass adds one product below p^2 per divisor of a slot, at most
-    2 sqrt(nmax) of them, before it reduces mod p; primes below 2^b keep
-    that sum in int64.
+    A slot holds a residue below p and takes one product below p^2 per
+    prime dividing it, fewer than log2(nmax) + 1 <= 2 isqrt(nmax) + 1 of
+    them, before the pass reduces it mod p; primes below 2^b keep that sum
+    in int64, with room to spare.
     """
     slots = 2 * math.isqrt(nmax) + 2
     return (63 - (slots - 1).bit_length()) // 2
@@ -132,7 +141,7 @@ def _window_primes(bits: int, window: int) -> tuple[int, ...]:
     every residue table of a width reads the same windows from the top."""
     hi = (1 << bits) - window * _kernels.RUN
     lo = hi - _kernels.RUN  # well above every small prime
-    small = np.array(primes_up_to(math.isqrt(hi)), dtype=np.int64)
+    small = _prime_array(math.isqrt(hi))
     mask = np.ones(_kernels.RUN, dtype=bool)
     for s, first in zip(small.tolist(), ((-lo) % small).tolist()):
         mask[first::s] = False
@@ -220,22 +229,23 @@ def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTa
         )
     creation = {"algorithm": "divisor-sum passes"}
     # one row of values, or one row of residues per prime
-    primes = None if _int64_safe(ell, nmax) else _moduli(ell, nmax)
-    p = None if primes is None else np.array(primes, dtype=np.int64)[:, None]
+    moduli = None if _int64_safe(ell, nmax) else _moduli(ell, nmax)
+    p = None if moduli is None else np.array(moduli, dtype=np.int64)[:, None]
     t = np.ones((1 if p is None else len(p), nmax), dtype=np.int64)
-    w = np.ones_like(t)
+    primes = _prime_array(nmax)
+    plan = _kernels.conv_plan(primes, nmax)
+    w = np.ones((len(t), len(primes)), dtype=np.int64)
     for r in range(1, ell):
-        w *= np.arange(1, nmax + 1, dtype=np.int64)  # q^r from q^(r-1)
+        w *= primes  # q^r from q^(r-1)
         if p is not None:
             w %= p
-        t = _kernels.conv_pass(t, w, p)
-    del w  # not needed while the values are built
-    if primes is None:
+        t = _kernels.conv_pass(t, w, plan, p)
+    if moduli is None:
         values = t[0]
         creation["dtype"] = "int64"
     else:
-        values = _crt(t, primes, _bound(ell, nmax))
-        creation.update(dtype="object", primes=len(primes))
+        values = _crt(t, moduli, _bound(ell, nmax))
+        creation.update(dtype="object", primes=len(moduli))
     meta = {
         "ell": ell,
         "nmax": nmax,

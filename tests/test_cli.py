@@ -101,6 +101,13 @@ def test_sieve_budget_exit_3(tmp_path):
     assert not out.exists()
 
 
+def test_moments_prime_cutoff_budget_exit_3(capsys):
+    start = time.perf_counter()
+    assert run(["moments", "--m", "1", "--prime-cutoff", str(10**12)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("budget refused: ")
+
+
 def test_bruteforce_row_and_budget(tmp_path, capsys):
     out = tmp_path / "a.json"
     assert run(["bruteforce", "--ell", "2", "--n", "3", "--out", str(out)]) == 0

@@ -1,7 +1,12 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from abundancy import core
 from abundancy.core import Factorization, divisors, factorize, primes_up_to
+from abundancy.errors import DEFAULT_MAX_NMAX, BudgetError
 
 
 def test_primes_small():
@@ -12,6 +17,33 @@ def test_primes_small():
 
 def test_primes_count_to_10000():
     assert len(primes_up_to(10_000)) == 1229
+
+
+def test_primes_up_to_refuses_past_the_budget_before_allocating():
+    # the mask alone would take limit + 1 bytes
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError, match=str(DEFAULT_MAX_NMAX)):
+            primes_up_to(DEFAULT_MAX_NMAX + 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 64 * 1024, (elapsed, peak)
+
+
+def test_primes_up_to_budget_boundary(monkeypatch):
+    monkeypatch.setattr(core, "DEFAULT_MAX_NMAX", 30)
+    assert primes_up_to(30)[-1] == 29
+    with pytest.raises(BudgetError):
+        primes_up_to(31)
+
+
+def test_prime_array_is_int64_and_matches_the_list():
+    for limit in (0, 1, 2, 3, 4, 97, 10_000):
+        a = core._prime_array(limit)
+        assert a.dtype == np.int64 and a.tolist() == primes_up_to(limit)
 
 
 def test_factorize_small():

@@ -9,24 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abundancy import _kernels, sieve, stats
+from abundancy.core import _prime_array
 
 
 def _weights(n, r):
-    # the one-row weight stack q^r, q = 1..n, of an int64 table
-    return np.arange(1, n + 1, dtype=np.int64)[None] ** r
+    # the one-row weight stack q^r at the primes q <= n, of an int64 table
+    return _prime_array(n)[None] ** r
+
+
+def _plan(n):
+    return _kernels.conv_plan(_prime_array(n), n)
 
 
 def test_conv_pass_is_sigma():
     # one pass with r=1 over all-ones gives sigma(n)
     t = np.ones((1, 30), dtype=np.int64)
-    out = _kernels.conv_pass(t, _weights(30, 1))
+    out = _kernels.conv_pass(t, _weights(30, 1), _plan(30))
     sigma = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 31)]
     assert out.tolist() == [sigma]
 
 
 def test_conv_pass_r0_is_divisor_count():
     t = np.ones((1, 24), dtype=np.int64)
-    out = _kernels.conv_pass(t, _weights(24, 0))
+    out = _kernels.conv_pass(t, _weights(24, 0), _plan(24))
     tau = [sum(1 for d in range(1, n + 1) if n % d == 0) for n in range(1, 25)]
     assert out.tolist() == [tau]
 
@@ -319,7 +324,7 @@ def test_conv_pass_matches_divisor_sum(r):
     rng = np.random.default_rng(100 + r)
     for n in (300, 2 * _kernels.RUN + 5):
         t = rng.integers(-1000, 1000, size=(1, n), dtype=np.int64)
-        out = _kernels.conv_pass(t, _weights(n, r))
+        out = _kernels.conv_pass(t, _weights(n, r), _plan(n))
         assert out.dtype == np.int64 and out.shape == t.shape
         assert out[0].tolist() == _divisor_sum(t[0].tolist(), r)
 
@@ -339,15 +344,82 @@ def test_conv_pass_exact_over_python_ints(r):
     primes = sieve._moduli(ell, n)
     p = np.array(primes, dtype=np.int64)[:, None]
     stack = np.array([[v % q for v in big] for q in primes], dtype=np.int64)
-    w = np.array([[pow(q, r, m) for q in range(1, n + 1)] for m in primes],
+    w = np.array([[pow(q, r, m) for q in _prime_array(n).tolist()] for m in primes],
                  dtype=np.int64)
-    out = _kernels.conv_pass(stack, w, p)
+    out = _kernels.conv_pass(stack, w, _plan(n), p)
     assert out.dtype == np.int64 and out.shape == stack.shape
     for i, m in enumerate(primes):
         assert out[i].tolist() == [v % m for v in want]
     values = sieve._crt(out, primes, sieve._bound(ell, n))
     assert all(type(v) is int for v in values)
     assert list(values) == want
+
+
+# Table lengths where the pass's chunks and runs change: the smallest ones,
+# prime squares (a prime turns small), powers q^j and their neighbours (a
+# chunk ends), and multiples of RUN and their neighbours (a run ends).
+_EDGE_N = [1, 2, 3, 4, 5, 8, 9, 10, 25, 26, 48, 49, 120, 121, 122,
+           127**2 - 1, 127**2, 131**2, 5**6 - 1, 5**6, 5**6 + 1,
+           7**5 - 1, 7**5, 7**5 + 1, 3**9 - 1, 3**9, 3**9 + 1,
+           RUN - 1, RUN, RUN + 1, 2 * RUN - 1, 2 * RUN + 1, 3 * RUN - 1, 3 * RUN]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(_EDGE_N), st.integers(1, 3 * RUN)),
+       st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_conv_pass_property(n, r, k, seed):
+    # signed values, a stack of k rows, no modulus: each row is the divisor
+    # sum of its own table
+    t = np.random.default_rng(seed).integers(-1000, 1000, size=(k, n), dtype=np.int64)
+    before = t.copy()
+    out = _kernels.conv_pass(t, np.repeat(_weights(n, r), k, axis=0), _plan(n))
+    assert np.array_equal(t, before)
+    for i in range(k):
+        assert out[i].tolist() == _divisor_sum(t[i].tolist(), r)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_conv_pass_residue_stack_of_many_short_rows(r):
+    # 400 rows of n = 48 span two blocks of RUN // 48 rows; residues near p
+    # and weights near p make the largest products the pass can form
+    n = 48
+    primes = list(sieve._window_primes(sieve._prime_bits(n), 0)[:400])
+    p = np.array(primes, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(300 + r)
+    stack = (p - 1 - rng.integers(0, 50, size=(len(primes), n))) % p
+    w = np.array([[pow(q, r, m) for q in _prime_array(n).tolist()] for m in primes],
+                 dtype=np.int64)
+    out = _kernels.conv_pass(stack, w, _plan(n), p)
+    for i, m in enumerate(primes):
+        want = _divisor_sum(stack[i].tolist(), r)
+        assert out[i].tolist() == [v % m for v in want]
+
+
+def test_conv_pass_temporaries_are_bounded():
+    # the output and O(RUN) entries per row, whatever n: no plan array or
+    # temporary follows n, and the plan itself is O(sqrt n)
+    n = 1 << 21
+    primes = _prime_array(n)
+    tracemalloc.start()
+    try:
+        plan = _kernels.conv_plan(primes, n)
+        plan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan[2]) <= math.isqrt(n) + 1
+    assert plan_peak < 4 * math.isqrt(n) * 8 + 16 * 1024, plan_peak
+    for k in (1, 3):
+        t = np.ones((k, n), dtype=np.int64)
+        w = np.repeat(primes[None], k, axis=0)
+        p = np.full((k, 1), 1_000_003, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            out = _kernels.conv_pass(t, w, plan, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == t.shape
+        assert peak - out.nbytes < 16 * RUN * 8 * k, (k, peak)
 
 
 def _union_find_orbits(gens: list[list[int]], n: int) -> int:
