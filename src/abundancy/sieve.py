@@ -5,20 +5,20 @@ the all-ones table, l-1 passes give B(l, .). A pass applies the Euler
 factor of each prime q <= N, t(kq) += q^r t(k) for k ascending, so the work
 is O(l N log log N).
 
-Values are exact. The primes <= N are sieved once per table, and each pass
-is one _kernels.conv_pass over an int64 stack with weights q^r at those
-primes. When the a-priori bound 3 (bit_length(N) + 1) N^{l-1}
-< 2^63 guarantees every intermediate fits, since B(l, n) <= (1 + ln n)
+Values are exact. The primes <= N are sieved once per table, and each
+pass is one _kernels.conv_pass over an int64 stack with weights q^r at
+those primes. When the a-priori bound 3 (bit_length(N) + 1) N^{l-1} < 2^63
+guarantees every intermediate fits, since B(l, n) <= (1 + ln n)
 zeta(2) ... zeta(l-1) n^{l-1} (_bound proves it), the stack is one row of
 values and has no modulus. Otherwise it has one row of residues per prime
 p_i, weights mod p_i too, and each value is rebuilt from its k residues
-by Garner's mixed-radix CRT into a Python int. Each prime
-satisfies p^2 (2 isqrt(N) + 2) < 2^63 (24 bits at N = 5e7, 26 at 2e5),
-which is more than a pass needs: a slot takes one product below p^2 per
-prime dividing it, fewer than log2(N) + 1, before it is reduced mod p. The
-primes' product exceeds the bound 2^8-fold, and
-every value's top Garner digit is checked against the bound, so a corrupt
-residue raises ArithmeticError instead of yielding a wrong value.
+by Garner's mixed-radix CRT into a Python int. Each prime satisfies
+p^2 (2 isqrt(N) + 2) < 2^63 (24 bits at N = 5e7, 26 at 2e5), which is
+more than a pass needs: a slot takes one product below p^2 per prime
+dividing it, fewer than log2(N) + 1, before it is reduced mod p. The
+primes' product exceeds the bound 2^8-fold, and every value's top Garner
+digit is checked against the bound, so a corrupt residue raises
+ArithmeticError instead of yielding a wrong value.
 
 Tables round-trip through a CSV file (header ``n,value``) plus a JSON
 sidecar ``<path>.json`` holding {ell, nmax, format_version, sha256}. Both
@@ -112,8 +112,8 @@ def _bound(ell: int, nmax: int) -> int:
     terms. Every term is non-negative, so that is at most the slot's final
     value, and so is each product q^r t(k) added to slot m = kq, itself a
     sub-sum of the terms of m. Every weight q^r <= nmax^(ell-1) is below
-    the bound too. The moduli and the CRT's
-    corruption check read the same bound.
+    the bound too. The moduli and the CRT's corruption check read the same
+    bound.
     """
     return 3 * (nmax.bit_length() + 1) * nmax ** (ell - 1)
 
@@ -240,6 +240,7 @@ def sieve_b(ell: int, nmax: int, *, max_nmax: int = DEFAULT_MAX_NMAX) -> ArithTa
         if p is not None:
             w %= p
         t = _kernels.conv_pass(t, w, plan, p)
+    del w, plan, primes  # not needed while the values are built
     if moduli is None:
         values = t[0]
         creation["dtype"] = "int64"

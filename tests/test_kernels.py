@@ -364,18 +364,28 @@ _EDGE_N = [1, 2, 3, 4, 5, 8, 9, 10, 25, 26, 48, 49, 120, 121, 122,
            RUN - 1, RUN, RUN + 1, 2 * RUN - 1, 2 * RUN + 1, 3 * RUN - 1, 3 * RUN]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(st.sampled_from(_EDGE_N), st.integers(1, 3 * RUN)),
-       st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_conv_pass_property(n, r, k, seed):
+def _check_conv_pass(n, r, k, seed):
     # signed values, a stack of k rows, no modulus: each row is the divisor
-    # sum of its own table
+    # sum of its own table, and t is left as it was
     t = np.random.default_rng(seed).integers(-1000, 1000, size=(k, n), dtype=np.int64)
     before = t.copy()
     out = _kernels.conv_pass(t, np.repeat(_weights(n, r), k, axis=0), _plan(n))
     assert np.array_equal(t, before)
     for i in range(k):
         assert out[i].tolist() == _divisor_sum(t[i].tolist(), r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(_EDGE_N), st.integers(1, 3 * RUN)),
+       st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_conv_pass_property(n, r, k, seed):
+    _check_conv_pass(n, r, k, seed)
+
+
+@pytest.mark.parametrize("i, n", list(enumerate(_EDGE_N)))
+def test_conv_pass_at_every_edge_length(i, n):
+    # the draws above reach some of these each run; every one, every run
+    _check_conv_pass(n, i % 4, 1 + i % 3, 400 + i)
 
 
 @pytest.mark.parametrize("r", [1, 3])
