@@ -13,7 +13,9 @@ the correctly rounded total: both add in int64 limbs, exactly, and round
 once per result, so their bits depend on no order of float additions and
 no CPU dispatch. Orbit counting labels a whole batch of tuples in one flat
 index space: its Python loops run over propagation rounds and fixed-size
-chunks, never over tuples.
+chunks, never over tuples. A lone tuple, as the torus checks pass one,
+runs the same rounds with no chunking and no offsets, since its cost is
+NumPy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -315,23 +317,25 @@ def _add_scaled(A: np.ndarray, B: np.ndarray, b, out: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batched orbit counts: perms has shape (T, ell, n), 0-based images.
+# Batched orbit counts: perms has shape (T, ell, n), 0-based images of an
+# integer dtype; float and bool images, and images outside [0, n), raise
+# ValueError.
 
 
 def orbit_counts(perms: np.ndarray) -> np.ndarray:
     perms = np.asarray(perms)
+    # float images would be truncated and bool ones read as 0 and 1
+    if perms.dtype.kind not in "iu":
+        raise ValueError(f"permutation images must be integers, got dtype {perms.dtype}")
     T, ell, n = perms.shape
-    # once flattened, an image outside [0, n) would land in another tuple
-    if perms.size and (perms.min() < 0 or perms.max() >= n):
-        raise ValueError(f"permutation images must lie in [0, {n})")
-    counts = np.empty(T, dtype=np.int64)
     # tuples are independent, so the batch is cut into runs of whole tuples
     # of about RUN flat positions; this bounds the gather buffers, and keeps
     # them in cache, however many tuples come in
     step = max(1, RUN // max(n, 1))
-    for lo in range(0, T, step):
-        counts[lo : lo + step] = _flat_orbit_counts(perms[lo : lo + step])
-    return counts
+    if T <= step:
+        return _flat_orbit_counts(perms)
+    return np.concatenate([_flat_orbit_counts(perms[lo : lo + step])
+                           for lo in range(0, T, step)])
 
 
 def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
@@ -341,7 +345,8 @@ def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
     permutation of [0, T*n). Starting from lab[i] = i, each round takes
     new[i] = min(lab[i], lab[g(i)], lab[g^-1(i)] over all generators g),
     then jumps new[i] = new[new[i]], until new == lab. One small tuple's
-    round costs NumPy call overhead, so it gathers by take and tests bytes.
+    round costs NumPy call overhead, so it gathers by take, reduces by the
+    ufunc itself and tests bytes, and a lone tuple (T = 1) skips the offsets.
 
     Why the fixpoint is exact: lab[i] <= i and lab[i] lies in the orbit
     of i throughout, and neither step raises a label, so at the fixpoint
@@ -355,21 +360,26 @@ def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
     logarithmic number of rounds, not one round per step.
     """
     T, ell, n = perms.shape
-    ident = np.arange(T * n)
     # rows: the identity, the generators, their inverses
     G = np.empty((2 * ell + 1, T * n), dtype=np.intp)
-    G[0] = ident
-    np.add(perms.transpose(1, 0, 2), n * np.arange(T)[:, None],
-           out=G[1 : ell + 1].reshape(ell, T, n), casting="unsafe")
-    G[ell + 1 :][np.arange(ell)[:, None], G[1 : ell + 1]] = ident
+    ident, fwd = G[0], G[1 : ell + 1]
+    ident[:] = np.arange(T * n)
+    fwd.reshape(ell, T, n)[:] = perms.transpose(1, 0, 2)
+    # once offset, an image outside [0, n) would land in another tuple; a
+    # negative one is a large unsigned word
+    if fwd.size and np.maximum.reduce(fwd.view(np.uintp), axis=None) >= n:
+        raise ValueError(f"permutation images must lie in [0, {n})")
+    if T > 1:
+        fwd.reshape(ell, T, n)[:] += n * np.arange(T)[:, None]
+    G[ell + 1 :][np.arange(ell)[:, None], fwd] = ident
     lab = ident
     while True:
-        new = lab.take(G).min(axis=0)
+        new = np.minimum.reduce(lab.take(G))
         new = new.take(new)
         if new.tobytes() == lab.tobytes():
             break
         lab = new
-    return (lab == ident).reshape(T, n).sum(axis=1)
+    return np.add.reduce((lab == ident).reshape(T, n), axis=1)
 
 
 # ---------------------------------------------------------------------------

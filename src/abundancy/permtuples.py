@@ -22,6 +22,10 @@ is built by the leader rule, with no list of S_n. Each (H, orbits) node is
 swept once, and ell enters only as passes of the recurrence over the graph
 of nodes. max_work caps the work of a call, each part counted before it is
 done; callers other than enumerate_A use DEFAULT_MAX_WORK.
+
+A single tuple is a PermTuple: one read-only (ell, n) int64 array of
+1-based images, checked as permutations when it is made. Its methods work
+on that array by gathers and scatters; .perms gives the nested tuples.
 """
 
 from __future__ import annotations
@@ -40,62 +44,102 @@ from ._kernels import orbit_counts
 from .errors import DEFAULT_MAX_WORK, BudgetError, VerificationFailure
 
 
-@dataclass(frozen=True)
-class PermTuple:
-    """Tuple of permutations of {1..n}, images 1-based.
+def _permutation_rows(perms) -> np.ndarray:
+    """perms as a read-only (ell, n) int64 array of permutations of 1..n.
 
-    perms[r][i-1] is the image of i under the r-th permutation. Intended
-    to hold pairwise-commuting tuples, but construction only enforces
-    permutation-ness, so that validators can report a non-commuting
-    tuple instead of being unable to see one.
+    perms is an integer array or nested sequences of integers; bool and
+    non-integral entries are refused, as are empty and ragged input. The
+    result is always a copy, checked in one pass: each row, sorted, is 1..n.
+    """
+    try:
+        a = np.array(perms)
+    except ValueError:
+        raise ValueError(f"ragged tuple: {perms!r}") from None
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"need a non-empty tuple of permutations, got {perms!r}")
+    # NumPy reads True as 1 among integers, so a sequence is scanned for bools
+    if a.dtype.kind not in "iu" or (not isinstance(perms, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for p in perms for x in p)):
+        raise ValueError(f"permutation images must be integers, got {perms!r}")
+    ell, n = a.shape
+    a = a.astype(np.int64)
+    rows = a.copy()
+    rows.sort(axis=1)
+    if rows.tobytes() != np.arange(1, n + 1, dtype=np.int64).tobytes() * ell:
+        ref = list(range(1, n + 1))
+        bad = next(p for p in a.tolist() if sorted(p) != ref)
+        raise ValueError(f"not a permutation of 1..{n}: {tuple(bad)}")
+    a.flags.writeable = False
+    return a
+
+
+class PermTuple:
+    """Tuple of permutations of {1..n}, held as one read-only (ell, n) int64
+    array of 1-based images: images[r, i-1] is the image of i under the r-th
+    permutation, and perms gives the same value as nested tuples.
+
+    Intended to hold pairwise-commuting tuples, but construction only
+    enforces permutation-ness, so that validators can report a
+    non-commuting tuple instead of being unable to see one. Equality and
+    hashing go by value.
     """
 
-    perms: tuple[tuple[int, ...], ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if not self.perms:
-            raise ValueError("empty tuple")
-        n = len(self.perms[0])
-        ref = list(range(1, n + 1))
-        for p in self.perms:
-            if sorted(p) != ref:
-                raise ValueError(f"not a permutation of 1..{n}: {p}")
+    def __init__(self, perms):
+        object.__setattr__(self, "images", _permutation_rows(perms))
 
-    def commutes(self) -> bool:
-        n = self.n
-        return all(
-            all(a[b[i] - 1] == b[a[i] - 1] for i in range(n))
-            for a, b in itertools.combinations(self.perms, 2)
-        )
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PermTuple is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PermTuple):
+            return NotImplemented
+        a, b = self.images, other.images
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def __hash__(self):
+        return hash((self.images.shape, self.images.tobytes()))
+
+    def __repr__(self):
+        return f"PermTuple(perms={self.perms!r})"
+
+    @property
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        """perms[r][i-1] is the image of i under the r-th permutation."""
+        return tuple(map(tuple, self.images.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.perms[0])
+        return self.images.shape[1]
 
     @property
     def ell(self) -> int:
-        return len(self.perms)
+        return self.images.shape[0]
+
+    def commutes(self) -> bool:
+        """Whether every pair commutes, by one gather: PP[a, b] is p_a after p_b."""
+        P = self.images - 1
+        PP = P.take(P, axis=1)
+        # int64 arrays of one shape: equal bytes, equal arrays
+        return PP.tobytes() == PP.transpose(1, 0, 2).tobytes()
 
     def orbit_count(self) -> int:
         """Number of orbits of the subgroup generated by the tuple."""
-        arr = np.array(self.perms, dtype=np.int64) - 1
-        return int(orbit_counts(arr[None, :, :])[0])
+        return int(orbit_counts(self.images[None] - 1)[0])
 
     def is_transitive(self) -> bool:
         return self.orbit_count() == 1
 
     def conjugate(self, sigma: Sequence[int]) -> "PermTuple":
-        """Relabel points by sigma (1-based): each p becomes sigma p sigma^-1."""
-        n = self.n
-        if sorted(sigma) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {sigma}")
-        out = []
-        for p in self.perms:
-            q = [0] * n
-            for i in range(n):
-                q[sigma[i] - 1] = sigma[p[i] - 1]
-            out.append(tuple(q))
-        return PermTuple(perms=tuple(out))
+        """Relabel points by sigma (1-based): each p becomes sigma p sigma^-1,
+        which sends sigma(i) to sigma(p(i)); one gather and one scatter."""
+        if len(sigma) != self.n:
+            raise ValueError(f"not a permutation of 1..{self.n}: {sigma}")
+        s = _permutation_rows([sigma])[0]
+        out = np.empty_like(self.images)
+        out[:, s - 1] = s.take(self.images - 1)
+        return PermTuple(out)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ vertex 1 makes every transitive commuting tuple exactly once:
 
 double_count_check verifies that identity row for row against the
 brute-force enumeration, both sides as sorted int8 arrays.
+
+A realization holds its tuple as a PermTuple: one read-only (ell, n) int64
+array of 1-based images. build_torus hands its array over, and validate
+and double_count_check read it; no step goes through nested tuples.
 """
 
 from __future__ import annotations
@@ -136,8 +140,10 @@ def build_torus(spec: TorusSpec) -> TorusRealization:
     Those pi_t move only the lower block u % m, so every wrapped vertex
     gets the same carry: it is found once, on the m vertices of one lower
     block (pi_t[:m] permutes [0, m), and its power is taken by squaring),
-    and written into the wrap slab of each upper block. More than
-    BUILD_MAX_N vertices raise BudgetError before anything is built.
+    and written into the wrap slab of each upper block. The (ell, n) array
+    goes to PermTuple as it is, which checks it as permutations in one
+    pass. More than BUILD_MAX_N vertices raise BudgetError before anything
+    is built.
     """
     n = spec.n
     if n > BUILD_MAX_N:
@@ -154,10 +160,10 @@ def build_torus(spec: TorusSpec) -> TorusRealization:
                 carry = p.take(carry) if e & 1 else carry
                 p, e = (p.take(p) if e > 1 else p), e >> 1
         # pi viewed as (upper block, coordinate r, lower block)
-        pi.reshape(-1, f, m)[:, f - 1] = u[:: f * m, None] + carry
+        np.add(u[:: f * m, None], carry, out=pi.reshape(-1, f, m)[:, f - 1])
         m *= f
-    perms = tuple(map(tuple, (out + 1).tolist()))
-    return TorusRealization(spec=spec, perms=PermTuple(perms=perms))
+    out += 1
+    return TorusRealization(spec=spec, perms=PermTuple(out))
 
 
 @dataclass(frozen=True)
@@ -187,19 +193,22 @@ def validate(real: TorusRealization) -> TorusChecks:
     lookup, for all generators at once, over runs of rows of G that hold
     about _kernels.RUN entries of pi G. When the first column is not a
     bijection, closure falls back to comparing the row sets of pi G and G,
-    so group_order_n keeps its meaning on any tuple. Checks read
-    real.perms, so a tampered tuple is seen. At census sizes a call costs
-    NumPy's per-call overhead, not arithmetic, so every gather is an
-    ndarray.take and arrays are compared by their bytes. More than
-    VALIDATE_MAX_N vertices raise BudgetError.
+    so group_order_n keeps its meaning on any tuple. Checks read the array
+    of real.perms, so a tampered tuple is seen; a tuple whose (ell, n) is
+    not the spec's raises ValueError before any table is filled. At census
+    sizes a call costs NumPy's per-call overhead, not arithmetic, so every
+    gather is an ndarray.take, the table is filled by take into its rows,
+    and arrays are compared by their bytes. More than VALIDATE_MAX_N
+    vertices raise BudgetError.
     """
-    P = np.array(real.perms.perms, dtype=np.int64) - 1
-    n = P.shape[1]
+    P = real.perms.images - 1
+    ell, n = real.spec.ell, real.spec.n
+    if P.shape != (ell, n):
+        raise ValueError(f"a tuple of shape (ell, n) = {P.shape} does not fit "
+                         f"a spec of (ell, n) = {(ell, n)}")
     if n > VALIDATE_MAX_N:
         raise BudgetError(f"validate materializes an n x n table; n={n} > {VALIDATE_MAX_N}")
-    # int64 arrays of one shape by construction: equal bytes, equal arrays
-    PP = P.take(P, axis=1)  # PP[a, b] = pi_a after pi_b
-    commutes = PP.tobytes() == PP.transpose(1, 0, 2).tobytes()
+    commutes = real.perms.commutes()
     transitive = bool(_kernels.orbit_counts(P[None])[0] == 1)
     G = np.empty((n, n), dtype=np.int64)
     G[0] = np.arange(n, dtype=np.int64)
@@ -209,20 +218,25 @@ def validate(real: TorusRealization) -> TorusChecks:
         k = 1
         while k < f:
             j = min(k, f - k)
-            pk = pi.take(G[(k - 1) * count])  # row (k - 1) count is pi^(k - 1)
-            G[k * count : (k + j) * count] = pk.take(G[: j * count])
+            # row (k - 1) count is pi^(k - 1), and row 0 the identity
+            pk = pi.take(G[(k - 1) * count]) if k > 1 else pi
+            # images lie in [0, n), so clip changes none, and unlike raise it
+            # writes out without a buffer
+            pk.take(G[: j * count], out=G[k * count : (k + j) * count], mode="clip")
             k += j
         count *= f
     first = G[:, 0]
-    inv = np.zeros(n, dtype=np.int64)
-    inv[first] = G[0]  # a point missing from first keeps 0, and first[0] = 0
+    inv = first.argsort()  # the inverse of first, when first is a bijection
+    # int64 arrays of one shape by construction: equal bytes, equal arrays
     basepoint_bijective = first.take(inv).tobytes() == G[0].tobytes()
+    group_order_n = basepoint_bijective
     if basepoint_bijective:
         step = max(1, _kernels.RUN // P.size)  # rows of G per run
-        group_order_n = all(
-            PG.tobytes() == G.take(inv.take(PG[:, :, 0]), axis=0).tobytes()
-            for PG in (P.take(G[a : a + step], axis=1) for a in range(0, n, step))
-        )
+        for a in range(0, n, step):
+            PG = P.take(G[a : a + step], axis=1)
+            if PG.tobytes() != G.take(inv.take(PG[:, :, 0]), axis=0).tobytes():
+                group_order_n = False
+                break
     else:
         rows = set(map(bytes, G))
         group_order_n = len(rows) == n and all(
@@ -299,7 +313,7 @@ def double_count_check(ell: int, n: int) -> DoubleCountResult:
     """
     brute = transitive_tuples(ell, n)
     S = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))], dtype=np.int64)
-    rows = [(_relabel(np.array(build_torus(spec).perms.perms, dtype=np.int64) - 1, S) + 1)
+    rows = [(_relabel(build_torus(spec).perms.images - 1, S) + 1)
             .astype(np.int8) for spec in all_specs(ell, n)]
     seen = _distinct_rows(np.concatenate(rows))
     expected = factorial(n - 1) * b_via_flags(ell, n)

@@ -459,8 +459,12 @@ def _perm_batch(draw):
 @given(_perm_batch())
 def test_orbit_counts_matches_union_find(batch):
     tuples, n = batch
-    ks = _kernels.orbit_counts(np.array(tuples, dtype=np.int64))
+    perms = np.array(tuples, dtype=np.int64)
+    ks = _kernels.orbit_counts(perms)
     assert ks.tolist() == [_union_find_orbits(gens, n) for gens in tuples]
+    # a lone tuple takes no offsets, and must agree with the batch
+    alone = [int(_kernels.orbit_counts(perms[t : t + 1])[0]) for t in range(len(perms))]
+    assert alone == ks.tolist()
 
 
 def _assert_union_find(perms: np.ndarray) -> None:
@@ -523,6 +527,17 @@ def test_orbit_counts_rejects_out_of_range_images(bad):
     perms[1, 1, 3] = bad
     with pytest.raises(ValueError):
         _kernels.orbit_counts(perms)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[[0.9, 0.2]]]),             # would be truncated to [[[0, 0]]]
+    np.array([[[1.0, 0.0]]]),             # integral values, but not an integer dtype
+    np.array([[[True, False]]]),          # would be read as [[[1, 0]]]
+    np.array([[[1, 0]]], dtype=object),
+])
+def test_orbit_counts_rejects_non_integer_images(bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        _kernels.orbit_counts(bad)
 
 
 def _exact_local_moment(p: int, ell: int, m: int, tol: Fraction) -> Fraction:

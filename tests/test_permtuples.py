@@ -69,6 +69,98 @@ def test_conjugation_rejects_non_permutation():
         PermTuple(perms=((1, 2),)).conjugate((1, 1))
 
 
+@pytest.mark.parametrize("perms", [
+    ((True, 2),),            # NumPy would read True as 1 among integers
+    ((2, 1), (np.True_, 2)),
+    ((2.0, 1.0),),
+    ((1, 2.5),),
+    np.array([[True, False]]),
+    np.array([[2.0, 1.0]]),
+    np.array([[2, 1]], dtype=object),
+])
+def test_permtuple_refuses_non_integer_entries(perms):
+    with pytest.raises(ValueError, match="must be integers"):
+        PermTuple(perms=perms)
+
+
+@pytest.mark.parametrize("perms", [(), ((),), ((1, 2), (1,)), (1, 2), [[[1]]]])
+def test_permtuple_refuses_empty_and_ragged_input(perms):
+    with pytest.raises(ValueError):
+        PermTuple(perms=perms)
+
+
+def test_permtuple_holds_one_read_only_array():
+    source = np.array([[2, 3, 1], [3, 1, 2]], dtype=np.int8)
+    pt = PermTuple(perms=source)
+    assert pt.images.dtype == np.int64 and pt.images.shape == (2, 3)
+    assert not pt.images.flags.writeable
+    with pytest.raises(ValueError):
+        pt.images[0, 0] = 1
+    with pytest.raises(AttributeError):
+        pt.images = pt.images.copy()
+    source[0] = (1, 2, 3)  # the caller's array is not shared
+    assert pt.perms == ((2, 3, 1), (3, 1, 2))
+    assert repr(pt) == "PermTuple(perms=((2, 3, 1), (3, 1, 2)))"
+
+
+def test_permtuple_equality_and_hash_go_by_value():
+    a = PermTuple(perms=((2, 3, 1), (3, 1, 2)))
+    b = PermTuple(perms=np.array([[2, 3, 1], [3, 1, 2]], dtype=np.uint8))
+    c = PermTuple(perms=((3, 1, 2), (2, 3, 1)))
+    assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+    assert a != c and a != a.perms
+    # the same images in another shape are another tuple
+    assert PermTuple(perms=((1, 2, 3, 4),)) != PermTuple(perms=((1, 2), (1, 2)))
+
+
+def _commutes_reference(perms):
+    n = len(perms[0])
+    return all(all(a[b[i] - 1] == b[a[i] - 1] for i in range(n))
+               for a, b in itertools.combinations(perms, 2))
+
+
+def _conjugate_reference(perms, sigma):
+    out = []
+    for p in perms:
+        q = [0] * len(p)
+        for i in range(len(p)):
+            q[sigma[i] - 1] = sigma[p[i] - 1]
+        out.append(tuple(q))
+    return tuple(out)
+
+
+@st.composite
+def _tuple_and_sigma(draw):
+    n = draw(st.integers(1, 7))
+    points = list(range(1, n + 1))
+    perm = st.permutations(points)
+    p = tuple(draw(perm))
+    # powers of one permutation commute; random ones mostly do not
+    pool = [p, tuple(p[p[i] - 1] for i in range(n))]
+    perms = tuple(draw(st.one_of(st.sampled_from(pool), perm.map(tuple)))
+                  for _ in range(draw(st.integers(1, 4))))
+    return perms, tuple(draw(perm))
+
+
+@given(_tuple_and_sigma())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_commutes_and_conjugate_match_the_pointwise_reference(case):
+    perms, sigma = case
+    pt = PermTuple(perms=perms)
+    assert pt.perms == perms
+    assert pt.commutes() == _commutes_reference(perms)
+    conj = pt.conjugate(sigma)
+    assert conj.perms == _conjugate_reference(perms, sigma)
+    assert conj == PermTuple(perms=_conjugate_reference(perms, sigma))
+    assert pt.conjugate(np.array(sigma)) == conj
+
+
+@pytest.mark.parametrize("sigma", [(1, 2), (1, 2, 4), (True, 2, 3), (1.0, 2.0, 3.0)])
+def test_conjugate_refuses_what_is_not_a_relabelling(sigma):
+    with pytest.raises(ValueError):
+        PermTuple(perms=((2, 3, 1),)).conjugate(sigma)
+
+
 def test_atable_contract():
     at = ATable(ell=2, n=3, counts=(8, 9, 1))
     assert at[1] == 8 and at[2] == 9 and at[3] == 1

@@ -125,14 +125,16 @@ def _ref_perms(spec):
 
 
 def test_perms_match_literal_coordinate_steps():
-    # pins the perms themselves: a wrong twist step count still validates
+    # pins the perms themselves: a wrong twist step count still validates;
+    # the last range is the benchmark's census, ell = 3 and n = 24..28
     count = 0
-    for ell, nmax in ((1, 16), (2, 16), (3, 16), (4, 8)):
-        for n in range(1, nmax + 1):
+    for ell, ns in ((1, range(1, 17)), (2, range(1, 17)), (3, range(1, 17)),
+                    (4, range(1, 9)), (3, range(24, 29))):
+        for n in ns:
             for spec in all_specs(ell, n):
                 assert build_torus(spec).perms.perms == _ref_perms(spec), spec
                 count += 1
-    assert count == 5959
+    assert count == 5959 + 7307
 
 
 def _compose(p, q):
@@ -261,6 +263,21 @@ def test_validate_matches_reference_at_census_dims(monkeypatch, run):
     if run is not None:
         monkeypatch.setattr(tori._kernels, "RUN", run)
     test_validate_matches_reference_on_drawn_tuples((2, 3, 4))
+
+
+@pytest.mark.parametrize("perms,shape", [
+    (((2, 1, 4, 3, 6, 5),), (1, 6)),                   # one generator for two
+    (((2, 1, 3, 4, 5, 6),) * 3, (3, 6)),               # three generators for two
+    (((2, 3, 4, 1), (3, 4, 1, 2)), (2, 4)),            # another n
+    (((2, 3, 4, 5, 6, 7, 1), (1, 2, 3, 4, 5, 6, 7)), (2, 7)),
+])
+def test_validate_refuses_a_tuple_that_does_not_fit_its_spec(perms, shape):
+    # refused before any table is filled, naming both shapes
+    real = build_torus(TorusSpec(dims=(2, 3), twists=((1,),)))
+    tampered = dataclasses.replace(real, perms=PermTuple(perms=perms))
+    match = rf"\(ell, n\) = \({shape[0]}, {shape[1]}\) .* \(ell, n\) = \(2, 6\)"
+    with pytest.raises(ValueError, match=match):
+        validate(tampered)
 
 
 def test_validate_budget(monkeypatch):
