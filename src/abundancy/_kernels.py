@@ -318,8 +318,8 @@ def _add_scaled(A: np.ndarray, B: np.ndarray, b, out: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # Batched orbit counts: perms has shape (T, ell, n), 0-based images of an
-# integer dtype; float and bool images, and images outside [0, n), raise
-# ValueError.
+# integer dtype; float and bool images, images outside [0, n), and a
+# generator that repeats an image (so is no permutation) raise ValueError.
 
 
 def orbit_counts(perms: np.ndarray) -> np.ndarray:
@@ -351,7 +351,8 @@ def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
     Why the fixpoint is exact: lab[i] <= i and lab[i] lies in the orbit
     of i throughout, and neither step raises a label, so at the fixpoint
     the min step changed nothing either: lab[i] <= lab[g(i)] for every
-    generator g. Each g is a permutation, so lab is constant on its
+    generator g. Each g is a permutation (one that repeats an image is
+    refused before the rounds), so lab is constant on its
     cycles, hence on each orbit, and that constant is an element of the
     orbit no larger than any element: the orbit's minimum. So each orbit
     has exactly one root lab[i] == i. The inverses are not needed for
@@ -362,16 +363,23 @@ def _flat_orbit_counts(perms: np.ndarray) -> np.ndarray:
     T, ell, n = perms.shape
     # rows: the identity, the generators, their inverses
     G = np.empty((2 * ell + 1, T * n), dtype=np.intp)
-    ident, fwd = G[0], G[1 : ell + 1]
+    ident, fwd, inv = G[0], G[1 : ell + 1], G[ell + 1 :]
     ident[:] = np.arange(T * n)
     fwd.reshape(ell, T, n)[:] = perms.transpose(1, 0, 2)
-    # once offset, an image outside [0, n) would land in another tuple; a
-    # negative one is a large unsigned word
-    if fwd.size and np.maximum.reduce(fwd.view(np.uintp), axis=None) >= n:
-        raise ValueError(f"permutation images must lie in [0, {n})")
     if T > 1:
+        # once offset, an image outside [0, n) would land in another tuple
+        if fwd.size and np.maximum.reduce(fwd.view(np.uintp), axis=None) >= n:
+            raise ValueError(f"permutation images must lie in [0, {n})")
         fwd.reshape(ell, T, n)[:] += n * np.arange(T)[:, None]
-    G[ell + 1 :][np.arange(ell)[:, None], fwd] = ident
+    inv[:] = -1
+    try:
+        inv[np.arange(ell)[:, None], fwd] = ident
+    except IndexError:
+        raise ValueError(f"permutation images must lie in [0, {n})") from None
+    # a negative image, and an inverse slot left at -1 because an image
+    # repeats, are large unsigned words
+    if inv.size and np.maximum.reduce(G[1:].view(np.uintp), axis=None) >= T * n:
+        raise ValueError(f"each generator must be a permutation of [0, {n})")
     lab = ident
     while True:
         new = np.minimum.reduce(lab.take(G))

@@ -208,7 +208,7 @@ def _cmd_qcheck(args) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     from .sieve import sieve_b
-    from .stats import cesaro_mean, zeta
+    from .stats import cesaro_mean, zeta_product
 
     _check_threshold("--tol", args.tol)
     if args.ell < 2:  # sieve_b accepts ell = 1; the theorem does not
@@ -218,7 +218,7 @@ def _cmd_verify_theorem(args) -> int:
         raise ValueError(f"no default tolerance for ell={args.ell}; pass --tol")
     table = sieve_b(args.ell, args.nmax)
     mean = cesaro_mean(table, args.nmax)
-    ref = math.prod(zeta(i) for i in range(2, args.ell + 1))
+    ref = zeta_product(args.ell)
     diff = abs(mean - ref)
     ok = diff <= tol
     print(f"verify-theorem ell={args.ell} N={args.nmax} mean={mean!r} "

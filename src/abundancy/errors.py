@@ -7,6 +7,7 @@ MAX_POWER_COST = 500_000_000  # cost (K + ell) bits(K) of a K-term power-rule se
 BUILD_MAX_N = 2**18  # vertices of one torus build_torus lays out
 VALIDATE_MAX_N = 2048  # vertices n of a torus whose n x n group table validate fills
 EXACT_NMAX_CAP = 20_000  # terms N of error_series' exact-rational partial sums
+MAX_BINS = 10**6  # bins of error_series' histogram, each an edge and a Python triple
 
 
 class BudgetError(Exception):

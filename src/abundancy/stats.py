@@ -1,10 +1,12 @@
 """Large-N statistics of the generalized index B(ell,n)/n^{ell-1}.
 
 Three layers:
-  * zeta values and the constant mu = gamma/2 + ln(24 zeta(2))/4 - zeta(2)/2
-    that the mean of the ell=2 error sequence is conjectured to approach;
+  * zeta values, the theorem's limit zeta(2)...zeta(ell) (zeta_product),
+    and the constant mu = gamma/2 + ln(24 zeta(2))/4 - zeta(2)/2 that the
+    mean of the ell=2 error sequence is conjectured to approach;
   * the error sequence E_N = sum_{n<=N} sigma(n)/n - zeta(2) N + (1/2) ln N,
-    its running mean, and the histogram of cumsum(E + mu);
+    its mean and the histogram of cumsum(E + mu): one pipeline over the
+    partial sums S of each error_series method's source (_METHODS);
   * moments of the limiting distribution as Euler products of per-prime
     local factors, with explicit tail bounds.
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .core import factorize, primes_up_to
-from .errors import EXACT_NMAX_CAP, BudgetError, MalformedTable
+from .errors import EXACT_NMAX_CAP, MAX_BINS, BudgetError, MalformedTable
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -51,9 +53,17 @@ def zeta(s: int) -> float:
     rounded once. n = 22 terms leave a remainder of at most
     6 / (3+sqrt(8))^22 = 8.7e-17 for every s >= 2, so that single rounding
     is the dominant error; 21 would leave more than 1e-16.
+
+    Past s = 64 it returns 1.0 without the stage, whose exact terms grow
+    with s. There 1 < zeta(s) < 1 + 2^-s (1 + 2/(s-1)) < 1 + 2^-63. The
+    stage, with D = D_22, is ((1 - 1/D) + sum_{k>=1} w_k (k+1)^-s) /
+    (1 - 2^(1-s)) with every |w_k| < 1, so it lies within
+    1/D + 2^-63 < 2^-54 of 1. Both round to 1.0.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
+    if s > 64:
+        return 1.0
     n = 22
     d_prev, d = 1, 3  # ((3+sqrt8)^k + (3-sqrt8)^k)/2 for k = 0, 1
     for _ in range(n - 1):
@@ -78,17 +88,21 @@ def mu_constant() -> float:
 def _zeta_product_up(ell: int) -> float:
     """zeta(2) zeta(3) ... zeta(ell-1), rounded up: 1.0 for ell <= 2.
 
-    zeta(k) is within 1e-15 of the truth. Past k = 64, where its exact
-    sums only grow, 1 stands in for it, since zeta(k) <= 1 + 2^(1-k)
-    <= 1 + 2^-63. Each factor is widened by
-    2^-40, which exceeds both errors and the rounding of the product, and
+    zeta(k) is within 1e-15 of the truth. Each factor is widened by
+    2^-40, which exceeds that error and the rounding of the product, and
     leaves about a 2^-41 margin for the float error of the range check
     that uses it.
     """
     z = 1.0
     for k in range(2, ell):
-        z *= (zeta(k) if k <= 64 else 1.0) * (1.0 + 2.0**-40)
+        z *= zeta(k) * (1.0 + 2.0**-40)
     return z
+
+
+def zeta_product(ell: int) -> float:
+    """zeta(2) zeta(3) ... zeta(ell), the limit of the Cesaro mean of
+    B(ell,n)/n^{ell-1}; 1.0 for ell <= 1."""
+    return math.prod(zeta(i) for i in range(2, ell + 1))
 
 
 def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
@@ -221,6 +235,38 @@ def _replica_mean(E: np.ndarray) -> float:
     return acc / N
 
 
+def _exact_mean(E: np.ndarray) -> float:
+    return _kernels.exact_sum(E) / E.shape[0]
+
+
+def _exact_sums(table, N: int) -> np.ndarray:
+    """S_M = sum_{n<=M} B(2,n)/n for M = 1..N, exact Fractions rounded once."""
+    partial = accumulate(Fraction(table[n], n) for n in range(1, N + 1))
+    return np.array([float(s) for s in partial])
+
+
+# method -> (source of S, or None for the walk's kernel over the index terms;
+# the walk's cumulative-sum kernel, looked up on _kernels per call so that a
+# wrapper set there is the one used; the rule for the mean of E)
+_METHODS = {
+    "kahan": (None, lambda a: _kernels.kahan_cumsum(a), _exact_mean),
+    "naive": (None, np.cumsum, _replica_mean),
+    "dd": (None, lambda a: _kernels.dd_cumsum(a), _exact_mean),
+    "exact": (_exact_sums, lambda a: _kernels.dd_cumsum(a), _exact_mean),
+}
+
+
+def _error_pipeline(S, z, half, mu, cumsum, mean, bins):
+    """E_M = S_M - z M + half ln M for M = 1..len(S): its mean by the rule
+    mean, its last value, and the histogram of the walk cumsum(E + mu)."""
+    narr = np.arange(1, S.shape[0] + 1, dtype=np.float64)
+    E = S - z * narr + half * np.log(narr)
+    mean_E = mean(E)
+    counts, edges = np.histogram(cumsum(E + mu), bins=bins)
+    hist = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+    return mean_E, float(E[-1]), hist
+
+
 @dataclass(frozen=True)
 class ErrorSummary:
     nmax: int
@@ -241,10 +287,12 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     reports the mean of E (conjectured -> -mu), the final E (the plain
     convergence mode, also reported since the conjecture's mode is
     ambiguous), and a histogram of cumsum(E + mu) over equal-width bins
-    spanning [min, max], right-open except the last.
+    spanning [min, max], right-open except the last. More than MAX_BINS
+    bins raise BudgetError.
 
-    method picks the cumulative-sum kernel and the rule for the mean; E,
-    its mean and the walk cumsum(E + mu) are otherwise the same code:
+    method picks the partial sums S, the walk's cumulative-sum kernel and
+    the rule for the mean (_METHODS); E, its mean and the walk
+    cumsum(E + mu) are otherwise the same code (_error_pipeline):
       kahan  Kahan-compensated cumsums in ascending order and a
              correctly rounded mean, summed by _kernels.exact_sum (the
              headline path)
@@ -266,40 +314,22 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
         raise ValueError(f"error series is defined for ell=2, got ell={table.ell}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if bins > MAX_BINS:
+        raise BudgetError(f"bins capped at {MAX_BINS} (got {bins})")
     if N is None:
         N = table.nmax
-    # looked up per call, so that a wrapper set on _kernels is the one used
-    cumsum = {"kahan": _kernels.kahan_cumsum, "naive": np.cumsum,
-              "dd": _kernels.dd_cumsum, "exact": _kernels.dd_cumsum}.get(method)
-    if cumsum is None:
+    if method not in _METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    if method == "exact" and N > EXACT_NMAX_CAP:
+    source, walk, mean = _METHODS[method]
+    if source is _exact_sums and N > EXACT_NMAX_CAP:
         raise BudgetError(f"exact method capped at N <= {EXACT_NMAX_CAP} (got {N})")
     terms = _index_terms(table, N)
-    if method == "exact":
-        partial = accumulate(Fraction(table[n], n) for n in range(1, N + 1))
-        S = np.array([float(s) for s in partial])
-    else:
-        S = cumsum(terms)
-    narr = np.arange(1, N + 1, dtype=np.float64)
+    S = walk(terms) if source is None else source(table, N)
     mu = mu_constant()
-    E = S - zeta(2) * narr + 0.5 * np.log(narr)
-    mean_E = _replica_mean(E) if method == "naive" else _kernels.exact_sum(E) / N
-    X = cumsum(E + mu)
-    counts, edges = np.histogram(X, bins=bins)
-    hist = tuple(
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
-    )
-    return ErrorSummary(
-        nmax=N,
-        mean_E=mean_E,
-        minus_mu=-mu,
-        rel_err=abs(mean_E + mu) / mu,
-        histogram=hist,
-        bins=bins,
-        last_E=float(E[-1]),
-        method=method,
-    )
+    mean_E, last_E, hist = _error_pipeline(S, zeta(2), 0.5, mu, walk, mean, bins)
+    return ErrorSummary(nmax=N, mean_E=mean_E, minus_mu=-mu,
+                        rel_err=abs(mean_E + mu) / mu, histogram=hist, bins=bins,
+                        last_E=last_E, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +405,7 @@ def theoretical_moment(
         tail_bound = math.inf
     _refuse_past_float_range(value + tail_bound, ell, m)
     if m == 1:
-        ref = math.prod(zeta(i) for i in range(2, ell + 1))
+        ref = zeta_product(ell)
         if abs(value - ref) > tail_bound + eps:
             warnings.warn(
                 f"m=1 self-test: product {value} vs zeta reference {ref} "

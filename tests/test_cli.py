@@ -108,6 +108,13 @@ def test_moments_prime_cutoff_budget_exit_3(capsys):
     assert capsys.readouterr().err.startswith("budget refused: ")
 
 
+def test_verify_conjecture_bins_budget_exit_3(capsys):
+    from abundancy.errors import MAX_BINS
+
+    assert run(["verify-conjecture", "--nmax", "100", "--bins", str(MAX_BINS + 1)]) == 3
+    assert capsys.readouterr().err.startswith("budget refused: ")
+
+
 def test_bruteforce_row_and_budget(tmp_path, capsys):
     out = tmp_path / "a.json"
     assert run(["bruteforce", "--ell", "2", "--n", "3", "--out", str(out)]) == 0

@@ -529,6 +529,17 @@ def test_orbit_counts_rejects_out_of_range_images(bad):
         _kernels.orbit_counts(perms)
 
 
+@pytest.mark.parametrize("perms", [
+    [[[0, 0, 1]]],
+    [[[1, 1, 2, 0]], [[0, 1, 2, 3]]],
+    [[[0, 1, 2, 3]], [[1, 1, 2, 0]]],
+], ids=["lone", "first-of-batch", "second-of-batch"])
+def test_orbit_counts_rejects_a_generator_that_repeats_an_image(perms):
+    # its inverse row would keep unwritten slots, read as labels
+    with pytest.raises(ValueError, match="must be a permutation"):
+        _kernels.orbit_counts(np.array(perms))
+
+
 @pytest.mark.parametrize("bad", [
     np.array([[[0.9, 0.2]]]),             # would be truncated to [[[0, 0]]]
     np.array([[[1.0, 0.0]]]),             # integral values, but not an integer dtype

@@ -8,7 +8,7 @@ import pytest
 
 from abundancy import _kernels, stats
 from abundancy.core import primes_up_to
-from abundancy.errors import BudgetError, MalformedTable
+from abundancy.errors import MAX_BINS, BudgetError, MalformedTable
 from abundancy.sieve import ArithTable, sieve_b
 from abundancy.stats import (
     EULER_GAMMA,
@@ -21,6 +21,7 @@ from abundancy.stats import (
     mu_constant,
     theoretical_moment,
     zeta,
+    zeta_product,
 )
 
 PUBLISHED_MEAN_E = -0.38508487292161986
@@ -46,6 +47,24 @@ def test_zeta_correctly_rounded_vs_mpmath():
 def test_zeta_guards():
     with pytest.raises(ValueError):
         zeta(1)
+
+
+def test_zeta_is_one_past_the_double_range():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for s in range(54, 81):
+        assert zeta(s) == 1.0 == float(mpmath.zeta(s)), s
+
+
+def test_zeta_past_64_skips_the_exact_stage(monkeypatch):
+    # the stage's exact terms grow with s: through it, zeta(10**5) takes
+    # about 46 s on a 2-core x86-64 host
+    def refuse(*args):
+        raise AssertionError("exact stage ran")
+
+    monkeypatch.setattr(stats, "Fraction", refuse)
+    for s in (65, 10**5, 10**12):
+        assert zeta(s) == 1.0
 
 
 def test_mu_constant_value():
@@ -366,6 +385,55 @@ def test_error_series_checks_method_before_reading_the_table(table2, monkeypatch
     with pytest.raises(BudgetError, match=r"exact method capped at N <= 20000 \(got 20001\)"):
         error_series(sieve_b(2, 100), 20_001, method="exact")
 
+
+def test_error_series_bins_budget_refuses_before_reading_the_table(table2, monkeypatch):
+    # np.histogram would allocate MAX_BINS + 2 edges, and the summary a
+    # Python triple per bin
+    def refuse(*args, **kwargs):
+        raise AssertionError("_index_terms ran")
+
+    monkeypatch.setattr(stats, "_index_terms", refuse)
+    with pytest.raises(BudgetError, match=rf"bins capped at {MAX_BINS} \(got {MAX_BINS + 1}\)"):
+        error_series(table2, 100, bins=MAX_BINS + 1)
+
+
+def test_error_series_feeds_each_source_to_one_pipeline(table2, monkeypatch):
+    seen = {}
+    pipeline = stats._error_pipeline
+
+    def spy(S, z, half, mu, *rest):
+        seen[method] = (S, z, half, mu)
+        return pipeline(S, z, half, mu, *rest)
+
+    monkeypatch.setattr(stats, "_error_pipeline", spy)
+    N = 300
+    terms = _index_terms(table2, N)
+    exact = [sum(Fraction(table2[n], n) for n in range(1, M + 1)) for M in range(1, N + 1)]
+    expected = {
+        "kahan": _kernels.kahan_cumsum(terms),
+        "dd": _kernels.dd_cumsum(terms),
+        "naive": np.cumsum(terms),
+        "exact": np.array([float(s) for s in exact]),
+    }
+    for method, S_ref in expected.items():
+        error_series(table2, N, method=method)
+        S, z, half, mu = seen[method]
+        assert S.tobytes() == S_ref.tobytes(), method
+        assert (z, half, mu) == (zeta(2), 0.5, mu_constant()), method
+
+
+def test_error_pipeline_takes_its_constants_from_its_arguments(table2):
+    # zeta(2) raised by 2^-40 lowers E_M by 2^-40 M, and so the mean of E
+    # over M <= N by 2^-40 (N + 1) / 2: the form of the fl(zeta(2)) bias
+    N = 24581
+    source, walk, mean = stats._METHODS["kahan"]
+    S = walk(_index_terms(table2, N))
+    rest = (0.5, mu_constant(), walk, mean, 10)
+    base = stats._error_pipeline(S, zeta(2), *rest)[0]
+    assert base == -0.3851607189191287  # the kahan-24581 pin
+    shifted = stats._error_pipeline(S, zeta(2) + 2.0**-40, *rest)[0]
+    assert abs((shifted - base) + 2.0**-40 * (N + 1) / 2) < 1e-12
+
 # ---------------------------------------------------------------------------
 # moments
 
@@ -402,6 +470,13 @@ def test_theoretical_moment_m1_within_tail():
         res = theoretical_moment(2, 1)
     assert abs(res.theoretical - zeta(2)) <= res.tail_bound + 1e-9
     assert res.empirical is None
+
+
+def test_the_m1_self_test_reads_zeta_product(monkeypatch):
+    assert zeta_product(3) == zeta(2) * zeta(3)
+    monkeypatch.setattr(stats, "zeta_product", lambda ell: 2.0)
+    with pytest.warns(UserWarning, match="m=1 self-test"):
+        theoretical_moment(3, 1)
 
 
 def test_theoretical_moment_second_within_tail():
