@@ -3,19 +3,15 @@
 Integer kernels are exact, in int64. The divisor-sum pass runs prime by
 prime over a stack of rows: the caller either bounds the values (an int64
 table is one row, with no modulus) or passes residues modulo primes small
-enough that a pass cannot overflow before it reduces. The float sums add in a fixed
-order, or exactly, so every result is bit-reproducible across NumPy builds.
-They take finite float64 input. kahan_cumsum runs its sequential
-recurrence over Python floats in fixed runs of RUN elements; the order of
-additions, and so every bit, is that of a plain per-element loop over the
-array. dd_cumsum returns the correctly rounded prefix sums and exact_sum
-the correctly rounded total: both add in int64 limbs, exactly, and round
-once per result, so their bits depend on no order of float additions and
-no CPU dispatch. Orbit counting labels a whole batch of tuples in one flat
-index space: its Python loops run over propagation rounds and fixed-size
-chunks, never over tuples. A lone tuple, as the torus checks pass one,
-runs the same rounds with no chunking and no offsets, since its cost is
-NumPy's per-call overhead.
+enough that a pass cannot overflow before it reduces. The float sums take
+finite float64 input. dd_cumsum returns the correctly rounded prefix sums
+and exact_sum the correctly rounded total: both add in int64 limbs,
+exactly, and round once per result, so their bits depend on no order of
+float additions and no CPU dispatch. Orbit counting labels a whole batch
+of tuples in one flat index space: its Python loops run over propagation
+rounds and fixed-size chunks, never over tuples. A lone tuple, as the
+torus checks pass one, runs the same rounds with no chunking and no
+offsets, since its cost is NumPy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -124,21 +120,15 @@ def conv_pass(
 
 
 # ---------------------------------------------------------------------------
-# Sums. kahan_cumsum is the working precision of the headline running sums;
-# dd_cumsum, the correctly rounded prefix sums, is the reference. (It is
-# named for the double-double loop it replaced, which gave the same bits on
-# error_series' inputs at every N checked, up to 10^7.) exact_sum is the
-# correctly rounded total, a Python float, as math.fsum gives it.
+# Sums. dd_cumsum returns the correctly rounded prefix sums, the headline
+# running sums. (It is named for the double-double loop it replaced, which
+# gave the same bits on error_series' inputs at every N checked, up to
+# 10^7.) exact_sum is the correctly rounded total, a Python float, as
+# math.fsum gives it. Their Python loops run over steps and limbs, never
+# over elements.
 #
 # Input is converted to float64 at entry, and a non-finite entry raises
 # ValueError naming its index: past one, every later prefix would be nan.
-#
-# kahan_cumsum's recurrence is sequential, so it runs element by element in
-# ascending order, over Python floats: the input is taken RUN elements at a
-# time with tolist(), and each run of prefix sums is written back in one
-# slice assignment. Python floats are IEEE binary64 like np.float64 scalars,
-# so the bits are those of the same loop over the array's own elements; only
-# NumPy's per-scalar cost is gone.
 #
 # dd_cumsum adds exactly. Every entry is an integer multiple of 2^E0, where
 # E0 = max(e - 53, -1074) for the binary exponent e of the smallest nonzero
@@ -192,25 +182,6 @@ def _require_finite(a: np.ndarray) -> None:
         if bad.any():
             i = start + int(bad.argmax())
             raise ValueError(f"non-finite input at index {i}: {float(a[i])}")
-
-
-def kahan_cumsum(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    _require_finite(a)
-    out = np.empty_like(a)
-    s = 0.0
-    c = 0.0
-    for start in range(0, a.shape[0], RUN):
-        run = []
-        push = run.append
-        for x in a[start : start + RUN].tolist():
-            y = x - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-            push(s)
-        out[start : start + RUN] = run
-    return out
 
 
 def dd_cumsum(a: np.ndarray) -> np.ndarray:

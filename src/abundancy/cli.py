@@ -106,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sieve size when no --table given")
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--method", default="kahan",
-                   choices=["kahan", "naive", "dd", "exact"])
+                   choices=["kahan", "naive", "dd", "exact"],
+                   help="summation path; kahan, the default, names the "
+                        "correctly rounded path (the same bits as dd)")
     p.add_argument("--hist", default=None, help="histogram CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path")
     p.add_argument("--max-rel-err", type=float, default=None,

@@ -12,10 +12,10 @@ Three layers:
 
 Headline totals (Cesaro means, empirical moments, the mean of E) are
 correctly rounded sums (_kernels.exact_sum: math.fsum's bits, added in
-int64 limbs); headline cumulative sums run compensated (Kahan) in fixed
-ascending-n order. A reference whose cumulative sums are correctly rounded
-(`dd`) and an exact-rational small-N variant exist for cross-checking the
-rounding model. The naive replica of the published pipeline fixes every
+int64 limbs), and headline cumulative sums are correctly rounded prefix
+sums (_kernels.dd_cumsum). The `dd` method takes the same route under its
+own name, and an exact-rational small-N variant cross-checks the rounding
+model. The naive replica of the published pipeline fixes every
 operation: a sequential float64 cumsum S, E = (S - zeta(2) n) + (1/2) ln n,
 and a mean whose sum runs over consecutive 8192-element blocks (NumPy's
 default buffer size), each summed with NumPy's classic pairwise rule, the
@@ -43,39 +43,49 @@ EULER_GAMMA = 0.5772156649015328606
 
 
 def zeta(s: int) -> float:
-    """zeta(s) for integer s >= 2, within 1e-15.
+    """zeta(s) for integer s >= 2, correctly rounded.
 
     Alternating eta series accelerated by Chebyshev-weight recombination:
     the n-term stage has remainder <= 3 / (3+sqrt(8))^n for the eta sum,
     hence <= 3 / ((3+sqrt(8))^n (1 - 2^{1-s})) after rescaling. The
     recombination weights are exact rationals (the leading one satisfies
-    D_k = 6 D_{k-1} - D_{k-2}), so the stage is evaluated exactly and
-    rounded once. n = 22 terms leave a remainder of at most
-    6 / (3+sqrt(8))^22 = 8.7e-17 for every s >= 2, so that single rounding
-    is the dominant error; 21 would leave more than 1e-16.
+    D_k = 6 D_{k-1} - D_{k-2}, D_k = ((3+sqrt8)^k + (3-sqrt8)^k)/2), so
+    the stage is exact, and so is the bound once (3+sqrt(8))^n is replaced
+    by 2 D_n - 1, which is smaller. zeta(s) lies within the bound of the
+    stage. Rounding is monotone, so when both ends of that bracket round
+    to the same double, zeta(s) rounds to it too; otherwise the stage
+    takes 11 more terms, which shrink the bracket more than 10^8-fold.
+    33 terms give a half-width of at most 3.3e-25 and settle every
+    s = 2..64 but s = 53, whose zeta lies 3^-53 (1 + ...) above the
+    midpoint 1 + 2^-53 and takes 44 terms.
 
     Past s = 64 it returns 1.0 without the stage, whose exact terms grow
-    with s. There 1 < zeta(s) < 1 + 2^-s (1 + 2/(s-1)) < 1 + 2^-63. The
-    stage, with D = D_22, is ((1 - 1/D) + sum_{k>=1} w_k (k+1)^-s) /
-    (1 - 2^(1-s)) with every |w_k| < 1, so it lies within
-    1/D + 2^-63 < 2^-54 of 1. Both round to 1.0.
+    with s. There 1 < zeta(s) < 1 + 2^-s (1 + 2/(s-1)) < 1 + 2^-63, which
+    rounds to 1.0.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
     if s > 64:
         return 1.0
-    n = 22
-    d_prev, d = 1, 3  # ((3+sqrt8)^k + (3-sqrt8)^k)/2 for k = 0, 1
-    for _ in range(n - 1):
-        d_prev, d = d, 6 * d - d_prev
-    b = Fraction(-1)
-    c = Fraction(-d)
-    acc = Fraction(0)
-    for k in range(n):
-        c = b - c
-        acc += c / (k + 1) ** s
-        b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
-    return float(acc / (d * Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))))
+    scale = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))  # 1 - 2^(1-s)
+    n = 33
+    while True:
+        d_prev, d = 1, 3  # D_0, D_1
+        for _ in range(n - 1):
+            d_prev, d = d, 6 * d - d_prev
+        b = Fraction(-1)
+        c = Fraction(-d)
+        acc = Fraction(0)
+        for k in range(n):
+            c = b - c
+            acc += c / (k + 1) ** s
+            b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
+        stage = acc / (d * scale)
+        bound = Fraction(3, 2 * d - 1) / scale
+        low, high = float(stage - bound), float(stage + bound)
+        if low == high:
+            return low
+        n += 11
 
 
 def mu_constant() -> float:
@@ -88,10 +98,10 @@ def mu_constant() -> float:
 def _zeta_product_up(ell: int) -> float:
     """zeta(2) zeta(3) ... zeta(ell-1), rounded up: 1.0 for ell <= 2.
 
-    zeta(k) is within 1e-15 of the truth. Each factor is widened by
-    2^-40, which exceeds that error and the rounding of the product, and
-    leaves about a 2^-41 margin for the float error of the range check
-    that uses it.
+    zeta(k) is correctly rounded, within a relative 2^-53 of the truth.
+    Each factor is widened by 2^-40, which exceeds that error and the
+    rounding of the product, and leaves about a 2^-41 margin for the float
+    error of the range check that uses it.
     """
     z = 1.0
     for k in range(2, ell):
@@ -102,7 +112,7 @@ def _zeta_product_up(ell: int) -> float:
 def zeta_product(ell: int) -> float:
     """zeta(2) zeta(3) ... zeta(ell), the limit of the Cesaro mean of
     B(ell,n)/n^{ell-1}; 1.0 for ell <= 1."""
-    return math.prod(zeta(i) for i in range(2, ell + 1))
+    return math.prod((zeta(i) for i in range(2, ell + 1)), start=1.0)
 
 
 def _index_terms(table, N: int, m: int = 1) -> np.ndarray:
@@ -249,7 +259,7 @@ def _exact_sums(table, N: int) -> np.ndarray:
 # the walk's cumulative-sum kernel, looked up on _kernels per call so that a
 # wrapper set there is the one used; the rule for the mean of E)
 _METHODS = {
-    "kahan": (None, lambda a: _kernels.kahan_cumsum(a), _exact_mean),
+    "kahan": (None, lambda a: _kernels.dd_cumsum(a), _exact_mean),
     "naive": (None, np.cumsum, _replica_mean),
     "dd": (None, lambda a: _kernels.dd_cumsum(a), _exact_mean),
     "exact": (_exact_sums, lambda a: _kernels.dd_cumsum(a), _exact_mean),
@@ -293,18 +303,18 @@ def error_series(table, N: int | None = None, *, bins: int = 250,
     method picks the partial sums S, the walk's cumulative-sum kernel and
     the rule for the mean (_METHODS); E, its mean and the walk
     cumsum(E + mu) are otherwise the same code (_error_pipeline):
-      kahan  Kahan-compensated cumsums in ascending order and a
-             correctly rounded mean, summed by _kernels.exact_sum (the
-             headline path)
+      kahan  the headline path: correctly rounded cumsums
+             (_kernels.dd_cumsum) and a correctly rounded mean, summed by
+             _kernels.exact_sum. The name is kept from the Kahan loop it
+             replaced; its bits are those of dd
       naive  the published pipeline digit for digit: sequential float64
              cumsum, E = (S - zeta(2) n) + (1/2) ln n, and the mean over
              8192-element blocks (NumPy's default buffer size) with
              classic pairwise sums, block sums added left to right from
              0.0; see _replica_mean. Independent of how a NumPy build
              chunks reductions.
-      dd     correctly rounded cumsums (_kernels.dd_cumsum, named for
-             the double-double loop it replaced) and a correctly rounded
-             mean (reference)
+      dd     the same route as kahan, under the name of the
+             double-double loop that dd_cumsum replaced
       exact  exact-rational partial sums S; past EXACT_NMAX_CAP = 20000
              terms it raises BudgetError. The walk's cumsum and the mean
              are correctly rounded, as for dd

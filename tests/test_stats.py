@@ -23,6 +23,7 @@ from abundancy.stats import (
     zeta,
     zeta_product,
 )
+from test_kernels import _exact_cumsum, _ref_kahan_cumsum
 
 PUBLISHED_MEAN_E = -0.38508487292161986
 
@@ -40,7 +41,7 @@ def test_zeta_known_digits():
 def test_zeta_correctly_rounded_vs_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    for s in (2, 3, 4, 5, 10, 20):
+    for s in range(2, 65):
         assert zeta(s) == float(mpmath.zeta(s)), s
 
 
@@ -243,6 +244,8 @@ def test_error_series_methods_cross_agree(table2):
     kah = error_series(table2)
     dd = error_series(table2, method="dd")
     naive = error_series(table2, method="naive")
+    # kahan and dd share one kernel, so their bounds check the pipeline; the
+    # rounding is checked against Python-integer prefix sums
     assert abs(kah.mean_E - dd.mean_E) < 1e-13
     assert abs(naive.mean_E - dd.mean_E) < 1e-7
     assert abs(kah.last_E - dd.last_E) < 1e-12
@@ -292,17 +295,18 @@ def test_error_series_guards(table2, table3):
 
 
 
-# Recorded before the methods shared one pipeline; any moved bit fails.
+# Recorded before the methods shared one pipeline; any moved bit fails. The
+# kahan cases took the dd bits when kahan moved to dd_cumsum's prefix sums.
 # N = 3*8192 + 5 ends the naive mean on a partial block.
 @pytest.mark.parametrize("method, N, mean_E, last_E, hist_sha256", [
-    ("kahan", 10**6, -0.38508486931399744, 0.3774636010638517,
-     "5b3f1a10cf19f3789973150f92ae89dd74dd3f0df2eca9c6853f81715aa961fc"),
+    ("kahan", 10**6, -0.3850848693140019, 0.3774636010638517,
+     "216246931c96a2b2132b5135c0fee92f3200a7ce519f47a450f2bd8a79752367"),
     ("dd", 10**6, -0.3850848693140019, 0.3774636010638517,
      "216246931c96a2b2132b5135c0fee92f3200a7ce519f47a450f2bd8a79752367"),
     ("naive", 10**6, -0.38508487292161986, 0.3774636129382145,
      "7b7501d3e1bd3f073c4907be2db84c03b20893076036258530614413c93b6c3b"),
-    ("kahan", 24581, -0.3851607189191287, -0.7185259340055428,
-     "264193524c58b717183d6f0bb510873e7e105c23c82a9c56accc7f78f107cd49"),
+    ("kahan", 24581, -0.38516071891912307, -0.7185259340055428,
+     "0adc79c1761526ef875546a127e8aadd8721cb0d41f3222d1969c84aef755ca3"),
     ("dd", 24581, -0.38516071891912307, -0.7185259340055428,
      "0adc79c1761526ef875546a127e8aadd8721cb0d41f3222d1969c84aef755ca3"),
     ("naive", 24581, -0.3851607189158436, -0.718525934129234,
@@ -329,7 +333,7 @@ def _math_log(x):
 # the NumPy build dispatches; the histograms move with it, the headline
 # mean and last E do not.
 @pytest.mark.parametrize("method, mean_E, last_E", [
-    ("kahan", -0.38508486931399744, 0.3774636010638517),
+    ("kahan", -0.3850848693140019, 0.3774636010638517),
     ("naive", PUBLISHED_MEAN_E, 0.3774636129382145),
 ])
 def test_headline_bits_do_not_depend_on_the_log_loop(table2, monkeypatch,
@@ -344,14 +348,11 @@ def test_headline_bits_do_not_depend_on_the_log_loop(table2, monkeypatch,
 
 def test_error_series_kernel_per_method(table2, monkeypatch):
     calls = []
-    for name in ("kahan_cumsum", "dd_cumsum"):
-        kernel = getattr(_kernels, name)
-        monkeypatch.setattr(
-            _kernels, name,
-            lambda a, name=name, kernel=kernel: calls.append(name) or kernel(a),
-        )
+    kernel = _kernels.dd_cumsum
+    monkeypatch.setattr(_kernels, "dd_cumsum",
+                        lambda a: calls.append("dd_cumsum") or kernel(a))
     expected = {
-        "kahan": ["kahan_cumsum"] * 2,
+        "kahan": ["dd_cumsum"] * 2,
         "dd": ["dd_cumsum"] * 2,
         "exact": ["dd_cumsum"],
         "naive": [],
@@ -410,7 +411,7 @@ def test_error_series_feeds_each_source_to_one_pipeline(table2, monkeypatch):
     terms = _index_terms(table2, N)
     exact = [sum(Fraction(table2[n], n) for n in range(1, M + 1)) for M in range(1, N + 1)]
     expected = {
-        "kahan": _kernels.kahan_cumsum(terms),
+        "kahan": _kernels.dd_cumsum(terms),
         "dd": _kernels.dd_cumsum(terms),
         "naive": np.cumsum(terms),
         "exact": np.array([float(s) for s in exact]),
@@ -422,15 +423,30 @@ def test_error_series_feeds_each_source_to_one_pipeline(table2, monkeypatch):
         assert (z, half, mu) == (zeta(2), 0.5, mu_constant()), method
 
 
+def test_kahan_partial_sums_are_correctly_rounded(monkeypatch):
+    # the headline S on real data, against prefix sums taken in Python
+    # integers over one power-of-two denominator and rounded once each
+    seen = []
+    pipeline = stats._error_pipeline
+    monkeypatch.setattr(stats, "_error_pipeline",
+                        lambda S, *rest: seen.append(S) or pipeline(S, *rest))
+    N = 20_000
+    table = sieve_b(2, N)
+    error_series(table)
+    assert seen[0].tobytes() == _exact_cumsum(_index_terms(table, N)).tobytes()
+
+
 def test_error_pipeline_takes_its_constants_from_its_arguments(table2):
     # zeta(2) raised by 2^-40 lowers E_M by 2^-40 M, and so the mean of E
     # over M <= N by 2^-40 (N + 1) / 2: the form of the fl(zeta(2)) bias
+    # The walk is the Kahan recurrence that the kahan method ran before it
+    # took dd_cumsum's prefix sums, so the mean is that method's old pin.
     N = 24581
-    source, walk, mean = stats._METHODS["kahan"]
+    walk = _ref_kahan_cumsum
     S = walk(_index_terms(table2, N))
-    rest = (0.5, mu_constant(), walk, mean, 10)
+    rest = (0.5, mu_constant(), walk, stats._exact_mean, 10)
     base = stats._error_pipeline(S, zeta(2), *rest)[0]
-    assert base == -0.3851607189191287  # the kahan-24581 pin
+    assert base == -0.3851607189191287
     shifted = stats._error_pipeline(S, zeta(2) + 2.0**-40, *rest)[0]
     assert abs((shifted - base) + 2.0**-40 * (N + 1) / 2) < 1e-12
 
@@ -474,6 +490,7 @@ def test_theoretical_moment_m1_within_tail():
 
 def test_the_m1_self_test_reads_zeta_product(monkeypatch):
     assert zeta_product(3) == zeta(2) * zeta(3)
+    assert type(zeta_product(1)) is float and zeta_product(1) == 1.0
     monkeypatch.setattr(stats, "zeta_product", lambda ell: 2.0)
     with pytest.warns(UserWarning, match="m=1 self-test"):
         theoretical_moment(3, 1)
